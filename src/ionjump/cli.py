@@ -149,7 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="disable the auxiliary-level decay channel")
     dft.add_argument("--ions", type=int, default=5)
     dft.add_argument("--phonon-cutoff", type=int, default=3)
-    dft.add_argument("--step-factor", type=float, default=5e-3)
     dft.add_argument("--fig-class", choices=["zero", "one", "multi"], default="one",
                      help="emission class of the representative per-bin spectrum")
     dft.add_argument("--out", default=".", help="output directory")
@@ -351,7 +350,6 @@ def _cmd_simulate_dft(args: argparse.Namespace) -> int:
         t_ratio=args.t_ratio,
         include_aux_channel=not args.no_aux_decay,
         auto_mode=args.auto_mode,
-        step_factor=args.step_factor,
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

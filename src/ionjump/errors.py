@@ -69,9 +69,5 @@ class IndexOutOfRange(IonjumpError, IndexError):
     """Ion or level index outside the register layout."""
 
 
-class StepTooLarge(IonjumpError, ValueError):
-    """Integration step violates the stability bound dt*max(|H|, sum 2*gamma) <= 1e-2."""
-
-
 class ZeroFunction(IonjumpError, ValueError):
     """Input function is identically zero and cannot be normalized."""

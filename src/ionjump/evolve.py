@@ -7,17 +7,21 @@ Between emissions the register evolves under the non-Hermitian
 (jump operator c_j = sqrt(2 gamma_j) |0><upper|_j, so c_j^dag c_j =
 2 gamma_j P_upper(j)), *without* renormalization: the squared norm is
 the probability that no photon has been emitted.  A trajectory draws a
-uniform threshold r, integrates until the squared norm falls below r,
-then selects a jump channel with probability proportional to
+uniform threshold r, evolves until the squared norm falls to r, then
+selects a jump channel with probability proportional to
 <psi| c_j^dag c_j |psi>, applies it, renormalizes, redraws r and
-continues to the end of the pulse program.
+continues to the end of the pulse program (the waiting-time formulation
+of Dalibard, Castin and Molmer, PRL 68, 580 (1992); Plenio and Knight,
+RMP 70, 101 (1998)).
 
-Integration is fixed-step fourth-order (classical RK4).  Because every
-pulse Hamiltonian is constant in time, one RK4 step is a fixed linear
-map P = sum_{m<=4} (dt A)^m / m!; it is precomputed once per pulse and
-applied per step, exploiting the pair structure of the resonant drives
-(this is arithmetically the textbook RK4 update, asserted against an
-explicit four-stage reference in the tests).
+Every pulse Hamiltonian is constant in time, so the no-jump propagator
+exp(-i H_eff t) of a pulse is exact: a closed-form 2x2 block formula for
+the pair-structured resonant drives, dense diagonalization otherwise.
+Each pulse's propagator and end-of-pulse map are built once per (pulse,
+layout, channels) and reused.  The squared norm is non-increasing, so a
+pulse whose end norm stays at or above r holds no jump; otherwise the
+jump time is the root of ||U(t) psi||^2 = r, found by safeguarded Newton
+iteration, and the jump is applied at that time.
 
 Randomness comes from a counter-based generator (Philox) keyed by an
 explicit 64-bit seed; ensemble members use seed0 + trajectory index, so
@@ -26,24 +30,35 @@ results are reproducible and independent of execution order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StepTooLarge, ValidationError
+from .errors import ValidationError
 from .hamiltonians import Hamiltonian, build_pulse_hamiltonian
 from .program import InstantGate, Pulse, PulseProgram
 from .register import QuantumState, RegisterLayout, apply_internal_unitary
 
-#: Hard stability cap on dt * max(|H|, sum of population decay rates).
-STABILITY_CAP = 1e-2
-#: Default step-size factor (kept below the cap for end-to-end accuracy).
-DEFAULT_STEP_FACTOR = 5e-3
-#: Largest tolerated *increase* of the squared norm in one step.
+#: Largest tolerated *increase* of the squared norm over one propagation.
 _NORM_SLACK = 1e-12
+#: Relative width (in units of the searched span) at which a jump-time
+#: search stops.
+_ROOT_RTOL = 1e-13
+_ROOT_MAX_EVALUATIONS = 100
+#: Largest register for the dense (non-pair-structured) propagator.
+_DENSE_MAX_DIM = 4096
 
-_POLY_COEFF = (1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0)
+
+def _level_view(array: np.ndarray, layout: RegisterLayout, ion: int,
+                level: int) -> np.ndarray:
+    """View of the entries of ``array`` (state axis last) whose ion
+    ``ion`` is in internal level ``level``."""
+    lead = layout.internal_dim**ion
+    rest = layout.dim // (lead * layout.internal_dim)
+    return array.reshape(array.shape[:-1] + (lead, layout.internal_dim, rest))[
+        ..., level, :]
 
 
 @dataclass(frozen=True)
@@ -67,18 +82,16 @@ class JumpChannel:
 
     def weight(self, amplitudes: np.ndarray, layout: RegisterLayout) -> float:
         """<psi| c^dag c |psi> = 2*gamma * population of the upper level."""
-        state = QuantumState(layout=layout, amplitudes=amplitudes)
-        return 2.0 * self.gamma * state.ion_level_population(self.ion, self.upper_level)
+        layout.check_ion(self.ion)
+        upper = _level_view(amplitudes, layout, self.ion, self.upper_level)
+        return 2.0 * self.gamma * float(np.vdot(upper, upper).real)
 
     def apply(self, amplitudes: np.ndarray, layout: RegisterLayout) -> np.ndarray:
         """c |psi> (unnormalized)."""
         layout.check_ion(self.ion)
-        lead = layout.internal_dim**self.ion
-        rest = layout.dim // (lead * layout.internal_dim)
         out = np.zeros_like(amplitudes)
-        src = amplitudes.reshape(lead, layout.internal_dim, rest)
-        dst = out.reshape(lead, layout.internal_dim, rest)
-        dst[:, 0, :] = math.sqrt(2.0 * self.gamma) * src[:, self.upper_level, :]
+        upper = _level_view(amplitudes, layout, self.ion, self.upper_level)
+        _level_view(out, layout, self.ion, 0)[...] = math.sqrt(2.0 * self.gamma) * upper
         return out
 
 
@@ -99,109 +112,101 @@ def decay_vector(layout: RegisterLayout, channels: list[JumpChannel]) -> np.ndar
     """Diagonal of sum_j gamma_j P_upper(j) over the register basis."""
     d = np.zeros(layout.dim)
     for ch in channels:
-        if ch.gamma == 0.0:
-            continue
-        lead = layout.internal_dim**ch.ion
-        rest = layout.dim // (lead * layout.internal_dim)
-        d.reshape(lead, layout.internal_dim, rest)[:, ch.upper_level, :] += ch.gamma
+        _level_view(d, layout, ch.ion, ch.upper_level)[...] += ch.gamma
     return d
 
 
-def total_decay_rate(channels: list[JumpChannel]) -> float:
-    """Sum of population decay rates 2*gamma over all channels."""
-    return sum(2.0 * ch.gamma for ch in channels)
+class ConditionalPropagator:
+    """Exact no-jump propagator exp(-i H_eff t), H_eff = H - i*decay,
+    of one constant Hamiltonian and set of jump channels.
 
+    Pair-structured operators use the closed-form 2x2 block formula
+    (``Hamiltonian.pair_propagator``); any other operator is
+    diagonalized densely, which is limited to dim <= 4096.  ``at(t)``
+    returns the map psi -> exp(-i H_eff t) psi and ``end`` is the
+    precomputed map over ``duration``.  Maps act on states with the
+    state axis last, so they take (n, dim) batches as well.
+    """
 
-def _poly4_scalar(z: np.ndarray) -> np.ndarray:
-    out = np.full_like(z, _POLY_COEFF[4], dtype=np.complex128)
-    for coeff in reversed(_POLY_COEFF[:4]):
-        out = out * z + coeff
-    return out
-
-
-def _mat2_mul(m1, m2):
-    a1, b1, c1, d1 = m1
-    a2, b2, c2, d2 = m2
-    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2)
-
-
-def _poly4_mat2(a, b, c, d):
-    """RK4 polynomial of stacked 2x2 matrices given entrywise arrays."""
-    one = np.ones_like(a)
-    zero = np.zeros_like(a)
-    acc = (one * _POLY_COEFF[0], zero.copy(), zero.copy(), one * _POLY_COEFF[0])
-    power = (one.copy(), zero.copy(), zero.copy(), one.copy())
-    for coeff in _POLY_COEFF[1:]:
-        power = _mat2_mul(power, (a, b, c, d))
-        acc = tuple(x + coeff * p for x, p in zip(acc, power))
-    return acc
-
-
-class StepPropagator:
-    """Precomputed RK4 step map for one constant H_eff and step size."""
-
-    def __init__(self, hamiltonian: Hamiltonian, channels: list[JumpChannel],
-                 dt: float) -> None:
-        if dt <= 0.0:
-            raise ValidationError("dt must be > 0")
+    def __init__(self, hamiltonian: Hamiltonian,
+                 channels: list[JumpChannel] | tuple[JumpChannel, ...],
+                 duration: float) -> None:
+        if duration < 0.0:
+            raise ValidationError("duration must be >= 0")
         layout = hamiltonian.layout
         self.layout = layout
-        self.dt = dt
-        decay = decay_vector(layout, channels)
-        self.scale = max(hamiltonian.norm_bound(), total_decay_rate(channels))
-        if self.scale > 0.0 and dt * self.scale > STABILITY_CAP * (1.0 + 1e-9):
-            raise StepTooLarge(
-                f"dt*max(|H|, sum 2*gamma) = {dt * self.scale:.3e} exceeds "
-                f"{STABILITY_CAP:.0e}"
-            )
-        # generator A = -i H - D
-        a_diag = (-1j * hamiltonian.diag - decay) * dt
+        self.duration = duration
+        self.decay = decay_vector(layout, channels)
         if hamiltonian.is_pair_structured:
-            self._dense = None
-            pdiag = _poly4_scalar(a_diag)
-            poff = np.zeros(layout.dim, dtype=np.complex128)
-            perm = np.arange(layout.dim)
-            i, j, g = hamiltonian.pair_i, hamiltonian.pair_j, hamiltonian.pair_g
-            if i.size:
-                block = _poly4_mat2(
-                    a_diag[i], -1j * np.conj(g) * dt,
-                    -1j * g * dt, a_diag[j],
-                )
-                pdiag[i], poff[i] = block[0], block[1]
-                poff[j], pdiag[j] = block[2], block[3]
-                perm[i], perm[j] = j, i
-            self._pdiag, self._poff, self._perm = pdiag, poff, perm
+            self.at = hamiltonian.pair_propagator(self.decay)
         else:
-            if layout.dim > 4096:
+            if layout.dim > _DENSE_MAX_DIM:
                 raise ValidationError(
-                    "dense step propagator limited to dim <= 4096; "
+                    "dense propagator limited to dim <= 4096; "
                     "non-pair-structured drives are meant for small registers"
                 )
-            gen = (-1j) * hamiltonian.to_dense() * dt
-            gen[np.arange(layout.dim), np.arange(layout.dim)] -= decay * dt
-            dense = np.eye(layout.dim, dtype=np.complex128) * _POLY_COEFF[0]
-            power = np.eye(layout.dim, dtype=np.complex128)
-            for coeff in _POLY_COEFF[1:]:
-                power = power @ gen
-                dense += coeff * power
-            self._dense = dense
+            h_eff = hamiltonian.to_dense() - 1j * np.diag(self.decay)
+            vals, vecs = np.linalg.eig(h_eff)
+            self.at = functools.partial(_dense_map, vecs, vals, np.linalg.inv(vecs))
+        self.end = self.at(duration)
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense @ psi
-        return self._pdiag * psi + self._poff * psi[self._perm]
+    def crossing(self, psi: np.ndarray, r: float, span: float, norm2: float,
+                 end_norm2: float) -> tuple[float, np.ndarray]:
+        """Jump time inside ``(0, span]`` and the state there.
 
-    def apply_batch(self, psi: np.ndarray) -> np.ndarray:
-        """Apply the step map to a (n_trajectories, dim) batch."""
-        if self._dense is not None:
-            return psi @ self._dense.T
-        return self._pdiag * psi + self._poff * psi[:, self._perm]
+        Solves ||U(t) psi||^2 = r for t, given the squared norms
+        ``norm2 >= r`` at 0 and ``end_norm2 < r`` at ``span``.  The
+        squared norm is non-increasing with derivative
+        -2 <psi(t)| decay |psi(t)>, so Newton steps are taken inside a
+        shrinking bracket, falling back to bisection when a step leaves
+        it.  The first guess interpolates the logarithm of the norm,
+        exact for a pure exponential decay.
+        """
+        lo, hi = 0.0, span
+        if 0.0 < end_norm2:
+            t = span * math.log(norm2 / r) / math.log(norm2 / end_norm2)
+        else:
+            t = 0.5 * span
+        t = min(max(t, 0.0), span)
+        for _ in range(_ROOT_MAX_EVALUATIONS):
+            phi = self.at(t)(psi)
+            density = phi.real**2 + phi.imag**2
+            excess = float(density.sum()) - r
+            if excess >= 0.0:
+                lo = t
+            else:
+                hi = t
+            slope = -2.0 * float(np.dot(self.decay, density))
+            step = -excess / slope if slope < 0.0 else math.inf
+            if abs(step) <= _ROOT_RTOL * span or hi - lo <= _ROOT_RTOL * span:
+                break
+            t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
+        return t, phi
+
+
+def _dense_map(vecs: np.ndarray, vals: np.ndarray, inv: np.ndarray, t: float):
+    matrix = ((vecs * np.exp(-1j * vals * t)) @ inv).T
+    return lambda psi: psi @ matrix
+
+
+@functools.lru_cache(maxsize=128)
+def pulse_propagator(pulse: Pulse, layout: RegisterLayout,
+                     channels: tuple[JumpChannel, ...]) -> ConditionalPropagator:
+    """The propagator of one program pulse, built once per (pulse,
+    layout, channels) and shared by every trajectory."""
+    return ConditionalPropagator(build_pulse_hamiltonian(pulse, layout), channels,
+                                 pulse.duration)
+
+
+def _check_norm(before: float, after: float) -> None:
+    if after > before * (1.0 + _NORM_SLACK) + _NORM_SLACK:
+        raise ValidationError("conditional evolution increased the norm")
 
 
 def rk4_reference_step(hamiltonian: Hamiltonian, channels: list[JumpChannel],
                        dt: float, psi: np.ndarray) -> np.ndarray:
-    """Textbook four-stage RK4 step; reference for StepPropagator."""
+    """Textbook four-stage RK4 step; the tests' integrator-independent
+    reference for ConditionalPropagator."""
     decay = decay_vector(hamiltonian.layout, channels)
 
     def gen(v):
@@ -214,54 +219,13 @@ def rk4_reference_step(hamiltonian: Hamiltonian, channels: list[JumpChannel],
     return psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def conditional_dt(hamiltonian: Hamiltonian, channels: list[JumpChannel],
-                   step_factor: float = DEFAULT_STEP_FACTOR) -> float:
-    """Step size honoring dt * max(|H|, sum 2*gamma) = step_factor."""
-    if not 0.0 < step_factor <= STABILITY_CAP:
-        raise ValidationError(f"step_factor must be in (0, {STABILITY_CAP}]")
-    scale = max(hamiltonian.norm_bound(), total_decay_rate(channels))
-    if scale == 0.0:
-        return math.inf
-    return step_factor / scale
-
-
 def evolve_conditional(state: QuantumState, hamiltonian: Hamiltonian,
-                       channels: list[JumpChannel], dt: float) -> QuantumState:
-    """One conditional step under H_eff, no renormalization.
-
-    The squared norm can only decrease (it is the accumulated
-    no-emission probability); a step exceeding the stability cap raises
-    StepTooLarge.
-    """
-    stepper = StepPropagator(hamiltonian, channels, dt)
-    before = state.squared_norm()
-    psi = stepper.apply(state.amplitudes)
-    after = float(np.vdot(psi, psi).real)
-    if after > before * (1.0 + _NORM_SLACK) + _NORM_SLACK:
-        raise ValidationError("conditional step increased the norm")
-    return QuantumState(layout=state.layout, amplitudes=psi)
-
-
-def evolve_for(state: QuantumState, hamiltonian: Hamiltonian,
-               channels: list[JumpChannel], duration: float,
-               step_factor: float = DEFAULT_STEP_FACTOR) -> QuantumState:
-    """Conditional evolution over a finite window (no jumps applied)."""
-    if duration < 0.0:
-        raise ValidationError("duration must be >= 0")
-    if duration == 0.0:
-        return state.copy()
-    dt_target = conditional_dt(hamiltonian, channels, step_factor)
-    n_steps = max(1, math.ceil(duration / dt_target)) if math.isfinite(dt_target) else 1
-    dt = duration / n_steps
-    stepper = StepPropagator(hamiltonian, channels, dt)
-    psi = state.amplitudes.copy()
-    norm2 = float(np.vdot(psi, psi).real)
-    for _ in range(n_steps):
-        psi = stepper.apply(psi)
-        new_norm2 = float(np.vdot(psi, psi).real)
-        if new_norm2 > norm2 * (1.0 + _NORM_SLACK) + _NORM_SLACK:
-            raise ValidationError("conditional step increased the norm")
-        norm2 = new_norm2
+                       channels: list[JumpChannel], duration: float) -> QuantumState:
+    """Conditional evolution under H_eff over a finite window, no jumps
+    applied and no renormalization (the squared norm can only
+    decrease: it is the accumulated no-emission probability)."""
+    psi = ConditionalPropagator(hamiltonian, channels, duration).end(state.amplitudes)
+    _check_norm(state.squared_norm(), float(np.vdot(psi, psi).real))
     return QuantumState(layout=state.layout, amplitudes=psi)
 
 
@@ -284,65 +248,79 @@ def trajectory_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def run_trajectory(program: PulseProgram, layout: RegisterLayout,
-                   channels: list[JumpChannel], seed: int,
-                   initial_state: QuantumState,
-                   ideal_final: np.ndarray | None = None,
-                   step_factor: float = DEFAULT_STEP_FACTOR) -> TrajectoryRecord:
-    """Run one quantum-jump trajectory through a pulse program.
-
-    Threshold scheme: draw r uniform in [0, 1); evolve conditionally,
-    comparing the squared norm to r after each step; once it falls
-    below r an emission has occurred — pick the channel with
-    probability proportional to its instantaneous weight, apply it,
-    renormalize and redraw r.  Recorded jump times are log-interpolated
-    within the crossing step.  Same seed, program and channels give a
-    bit-identical record.
-    """
-    rng = trajectory_rng(seed)
-    psi = initial_state.amplitudes.copy()
-    monitor_jumps = any(ch.gamma > 0.0 for ch in channels)
-    r = rng.random() if monitor_jumps else 0.0
-    t_now = 0.0
+def _propagate_with_jumps(propagator: ConditionalPropagator, psi: np.ndarray, r: float,
+                          rng: np.random.Generator | None, channels: list[JumpChannel],
+                          t_start: float, jumps: list[tuple[float, int]]):
+    """Carry ``psi`` through the propagator's duration, emitting every
+    jump the threshold ``r`` calls for; jumps are appended to ``jumps``
+    as (time, channel index) with times offset by ``t_start``.  Returns
+    the final state and the threshold then in force."""
+    layout = propagator.layout
     norm2 = float(np.vdot(psi, psi).real)
-    jumps: list[tuple[float, int]] = []
+    elapsed = 0.0
+    step = propagator.end
+    while True:
+        out = step(psi)
+        out_norm2 = float(np.vdot(out, out).real)
+        _check_norm(norm2, out_norm2)
+        if out_norm2 >= r:
+            return out, r
+        span = propagator.duration - elapsed
+        dt, psi = propagator.crossing(psi, r, span, norm2, out_norm2)
+        elapsed += dt
+        weights = np.array([ch.weight(psi, layout) for ch in channels])
+        total = weights.sum()
+        if total <= 0.0:
+            raise ValidationError("jump triggered with no channel weight")
+        pick = int(np.searchsorted(np.cumsum(weights) / total, rng.random(),
+                                   side="right"))
+        pick = min(pick, len(channels) - 1)
+        psi = channels[pick].apply(psi, layout)
+        psi /= np.linalg.norm(psi)
+        jumps.append((t_start + elapsed, pick))
+        r = rng.random()
+        norm2 = 1.0
+        step = propagator.at(propagator.duration - elapsed)
 
+
+def _propagate_program(program: PulseProgram, layout: RegisterLayout,
+                       channels: list[JumpChannel], psi: np.ndarray, r: float,
+                       rng: np.random.Generator | None,
+                       jumps: list[tuple[float, int]]) -> np.ndarray:
+    """Carry ``psi`` through every item of a program from threshold
+    ``r``, appending each jump to ``jumps``; ``r = 0`` never jumps."""
+    key = tuple(channels)
+    t_start = 0.0
     for item in program.items:
         if isinstance(item, InstantGate):
             psi = apply_internal_unitary(psi, layout, item.ion, item.matrix)
             continue
-        hamiltonian = build_pulse_hamiltonian(item, layout)
         if item.duration == 0.0:
             continue
-        dt_target = conditional_dt(hamiltonian, channels, step_factor)
-        n_steps = max(1, math.ceil(item.duration / dt_target)) if math.isfinite(dt_target) else 1
-        dt = item.duration / n_steps
-        stepper = StepPropagator(hamiltonian, channels, dt)
-        for _ in range(n_steps):
-            psi = stepper.apply(psi)
-            new_norm2 = float(np.vdot(psi, psi).real)
-            if new_norm2 > norm2 * (1.0 + _NORM_SLACK) + _NORM_SLACK:
-                raise ValidationError("conditional step increased the norm")
-            t_now += dt
-            if monitor_jumps and new_norm2 < r:
-                t_jump = t_now
-                if 0.0 < new_norm2 < norm2:
-                    frac = math.log(norm2 / r) / math.log(norm2 / new_norm2)
-                    t_jump = t_now - dt + dt * min(1.0, max(0.0, frac))
-                weights = np.array([ch.weight(psi, layout) for ch in channels])
-                total = weights.sum()
-                if total <= 0.0:
-                    raise ValidationError("jump triggered with no channel weight")
-                pick = int(np.searchsorted(np.cumsum(weights) / total, rng.random(),
-                                           side="right"))
-                pick = min(pick, len(channels) - 1)
-                psi = channels[pick].apply(psi, layout)
-                psi /= np.linalg.norm(psi)
-                jumps.append((t_jump, pick))
-                r = rng.random()
-                new_norm2 = 1.0
-            norm2 = new_norm2
+        psi, r = _propagate_with_jumps(pulse_propagator(item, layout, key), psi, r, rng,
+                                       channels, t_start, jumps)
+        t_start += item.duration
+    return psi
 
+
+def run_trajectory(program: PulseProgram, layout: RegisterLayout,
+                   channels: list[JumpChannel], seed: int,
+                   initial_state: QuantumState,
+                   ideal_final: np.ndarray | None = None) -> TrajectoryRecord:
+    """Run one quantum-jump trajectory through a pulse program.
+
+    Threshold scheme: draw r uniform in [0, 1); propagate each pulse
+    exactly; when the squared norm would fall below r inside the pulse,
+    an emission occurs at the time it reaches r — pick the channel with
+    probability proportional to its weight there, apply it, renormalize,
+    redraw r and continue through the rest of the pulse.  Same seed,
+    program and channels give a bit-identical record.
+    """
+    rng = trajectory_rng(seed)
+    r = rng.random() if any(ch.gamma > 0.0 for ch in channels) else 0.0
+    jumps: list[tuple[float, int]] = []
+    psi = _propagate_program(program, layout, channels, initial_state.amplitudes.copy(),
+                             r, rng, jumps)
     final = QuantumState(layout=layout, amplitudes=psi)
     fidelity = None
     if ideal_final is not None:
@@ -354,117 +332,71 @@ def run_trajectory(program: PulseProgram, layout: RegisterLayout,
 
 def conditional_no_jump_branch(program: PulseProgram, layout: RegisterLayout,
                                channels: list[JumpChannel],
-                               initial_state: QuantumState,
-                               step_factor: float = DEFAULT_STEP_FACTOR) -> QuantumState:
+                               initial_state: QuantumState) -> QuantumState:
     """Deterministic no-emission branch of a program.
 
     Every zero-jump trajectory ends in exactly this state (conditional
     evolution is deterministic; randomness only decides whether jumps
     happen), so the zero-class statistics of an ensemble can be checked
-    against a single integration.
+    against a single propagation.
     """
-    psi = initial_state.amplitudes.copy()
-    norm2 = float(np.vdot(psi, psi).real)
-    for item in program.items:
-        if isinstance(item, InstantGate):
-            psi = apply_internal_unitary(psi, layout, item.ion, item.matrix)
-            continue
-        if item.duration == 0.0:
-            continue
-        hamiltonian = build_pulse_hamiltonian(item, layout)
-        dt_target = conditional_dt(hamiltonian, channels, step_factor)
-        n_steps = max(1, math.ceil(item.duration / dt_target)) if math.isfinite(dt_target) else 1
-        stepper = StepPropagator(hamiltonian, channels, item.duration / n_steps)
-        for _ in range(n_steps):
-            psi = stepper.apply(psi)
-            new_norm2 = float(np.vdot(psi, psi).real)
-            if new_norm2 > norm2 * (1.0 + _NORM_SLACK) + _NORM_SLACK:
-                raise ValidationError("conditional step increased the norm")
-            norm2 = new_norm2
+    psi = _propagate_program(program, layout, channels, initial_state.amplitudes.copy(),
+                             0.0, None, [])
     return QuantumState(layout=layout, amplitudes=psi)
 
 
 def run_constant_hamiltonian_ensemble(
         hamiltonian: Hamiltonian, channels: list[JumpChannel],
         initial_state: QuantumState, duration: float, n_trajectories: int,
-        seed0: int, step_factor: float = DEFAULT_STEP_FACTOR,
-        observable: tuple[int, int] | None = None,
+        seed0: int, observable: tuple[int, int] | None = None,
         n_checkpoints: int = 0):
     """Vectorized trajectory ensemble for a single constant drive.
 
-    All trajectories share the per-step map, so the whole batch advances
-    with a few array operations per step; jump handling runs per
-    crossing row with that row's own Philox stream (seed0 + index),
-    matching run_trajectory's draw order.  Returns
-    (first_jump_times, jump_counts, checkpoint_times, mean_observable,
-    stderr_observable) where ``mean_observable`` is the trajectory mean
-    of the renormalized population of ``observable = (ion, level)`` at
-    each checkpoint and ``stderr_observable`` its standard error (empty
+    The window is cut into ``max(n_checkpoints, 1)`` equal segments.
+    All trajectories share each segment's exact map, so the whole batch
+    advances with one array operation per segment; only rows whose
+    squared norm crosses their threshold search their jump times, each
+    with its own Philox stream (seed0 + index), matching
+    run_trajectory's draw order.  Returns (first_jump_times,
+    jump_counts, checkpoint_times, mean_observable, stderr_observable)
+    where ``mean_observable`` is the trajectory mean of the renormalized
+    population of ``observable = (ion, level)`` at each checkpoint (the
+    segment ends) and ``stderr_observable`` its standard error (empty
     arrays when not requested).
     """
     layout = hamiltonian.layout
-    dt_target = conditional_dt(hamiltonian, channels, step_factor)
-    n_steps = max(1, math.ceil(duration / dt_target)) if math.isfinite(dt_target) else 1
-    dt = duration / n_steps
-    stepper = StepPropagator(hamiltonian, channels, dt)
+    n_segments = max(n_checkpoints, 1)
+    segment = duration / n_segments
+    propagator = ConditionalPropagator(hamiltonian, channels, segment)
 
     rngs = [trajectory_rng(seed0 + i) for i in range(n_trajectories)]
     psi = np.tile(initial_state.amplitudes, (n_trajectories, 1))
     thresholds = np.array([rng.random() for rng in rngs])
-    norm2 = np.einsum("ij,ij->i", np.conj(psi), psi).real
+    jumps: list[list[tuple[float, int]]] = [[] for _ in range(n_trajectories)]
 
-    first_jump = np.full(n_trajectories, np.nan)
-    counts = np.zeros(n_trajectories, dtype=np.int64)
-
-    mask = None
-    if observable is not None:
-        ion, level = observable
-        sel = np.zeros(layout.dim, dtype=bool)
-        lead = layout.internal_dim**ion
-        rest = layout.dim // (lead * layout.internal_dim)
-        sel.reshape(lead, layout.internal_dim, rest)[:, level, :] = True
-        mask = sel
-
-    checkpoint_steps = set()
     checkpoint_times = np.array([])
     if n_checkpoints > 0:
-        idx = np.unique(np.linspace(1, n_steps, n_checkpoints, dtype=np.int64))
-        checkpoint_steps = set(int(v) for v in idx)
-        checkpoint_times = idx * dt
+        checkpoint_times = segment * np.arange(1, n_segments + 1)
     means = []
     stderrs = []
 
-    t_now = 0.0
-    for step in range(1, n_steps + 1):
-        psi = stepper.apply_batch(psi)
-        new_norm2 = np.einsum("ij,ij->i", np.conj(psi), psi).real
-        t_now += dt
-        crossed = np.nonzero(new_norm2 < thresholds)[0]
-        for row in crossed:
-            prev, new = norm2[row], new_norm2[row]
-            t_jump = t_now
-            if 0.0 < new < prev:
-                frac = math.log(prev / thresholds[row]) / math.log(prev / new)
-                t_jump = t_now - dt + dt * min(1.0, max(0.0, frac))
-            weights = np.array([ch.weight(psi[row], layout) for ch in channels])
-            total = weights.sum()
-            if total <= 0.0:
-                raise ValidationError("jump triggered with no channel weight")
-            pick = int(np.searchsorted(np.cumsum(weights) / total,
-                                       rngs[row].random(), side="right"))
-            pick = min(pick, len(channels) - 1)
-            psi[row] = channels[pick].apply(psi[row], layout)
-            psi[row] /= np.linalg.norm(psi[row])
-            if counts[row] == 0:
-                first_jump[row] = t_jump
-            counts[row] += 1
-            thresholds[row] = rngs[row].random()
-            new_norm2[row] = 1.0
-        norm2 = new_norm2
-        if step in checkpoint_steps and mask is not None:
-            pop = (np.abs(psi[:, mask]) ** 2).sum(axis=1) / norm2
+    for k in range(n_segments):
+        out = propagator.end(psi)
+        norm2 = np.einsum("ij,ij->i", np.conj(out), out).real
+        for row in np.nonzero(norm2 < thresholds)[0]:
+            out[row], thresholds[row] = _propagate_with_jumps(
+                propagator, psi[row], thresholds[row], rngs[row], channels,
+                k * segment, jumps[row])
+            norm2[row] = float(np.vdot(out[row], out[row]).real)
+        psi = out
+        if n_checkpoints > 0 and observable is not None:
+            ion, level = observable
+            upper = _level_view(psi, layout, ion, level)
+            pop = (np.abs(upper) ** 2).sum(axis=(-2, -1)) / norm2
             means.append(float(np.mean(pop)))
             spread = float(np.std(pop, ddof=1)) if n_trajectories > 1 else 0.0
             stderrs.append(spread / math.sqrt(n_trajectories))
 
+    first_jump = np.array([row[0][0] if row else np.nan for row in jumps])
+    counts = np.array([len(row) for row in jumps], dtype=np.int64)
     return first_jump, counts, checkpoint_times, np.array(means), np.array(stderrs)

@@ -261,8 +261,8 @@ def run_program_exact(program: PulseProgram, layout: RegisterLayout,
                       psi: np.ndarray) -> np.ndarray:
     """Propagate states through a program with exact pulse unitaries.
 
-    Independent of the stepped integrator; state axis last, batched
-    input allowed.
+    Loss-free reference for the trajectory engine, built apart from its
+    propagator cache; state axis last, batched input allowed.
     """
     out = np.asarray(psi, dtype=np.complex128).copy()
     for item in program.items:

@@ -12,8 +12,8 @@ couple |0, n> <-> |1, n> at Omega/2 without the Lamb-Dicke factor.
 
 Every drive is stored as a sparse pair list plus a real diagonal.  The
 resonant pulse operators are *pair-structured* (each basis state couples
-to at most one partner), which the integrator exploits; the Raman
-three-level operator is not, and falls back to a dense path.
+to at most one partner), so their propagators have a closed form; the
+Raman three-level operator is not, and falls back to a dense path.
 """
 
 from __future__ import annotations
@@ -76,33 +76,54 @@ class Hamiltonian:
         np.add.at(rows, self.pair_j, np.abs(self.pair_g))
         return float(rows.max()) if rows.size else 0.0
 
+    def pair_propagator(self, decay: np.ndarray | None = None):
+        """Closed form of exp(-i (H - i*decay) t) for a pair-structured H.
+
+        Returns a function of t giving the map psi -> exp(...) psi (state
+        axis last); the t-independent parts are computed once here.
+        ``decay`` is an optional real diagonal, the anti-Hermitian part
+        of a conditional generator.  Each coupled pair is a 2x2 block
+        with complex Omega = sqrt(half^2 + |g|^2); cos(Omega t) and
+        sin(Omega t)/Omega are even in Omega, so the branch of the root
+        does not matter.
+        """
+        diag = self.diag if decay is None else self.diag - 1j * decay
+        i, j, g = self.pair_i, self.pair_j, self.pair_g
+        perm = np.arange(self.layout.dim)
+        perm[i], perm[j] = j, i
+        avg = 0.5 * (diag[i] + diag[j])
+        half = 0.5 * (diag[i] - diag[j])
+        omega = np.sqrt(half**2 + np.abs(g) ** 2 + 0j)
+        degenerate = omega == 0.0
+        safe = np.where(degenerate, 1.0, omega)
+        g_conj = np.conj(g)
+
+        def at(t: float):
+            coeff = np.exp(-1j * diag * t)
+            off = np.zeros(diag.size, dtype=np.complex128)
+            sinc = np.where(degenerate, t, np.sin(omega * t) / safe)
+            cos = np.cos(omega * t)
+            phase = np.exp(-1j * avg * t)
+            coeff[i] = phase * (cos - 1j * half * sinc)
+            coeff[j] = phase * (cos + 1j * half * sinc)
+            sinc = -1j * phase * sinc
+            off[i] = g_conj * sinc
+            off[j] = g * sinc
+            return lambda psi: coeff * psi + off * psi[..., perm]
+
+        return at
+
     def propagate_exact(self, psi: np.ndarray, t: float) -> np.ndarray:
         """Exact unitary evolution e^{-iHt} psi (state axis last).
 
         Pair-structured operators use the closed-form 2x2 rotation per
         block; anything else is diagonalized densely.  Serves as the
-        integrator-independent oracle in the tests and the gate
-        compiler's verification path.  Accepts batches of states with
-        shape (..., dim).
+        gate compiler's verification path and the ideal reference of
+        the DFT experiment.  Accepts batches of states with shape
+        (..., dim).
         """
         if self.is_pair_structured:
-            out = psi * np.exp(-1j * self.diag * t)
-            i, j, g = self.pair_i, self.pair_j, self.pair_g
-            if i.size:
-                di, dj = self.diag[i], self.diag[j]
-                avg = 0.5 * (di + dj)
-                half = 0.5 * (di - dj)
-                omega = np.sqrt(half**2 + np.abs(g) ** 2)
-                safe = np.where(omega > 0.0, omega, 1.0)
-                sinc = np.where(omega > 0.0, np.sin(omega * t) / safe, t)
-                cos = np.cos(omega * t)
-                phase = np.exp(-1j * avg * t)
-                a_i, a_j = psi[..., i], psi[..., j]
-                out[..., i] = phase * ((cos - 1j * half * sinc) * a_i
-                                       - 1j * np.conj(g) * sinc * a_j)
-                out[..., j] = phase * ((cos + 1j * half * sinc) * a_j
-                                       - 1j * g * sinc * a_i)
-            return out
+            return self.pair_propagator()(t)(psi)
         dense = self.to_dense()
         vals, vecs = np.linalg.eigh(dense)
         rotated = psi @ vecs.conj()

@@ -45,10 +45,9 @@ from ionjump.dft import (
     qft_program,
 )
 from ionjump.evolve import (
-    StepPropagator,
-    conditional_dt,
+    ConditionalPropagator,
     conditional_no_jump_branch,
-    evolve_for,
+    evolve_conditional,
     qubit_channels,
     run_constant_hamiltonian_ensemble,
 )
@@ -269,7 +268,7 @@ def test_criterion_6_simulator_oracle_equivalence():
     toff_mat, toff_leak = program_computational_matrix(toff_prog, lay3)
     toff_dist = operator_distance(toff_mat, ideal_gate_unitary(Toffoli(0, 1, 2), 3))
 
-    # the stepped engine agrees with the exact pulse unitaries on a
+    # the trajectory engine agrees with the exact pulse unitaries on a
     # two-ion program
     initial = QuantumState.from_computational(lay2, {2: 1.0})
     exact = run_program_exact(cnot_prog, lay2, initial.amplitudes)
@@ -347,7 +346,7 @@ def test_criterion_8_physics_micro_oracles():
     channels = qubit_channels(layout, gamma)
     idle = build_carrier_hamiltonian(layout, 0, rabi=0.0)
     excited = QuantumState.from_computational(layout, {1: 1.0})
-    out = evolve_for(excited, idle, channels, duration=3.0)
+    out = evolve_conditional(excited, idle, channels, duration=3.0)
     decay_err = abs(out.squared_norm() - math.exp(-2.0 * gamma * 3.0))
 
     # jump-time distribution
@@ -369,15 +368,15 @@ def test_criterion_8_physics_micro_oracles():
         h = build_raman_hamiltonian(lay1, 0, rabi02=ratio, rabi12=0.0,
                                     delta2=1.0, eta=1.0)
         t_end = 200.0 * 2.0 * math.pi
-        dt_target = conditional_dt(h, [], 1e-2)
+        dt_target = 1e-2 / h.norm_bound()
         n_steps = math.ceil(t_end / dt_target)
-        stepper = StepPropagator(h, [], t_end / n_steps)
+        advance = ConditionalPropagator(h, [], t_end / n_steps).end
         psi = np.zeros(lay1.dim, dtype=complex)
         psi[lay1.basis_index((0,), 0)] = 1.0
         i2 = lay1.basis_index((2,), 0)
         dev = 0.0
         for step in range(1, n_steps + 1):
-            psi = stepper.apply(psi)
+            psi = advance(psi)
             t_now = step * (t_end / n_steps)
             envelope = ratio**2 / 2.0 * (1.0 - math.cos(t_now))
             dev = max(dev, abs(abs(psi[i2]) ** 2 - envelope))

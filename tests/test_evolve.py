@@ -3,15 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from ionjump.errors import StepTooLarge
 from ionjump.evolve import (
+    ConditionalPropagator,
     JumpChannel,
-    StepPropagator,
-    conditional_dt,
     conditional_no_jump_branch,
     decay_vector,
     evolve_conditional,
-    evolve_for,
     qubit_channels,
     rk4_reference_step,
     run_constant_hamiltonian_ensemble,
@@ -36,26 +33,25 @@ def random_state(layout, seed=0):
     return psi / np.linalg.norm(psi)
 
 
-def test_step_propagator_equals_explicit_rk4():
+def test_exact_propagator_matches_fine_rk4():
+    """Closed-form (pair-structured) and dense (Raman) propagators of
+    H_eff, with decay, against many small textbook RK4 steps."""
     layout = RegisterLayout(n_ions=2, phonon_cutoff=3)
-    channels = qubit_channels(layout, 0.004, gamma_aux=0.002)
-    pair_h = build_sideband_hamiltonian(layout, 0, rabi=1.0, eta=0.2, phase=0.4)
-    dense_h = build_raman_hamiltonian(layout, 1, 0.03, 0.06, delta2=1.0, eta=0.3)
+    channels = qubit_channels(layout, 0.05, gamma_aux=0.02)
+    carrier_h = build_carrier_hamiltonian(layout, 1, rabi=0.8, phase=0.3)
+    sideband_h = build_sideband_hamiltonian(layout, 0, rabi=1.0, eta=0.2, phase=0.4)
+    raman_h = build_raman_hamiltonian(layout, 1, 0.03, 0.06, delta2=1.0, eta=0.3)
     psi = random_state(layout, seed=5)
-    for h in (pair_h, dense_h):
-        dt = conditional_dt(h, channels)
-        stepper = StepPropagator(h, channels, dt)
-        reference = rk4_reference_step(h, channels, dt, psi)
-        assert np.max(np.abs(stepper.apply(psi) - reference)) < 1e-14
+    duration, n_steps = 2.0, 2000
+    for h in (carrier_h, sideband_h, raman_h):
+        propagator = ConditionalPropagator(h, channels, duration)
+        reference = psi
+        for _ in range(n_steps):
+            reference = rk4_reference_step(h, channels, duration / n_steps, reference)
+        assert np.max(np.abs(propagator.end(psi) - reference)) < 1e-11
         batch = np.stack([psi, 1j * psi])
-        assert np.allclose(stepper.apply_batch(batch)[0], stepper.apply(psi))
-
-
-def test_step_too_large():
-    layout = RegisterLayout(n_ions=1, phonon_cutoff=2)
-    h = build_carrier_hamiltonian(layout, 0, rabi=1.0)
-    with pytest.raises(StepTooLarge):
-        StepPropagator(h, [], dt=1.0)
+        assert np.allclose(propagator.end(batch)[1], 1j * propagator.end(psi))
+        assert np.max(np.abs(propagator.at(0.0)(psi) - psi)) < 1e-12
 
 
 def test_decay_vector():
@@ -70,7 +66,7 @@ def test_unitary_limit_preserves_norm():
     layout = RegisterLayout(n_ions=2, phonon_cutoff=3)
     h = build_sideband_hamiltonian(layout, 0, rabi=1.0, eta=0.2)
     state = QuantumState(layout=layout, amplitudes=random_state(layout, 7))
-    out = evolve_for(state, h, [], duration=1.0 / h.norm_bound())
+    out = evolve_conditional(state, h, [], duration=1.0 / h.norm_bound())
     assert abs(out.squared_norm() - 1.0) < 1e-12
 
 
@@ -81,7 +77,7 @@ def test_undriven_decay_norm_law():
     h = build_carrier_hamiltonian(layout, 0, rabi=0.0)
     state = QuantumState.from_computational(layout, {1: 1.0})
     for t_end in (0.5, 2.0, 5.0):
-        out = evolve_for(state, h, channels, duration=t_end)
+        out = evolve_conditional(state, h, channels, duration=t_end)
         assert abs(out.squared_norm() - math.exp(-2.0 * gamma * t_end)) < 1e-8
 
 
@@ -89,12 +85,12 @@ def test_single_conditional_step_is_norm_nonincreasing():
     layout = RegisterLayout(n_ions=1, phonon_cutoff=2)
     channels = qubit_channels(layout, 0.3)
     h = build_carrier_hamiltonian(layout, 0, rabi=1.0)
-    state = QuantumState(layout=layout, amplitudes=random_state(layout, 1))
-    dt = conditional_dt(h, channels)
-    norm = state.squared_norm()
-    for _ in range(200):
-        state = evolve_conditional(state, h, channels, dt)
-        new = state.squared_norm()
+    psi = random_state(layout, 1)
+    propagator = ConditionalPropagator(h, channels, duration=20.0)
+    norm = float(np.vdot(psi, psi).real)
+    for t in np.linspace(0.0, 20.0, 401)[1:]:
+        out = propagator.at(t)(psi)
+        new = float(np.vdot(out, out).real)
         assert new <= norm * (1.0 + 1e-12) + 1e-12
         norm = new
 
@@ -137,6 +133,37 @@ def test_trajectory_emitted_count_matches_jumps():
         assert record.emitted_count == len(record.jumps)
         times = record.jump_times()
         assert times == sorted(times)
+
+
+def test_jump_applied_at_root_found_time():
+    """One carrier-driven ion with decay and exactly one jump: the jump
+    time is where the no-jump norm meets the first threshold draw, and
+    the final state is the jumped state propagated over the rest of the
+    pulse, both against a dense matrix exponential."""
+    layout = RegisterLayout(n_ions=1, phonon_cutoff=2)
+    gamma, rabi, duration, seed = 0.1, 1.0, 6.0, 3
+    channels = qubit_channels(layout, gamma)
+    h = build_carrier_hamiltonian(layout, 0, rabi=rabi)
+    initial = QuantumState.from_computational(layout, {0: 1.0})
+    record = run_trajectory(_single_pulse_program(rabi, duration), layout, channels,
+                            seed, initial)
+    assert record.emitted_count == 1
+    (t1, pick), = record.jumps
+
+    vals, vecs = np.linalg.eig(h.to_dense() - 1j * np.diag(decay_vector(layout, channels)))
+    inv = np.linalg.inv(vecs)
+
+    def propagate(psi, t):
+        return vecs @ (np.exp(-1j * vals * t) * (inv @ psi))
+
+    r = trajectory_rng(seed).random()
+    before = propagate(initial.amplitudes, t1)
+    assert abs(np.vdot(before, before).real - r) < 1e-10
+    jumped = channels[pick].apply(before, layout)
+    expected = propagate(jumped / np.linalg.norm(jumped), duration - t1)
+    final = record.final_state.amplitudes
+    assert np.max(np.abs(final / np.linalg.norm(final)
+                         - expected / np.linalg.norm(expected))) < 1e-9
 
 
 def test_batched_ensemble_matches_sequential():

@@ -117,7 +117,7 @@ def test_gate_times_scale_with_rabi(lay2):
 
 
 def test_stepped_engine_reproduces_gate_unitary(lay2):
-    """The loss-free stepped integrator agrees with the ideal gate matrix
+    """The loss-free trajectory engine agrees with the ideal gate matrix
     on a full two-ion program, column by column."""
     from ionjump.evolve import run_trajectory
     from ionjump.register import QuantumState

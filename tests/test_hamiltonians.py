@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ionjump.errors import ValidationError, ZeroDetuning
-from ionjump.evolve import StepPropagator, conditional_dt
+from ionjump.evolve import ConditionalPropagator
 from ionjump.hamiltonians import (
     build_carrier_hamiltonian,
     build_pulse_hamiltonian,
@@ -114,9 +114,10 @@ def test_nonpositive_eta_rejected(layout):
 # Raman closed-form micro-oracles
 # --------------------------------------------------------------------------
 
-def _raman_trace(ratio, n_cycles, balanced, step_factor=1e-2):
-    """Evolve |0, ph=0> under the three-level Raman drive; returns the
-    time grid and the three level populations."""
+def _raman_trace(ratio, n_cycles, balanced):
+    """Evolve |0, ph=0> under the three-level Raman drive with the exact
+    propagator on a grid of spacing 1e-2/|H|; returns the time grid and
+    the three level populations."""
     layout = RegisterLayout(n_ions=1, phonon_cutoff=3)
     delta = 1.0
     rabi02 = ratio * delta
@@ -124,16 +125,16 @@ def _raman_trace(ratio, n_cycles, balanced, step_factor=1e-2):
     h = build_raman_hamiltonian(layout, 0, rabi02=rabi02, rabi12=rabi12,
                                 delta2=delta, eta=1.0)
     t_end = n_cycles * 2.0 * math.pi / delta
-    dt_target = conditional_dt(h, [], step_factor)
+    dt_target = 1e-2 / h.norm_bound()
     n_steps = max(1, math.ceil(t_end / dt_target))
-    stepper = StepPropagator(h, [], t_end / n_steps)
+    step = ConditionalPropagator(h, [], t_end / n_steps).end
     psi = np.zeros(layout.dim, dtype=complex)
     psi[layout.basis_index((0,), 0)] = 1.0
     idx = [layout.basis_index((0,), 0), layout.basis_index((1,), 1),
            layout.basis_index((2,), 0)]
     pops = np.empty((n_steps, 3))
     for k in range(n_steps):
-        psi = stepper.apply(psi)
+        psi = step(psi)
         pops[k] = np.abs(psi[idx]) ** 2
     times = (np.arange(n_steps) + 1) * (t_end / n_steps)
     return times, pops, rabi02, rabi12
