@@ -1,60 +1,13 @@
 #!/usr/bin/env python3
-"""Run the unstable-register DFT ensemble and write its artifacts.
+"""Run the unstable-register DFT ensemble: ``ionjump simulate dft``.
 
-Usage: python scripts/run_dft_experiment.py [--traj N] [--gamma auto|X]
-       [--seed S] [--t-ratio X] [--out DIR]
-
-Produces trajectories.csv, summary.json and bins.csv (the per-bin
-spectrum of one representative trajectory vs the exact DFT), plus a
-console summary.  With --gamma auto the decay rate is calibrated so the
-register suffers --t-ratio emissions per run on average.
+Usage: python scripts/run_dft_experiment.py [simulate dft options]
+(see ``ionjump simulate dft --help``).
 """
 
-import argparse
 import sys
-from pathlib import Path
 
-from ionjump.dft import (
-    dft_experiment,
-    write_bins_csv,
-    write_summary_json,
-    write_trajectories_csv,
-)
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--traj", type=int, default=1000)
-    parser.add_argument("--gamma", default="auto")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--t-ratio", type=float, default=1.0)
-    parser.add_argument("--fig-class", choices=["zero", "one", "multi"], default="one")
-    parser.add_argument("--out", default="dft_out")
-    args = parser.parse_args()
-
-    gamma = args.gamma if args.gamma == "auto" else float(args.gamma)
-    report = dft_experiment(n_trajectories=args.traj, gamma11=gamma,
-                            seed0=args.seed, t_ratio=args.t_ratio)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectories_csv(report, out_dir / "trajectories.csv")
-    write_summary_json(report, out_dir / "summary.json")
-    write_bins_csv(report, out_dir / "bins.csv", class_name=args.fig_class)
-
-    counts = report.class_counts()
-    print(f"gamma11 = {report.gamma11:.6g} 1/s; program duration = "
-          f"{report.program_duration:.6g} s")
-    print(f"mean jump count = {report.mean_jump_count:.3f} over "
-          f"{report.n_trajectories} trajectories")
-    print("classes: " + ", ".join(f"{k}={v}" for k, v in counts.items()))
-    for name in ("zero", "one", "multi"):
-        fid = report.mean_fidelity(name)
-        if fid is not None:
-            print(f"mean fidelity [{name} emissions] = {fid:.4f}")
-    print(f"artifacts written to {out_dir}/")
-    return 0
-
+from ionjump.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(["simulate", "dft", *sys.argv[1:]]))

@@ -1,53 +1,14 @@
 #!/usr/bin/env python3
-"""Recompute all four reference tables and print per-cell deviations.
+"""Recompute the four reference tables: ``ionjump tables`` for T1..T4.
 
-Usage: python scripts/run_tables.py [--db PATH] [--out-dir DIR]
-
-Writes one CSV per table into --out-dir when given.  Exits 3 when any
-cell is out of its table tolerance (the bundled data is known to leave
-the Hg+ cells of T2/T3 out of tolerance).
+Usage: python scripts/run_tables.py [--db PATH] [--lenient]
+Exits 3 when any table has a cell out of tolerance (the bundled data
+leaves the Hg+ cells of T2/T3 out of tolerance).
 """
 
-import argparse
-import csv
 import sys
-from pathlib import Path
 
-from ionjump import load_database
-from ionjump.atomic import DEFAULT_DATABASE
-from ionjump.tables import Table, reproduce_table
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--db", default=str(DEFAULT_DATABASE))
-    parser.add_argument("--out-dir", default=None)
-    args = parser.parse_args()
-
-    db = load_database(args.db)
-    any_failure = False
-    for table in Table:
-        result = reproduce_table(table, db)
-        print(f"\n{table.value}  (tolerance +-{result.tolerance:.0%})")
-        print(f"{'ion':4s} {'eta':>5s} {'computed':>10s} {'published':>10s} {'dev':>8s}")
-        for cell in result.cells:
-            mark = "" if cell.within_tolerance else "  <-- out of tolerance"
-            print(f"{cell.ion:4s} {cell.eta:5g} {cell.computed:10.4f} "
-                  f"{cell.published:10.2f} {cell.rel_deviation:+8.1%}{mark}")
-        any_failure |= not result.all_within_tolerance
-        if args.out_dir:
-            out_dir = Path(args.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            with open(out_dir / f"{table.value.lower()}.csv", "w", newline="") as handle:
-                writer = csv.writer(handle)
-                writer.writerow(["ion", "eta", "computed", "published",
-                                 "rel_deviation", "within_tolerance"])
-                for cell in result.cells:
-                    writer.writerow([cell.ion, cell.eta, "%.12g" % cell.computed,
-                                     cell.published, "%.12g" % cell.rel_deviation,
-                                     cell.within_tolerance])
-    return 3 if any_failure else 0
-
+from ionjump.cli import main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(max(main(["tables", table, *sys.argv[1:]]) for table in ("T1", "T2", "T3", "T4")))

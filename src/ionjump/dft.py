@@ -7,8 +7,9 @@ of quantum-jump trajectories are classified by emission count; even the
 zero-emission class deviates from the exact spectrum because the
 conditional no-click evolution is itself non-unitary.
 
-Trajectories propagate each pulse exactly and place every jump at its
-root-found time (see ``evolve``).  The exact spectrum comes from
+Trajectories run in row blocks of one batched engine, propagate each
+pulse exactly and place every jump at its root-found time (see
+``evolve``).  The exact spectrum comes from
 ``ideal_dft_oracle``, a direct O(N^2) summation independent of the
 circuit and of the propagator.
 """
@@ -26,12 +27,14 @@ import numpy as np
 from .errors import ValidationError, ZeroFunction
 from .evolve import (
     TrajectoryRecord,
+    conditional_no_jump_branch,
     decay_vector,
     pulse_propagator,
     qubit_channels,
-    run_trajectory,
+    run_ensemble,
+    trajectory_blocks,
 )
-from .gates import ControlledPhase, Hadamard, PulseParams, compile_gate, run_program_exact
+from .gates import ControlledPhase, Hadamard, PulseParams, compile_gate
 from .program import InstantGate, PulseProgram
 from .register import QuantumState, RegisterLayout, apply_internal_unitary
 
@@ -141,9 +144,9 @@ def integrated_upper_population(program: PulseProgram, layout: RegisterLayout,
             continue
         propagator = pulse_propagator(item, layout, ())
         half = 0.5 * item.duration
-        for node, weight in zip(nodes, weights):
-            phi = propagator.at(half * (node + 1.0))(psi)
-            total += half * weight * float(np.dot(excitation, np.abs(phi) ** 2))
+        rows = np.broadcast_to(psi, (nodes.size, psi.size))   # one row per node
+        phi = propagator.at(half * (nodes + 1.0))(rows)
+        total += half * float(weights @ ((phi.real**2 + phi.imag**2) @ excitation))
         psi = propagator.end(psi)
     return total
 
@@ -160,11 +163,9 @@ def _pilot_mean_jumps(program: PulseProgram, layout: RegisterLayout,
                       n_pilot: int, seed_base: int) -> float:
     channels = qubit_channels(layout, gamma,
                               gamma_aux=gamma if include_aux else None)
-    counts = 0
-    for index in range(n_pilot):
-        record = run_trajectory(program, layout, channels, seed_base + index,
-                                initial, ideal_final=None)
-        counts += record.emitted_count
+    seeds = range(seed_base, seed_base + n_pilot)
+    counts = sum(len(row) for _, _, jumps in trajectory_blocks(
+        program, layout, channels, seeds, initial) for row in jumps)
     return counts / n_pilot
 
 
@@ -341,19 +342,16 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
                               gamma_aux=gamma if include_aux_channel else None)
     channels = [ch for ch in channels if ch.gamma > 0.0]
 
-    ideal_final = run_program_exact(program, layout, initial.amplitudes)
+    # the loss-free output from the same cached gamma = 0 propagators
+    # that the measured-excitation integral uses
+    ideal_final = conditional_no_jump_branch(program, layout, [], initial).amplitudes
     oracle = ideal_dft_oracle(f)
 
-    records = []
-    distributions = np.empty((n_trajectories, 2**layout.n_ions))
-    leakages = np.empty(n_trajectories)
-    for index in range(n_trajectories):
-        record = run_trajectory(program, layout, channels, seed0 + index,
-                                initial, ideal_final=ideal_final)
-        records.append(record)
-        final = record.final_state
-        distributions[index] = frequency_distribution(final)
-        leakages[index] = final.leakage()
+    records = run_ensemble(program, layout, channels,
+                           range(seed0, seed0 + n_trajectories), initial,
+                           ideal_final=ideal_final)
+    distributions = np.array([frequency_distribution(r.final_state) for r in records])
+    leakages = np.array([r.final_state.leakage() for r in records])
 
     return EnsembleReport(
         layout=layout,

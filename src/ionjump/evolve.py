@@ -18,20 +18,33 @@ Every pulse Hamiltonian is constant in time, so the no-jump propagator
 exp(-i H_eff t) of a pulse is exact: a closed-form 2x2 block formula for
 the pair-structured resonant drives, dense diagonalization otherwise.
 Each pulse's propagator and end-of-pulse map are built once per (pulse,
-layout, channels) and reused.  The squared norm is non-increasing, so a
-pulse whose end norm stays at or above r holds no jump; otherwise the
-jump time is the root of ||U(t) psi||^2 = r, found by safeguarded Newton
-iteration, and the jump is applied at that time.
+layout, channels) and reused.
+
+One engine runs every ensemble, and a single trajectory is its one-row
+case.  All trajectories run the same program, so they advance together
+as the rows of a block, pulse by pulse: a block takes its end-of-pulse
+states with one array operation, and because the squared norm is
+non-increasing, a row whose end norm stays at or above its r holds no
+jump in that pulse.  Only the rows that cross search for their jump
+times, all together, each by safeguarded Newton iteration on
+||U(t) psi||^2 = r inside its own bracket; the jumps are applied at
+those times, and the jumped rows finish the pulse as a smaller block,
+which repeats while any of them crosses again.  A block holds at most
+BLOCK_AMPLITUDES amplitudes (rows x dim), a fixed budget, so memory
+stays flat however large the ensemble.
 
 Randomness comes from a counter-based generator (Philox) keyed by an
-explicit 64-bit seed; ensemble members use seed0 + trajectory index, so
-results are reproducible and independent of execution order.
+explicit 64-bit seed; ensemble members use seed0 + trajectory index.
+Each row draws its thresholds and channel picks from its own stream in
+the order a lone trajectory would, so results are reproducible and
+independent of the block a trajectory runs in and of execution order.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +62,11 @@ _ROOT_RTOL = 1e-13
 _ROOT_MAX_EVALUATIONS = 100
 #: Largest register for the dense (non-pair-structured) propagator.
 _DENSE_MAX_DIM = 4096
+#: Amplitudes held by one block of trajectories (rows x dim): 67 rows at
+#: dim 243, 22 at dim 729.  A fixed budget keeps peak memory flat in the
+#: ensemble size while a block's array operations still amortize the
+#: per-pulse Python work over many rows.
+BLOCK_AMPLITUDES = 16384
 
 
 def _level_view(array: np.ndarray, layout: RegisterLayout, ion: int,
@@ -116,6 +134,14 @@ def decay_vector(layout: RegisterLayout, channels: list[JumpChannel]) -> np.ndar
     return d
 
 
+@functools.lru_cache(maxsize=16)
+def _jump_rates(layout: RegisterLayout, channels: tuple[JumpChannel, ...]) -> np.ndarray:
+    """(dim, n_channels) matrix whose column j is the diagonal of
+    c_j^dag c_j = 2 gamma_j P_upper(j): |psi|^2 times it gives every
+    channel's ``weight`` for every row of a batch at once."""
+    return 2.0 * np.stack([decay_vector(layout, [ch]) for ch in channels], axis=-1)
+
+
 class ConditionalPropagator:
     """Exact no-jump propagator exp(-i H_eff t), H_eff = H - i*decay,
     of one constant Hamiltonian and set of jump channels.
@@ -123,9 +149,11 @@ class ConditionalPropagator:
     Pair-structured operators use the closed-form 2x2 block formula
     (``Hamiltonian.pair_propagator``); any other operator is
     diagonalized densely, which is limited to dim <= 4096.  ``at(t)``
-    returns the map psi -> exp(-i H_eff t) psi and ``end`` is the
-    precomputed map over ``duration``.  Maps act on states with the
-    state axis last, so they take (n, dim) batches as well.
+    returns the map psi -> exp(-i H_eff t) psi, and for a 1-D array of
+    n times the map of an (n, dim) batch whose row k evolves over t[k];
+    ``end`` is the precomputed map over ``duration``.  Maps act on
+    states with the state axis last, so they take (n, dim) batches as
+    well.
     """
 
     def __init__(self, hamiltonian: Hamiltonian,
@@ -150,43 +178,55 @@ class ConditionalPropagator:
             self.at = functools.partial(_dense_map, vecs, vals, np.linalg.inv(vecs))
         self.end = self.at(duration)
 
-    def crossing(self, psi: np.ndarray, r: float, span: float, norm2: float,
-                 end_norm2: float) -> tuple[float, np.ndarray]:
-        """Jump time inside ``(0, span]`` and the state there.
+    def crossing(self, psi: np.ndarray, r: np.ndarray, span: np.ndarray,
+                 norm2: np.ndarray, end_norm2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Jump times of a block of rows and the states there.
 
-        Solves ||U(t) psi||^2 = r for t, given the squared norms
-        ``norm2 >= r`` at 0 and ``end_norm2 < r`` at ``span``.  The
-        squared norm is non-increasing with derivative
-        -2 <psi(t)| decay |psi(t)>, so Newton steps are taken inside a
-        shrinking bracket, falling back to bisection when a step leaves
-        it.  The first guess interpolates the logarithm of the norm,
-        exact for a pure exponential decay.
+        Row k solves ||U(t) psi[k]||^2 = r[k] for t in ``(0, span[k]]``,
+        given the squared norms ``norm2[k] >= r[k]`` at 0 and
+        ``end_norm2[k] < r[k]`` at ``span[k]``.  The squared norm is
+        non-increasing with derivative -2 <psi(t)| decay |psi(t)>, so
+        each row takes Newton steps inside its own shrinking bracket,
+        falling back to bisection when a step leaves it.  The first
+        guess interpolates the logarithm of the norm, exact for a pure
+        exponential decay.  Rows stop one by one; those still searching
+        are evaluated together, one ``at`` call per iteration.
         """
-        lo, hi = 0.0, span
-        if 0.0 < end_norm2:
-            t = span * math.log(norm2 / r) / math.log(norm2 / end_norm2)
-        else:
-            t = 0.5 * span
-        t = min(max(t, 0.0), span)
-        for _ in range(_ROOT_MAX_EVALUATIONS):
-            phi = self.at(t)(psi)
-            density = phi.real**2 + phi.imag**2
-            excess = float(density.sum()) - r
-            if excess >= 0.0:
-                lo = t
-            else:
-                hi = t
-            slope = -2.0 * float(np.dot(self.decay, density))
-            step = -excess / slope if slope < 0.0 else math.inf
-            if abs(step) <= _ROOT_RTOL * span or hi - lo <= _ROOT_RTOL * span:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            guess = span * np.log(norm2 / r) / np.log(norm2 / end_norm2)
+        t = np.minimum(np.maximum(np.where(end_norm2 > 0.0, guess, 0.5 * span), 0.0), span)
+        lo, hi, tol = np.zeros_like(span), span, _ROOT_RTOL * span
+        roots, phi = np.empty_like(span), np.empty_like(psi)
+        rows = np.arange(span.size)
+        for evaluation in range(1, _ROOT_MAX_EVALUATIONS + 1):
+            out = self.at(t)(psi)
+            density = out.real**2 + out.imag**2
+            excess = density.sum(axis=-1) - r
+            inside = excess >= 0.0
+            lo, hi = np.where(inside, t, lo), np.where(inside, hi, t)
+            slope = -2.0 * np.einsum("...j,j->...", density, self.decay)
+            step = np.divide(-excess, slope, out=np.full_like(slope, np.inf),
+                             where=slope < 0.0)
+            done = ((np.abs(step) <= tol) | (hi - lo <= tol)
+                    | (evaluation == _ROOT_MAX_EVALUATIONS))
+            roots[rows[done]], phi[rows[done]] = t[done], out[done]
+            if done.all():
                 break
-            t = t + step if lo < t + step < hi else 0.5 * (lo + hi)
-        return t, phi
+            going = ~done
+            trial = t + step
+            t = np.where((lo < trial) & (trial < hi), trial, 0.5 * (lo + hi))[going]
+            rows, lo, hi, tol, r, psi = (
+                rows[going], lo[going], hi[going], tol[going], r[going], psi[going])
+        return roots, phi
 
 
-def _dense_map(vecs: np.ndarray, vals: np.ndarray, inv: np.ndarray, t: float):
-    matrix = ((vecs * np.exp(-1j * vals * t)) @ inv).T
-    return lambda psi: psi @ matrix
+def _dense_map(vecs: np.ndarray, vals: np.ndarray, inv: np.ndarray, t):
+    phases = np.exp(-1j * vals * np.asarray(t, dtype=np.float64)[..., None])
+    if phases.ndim == 1:
+        matrix = ((vecs * phases) @ inv).T
+        return lambda psi: psi @ matrix
+    # row k: psi_k -> V diag(phases_k) V^-1 psi_k, without a matrix per row
+    return lambda psi: ((psi @ inv.T) * phases) @ vecs.T
 
 
 @functools.lru_cache(maxsize=128)
@@ -198,8 +238,15 @@ def pulse_propagator(pulse: Pulse, layout: RegisterLayout,
                                  pulse.duration)
 
 
-def _check_norm(before: float, after: float) -> None:
-    if after > before * (1.0 + _NORM_SLACK) + _NORM_SLACK:
+def _norm2(amplitudes: np.ndarray) -> np.ndarray:
+    """Squared norm of each state (state axis last)."""
+    flat = np.ascontiguousarray(amplitudes).view(np.float64)
+    return np.einsum("...j,...j->...", flat, flat)
+
+
+def _check_norm(before, after) -> None:
+    """Reject any state (or row of a block) whose squared norm grew."""
+    if np.any(after > before * (1.0 + _NORM_SLACK) + _NORM_SLACK):
         raise ValidationError("conditional evolution increased the norm")
 
 
@@ -248,47 +295,83 @@ def trajectory_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _propagate_with_jumps(propagator: ConditionalPropagator, psi: np.ndarray, r: float,
-                          rng: np.random.Generator | None, channels: list[JumpChannel],
-                          t_start: float, jumps: list[tuple[float, int]]):
-    """Carry ``psi`` through the propagator's duration, emitting every
-    jump the threshold ``r`` calls for; jumps are appended to ``jumps``
-    as (time, channel index) with times offset by ``t_start``.  Returns
-    the final state and the threshold then in force."""
+def _blocks(seeds: Sequence[int], channels: list[JumpChannel], initial: np.ndarray):
+    """Split ``seeds`` into blocks of at most BLOCK_AMPLITUDES amplitudes.
+
+    Yields (seeds of the block, streams, first thresholds, empty jump
+    lists, initial states).  Without decay no row draws and every
+    threshold is 0, which never jumps.
+    """
+    rows = max(1, BLOCK_AMPLITUDES // initial.size)
+    draws = any(ch.gamma > 0.0 for ch in channels)
+    for start in range(0, len(seeds), rows):
+        block = seeds[start:start + rows]
+        rngs = [trajectory_rng(seed) for seed in block]
+        thresholds = (np.array([rng.random() for rng in rngs]) if draws
+                      else np.zeros(len(block)))
+        yield block, rngs, thresholds, [[] for _ in block], np.tile(initial, (len(block), 1))
+
+
+def _advance(propagator: ConditionalPropagator, psi: np.ndarray, thresholds: np.ndarray,
+             rngs: list[np.random.Generator], channels: tuple[JumpChannel, ...],
+             t_start: float, jumps: list[list[tuple[float, int]]]) -> np.ndarray:
+    """Carry a block of states (rows, dim) through the propagator's
+    duration and return the block at its end.
+
+    Row k jumps whenever its squared norm falls to ``thresholds[k]``:
+    the channel pick and the next threshold are the next two draws of
+    ``rngs[k]``, ``thresholds[k]`` is replaced in place and the jump is
+    appended to ``jumps[k]`` as (time, channel index), with the time
+    offset by ``t_start``.  Rows that jump finish the duration as a
+    smaller block, which repeats while any of them crosses again.
+    """
     layout = propagator.layout
-    norm2 = float(np.vdot(psi, psi).real)
-    elapsed = 0.0
-    step = propagator.end
-    while True:
-        out = step(psi)
-        out_norm2 = float(np.vdot(out, out).real)
-        _check_norm(norm2, out_norm2)
-        if out_norm2 >= r:
-            return out, r
-        span = propagator.duration - elapsed
-        dt, psi = propagator.crossing(psi, r, span, norm2, out_norm2)
+    duration = propagator.duration
+    out = propagator.end(psi)
+    norm2, out_norm2 = _norm2(psi), _norm2(out)
+    _check_norm(norm2, out_norm2)
+    rows = np.flatnonzero(out_norm2 < thresholds)
+    if not rows.size:
+        return out
+    psi, norm2, out_norm2 = psi[rows], norm2[rows], out_norm2[rows]
+    elapsed = np.zeros(rows.size)
+    while rows.size:
+        dt, psi = propagator.crossing(psi, thresholds[rows], duration - elapsed, norm2,
+                                      out_norm2)
         elapsed += dt
-        weights = np.array([ch.weight(psi, layout) for ch in channels])
-        total = weights.sum()
-        if total <= 0.0:
+        weights = (psi.real**2 + psi.imag**2) @ _jump_rates(layout, channels)
+        total = weights.sum(axis=-1)
+        if np.any(total <= 0.0):
             raise ValidationError("jump triggered with no channel weight")
-        pick = int(np.searchsorted(np.cumsum(weights) / total, rng.random(),
-                                   side="right"))
-        pick = min(pick, len(channels) - 1)
-        psi = channels[pick].apply(psi, layout)
-        psi /= np.linalg.norm(psi)
-        jumps.append((t_start + elapsed, pick))
-        r = rng.random()
-        norm2 = 1.0
-        step = propagator.at(propagator.duration - elapsed)
+        draws = np.array([rngs[row].random(2) for row in rows])
+        picks = (np.cumsum(weights, axis=-1) / total[:, None] <= draws[:, :1]).sum(axis=-1)
+        picks = np.minimum(picks, len(channels) - 1)
+        thresholds[rows] = draws[:, 1]
+        for row, time, pick in zip(rows.tolist(), (t_start + elapsed).tolist(),
+                                   picks.tolist()):
+            jumps[row].append((time, pick))
+        jumped = np.empty_like(psi)
+        for pick in np.unique(picks):
+            chosen = picks == pick
+            jumped[chosen] = channels[pick].apply(psi[chosen], layout)
+        psi = jumped / np.sqrt(_norm2(jumped))[:, None]
+        norm2 = np.ones(rows.size)
+        end = propagator.at(duration - elapsed)(psi)
+        out_norm2 = _norm2(end)
+        _check_norm(norm2, out_norm2)
+        out[rows] = end
+        again = out_norm2 < thresholds[rows]
+        rows, psi, norm2, out_norm2, elapsed = (
+            rows[again], psi[again], norm2[again], out_norm2[again], elapsed[again])
+    return out
 
 
 def _propagate_program(program: PulseProgram, layout: RegisterLayout,
-                       channels: list[JumpChannel], psi: np.ndarray, r: float,
-                       rng: np.random.Generator | None,
-                       jumps: list[tuple[float, int]]) -> np.ndarray:
-    """Carry ``psi`` through every item of a program from threshold
-    ``r``, appending each jump to ``jumps``; ``r = 0`` never jumps."""
+                       channels: list[JumpChannel], psi: np.ndarray, thresholds: np.ndarray,
+                       rngs: list[np.random.Generator],
+                       jumps: list[list[tuple[float, int]]]) -> np.ndarray:
+    """Carry a block of states through every item of a program, one
+    cached propagator per pulse (see ``_advance``)."""
     key = tuple(channels)
     t_start = 0.0
     for item in program.items:
@@ -297,37 +380,68 @@ def _propagate_program(program: PulseProgram, layout: RegisterLayout,
             continue
         if item.duration == 0.0:
             continue
-        psi, r = _propagate_with_jumps(pulse_propagator(item, layout, key), psi, r, rng,
-                                       channels, t_start, jumps)
+        psi = _advance(pulse_propagator(item, layout, key), psi, thresholds, rngs, key,
+                       t_start, jumps)
         t_start += item.duration
     return psi
+
+
+def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
+                      channels: list[JumpChannel], seeds: Sequence[int],
+                      initial_state: QuantumState
+                      ) -> Iterator[tuple[Sequence[int], np.ndarray,
+                                          list[list[tuple[float, int]]]]]:
+    """Run one quantum-jump trajectory per seed through a pulse program.
+
+    Threshold scheme: draw r uniform in [0, 1); propagate each pulse
+    exactly; when the squared norm would fall below r inside the pulse,
+    an emission occurs at the time it reaches r — pick the channel with
+    probability proportional to its weight there, apply it, renormalize,
+    redraw r and continue through the rest of the pulse.
+
+    Trajectories run as the rows of blocks of at most BLOCK_AMPLITUDES
+    amplitudes.  Yields, block by block in seed order, (the block's
+    seeds, their final states as a (rows, dim) array, their jumps as
+    lists of (time, channel index)); a caller keeps what it needs of
+    each block.  Each row uses its own stream ``trajectory_rng(seed)``,
+    so a seed gives the same trajectory in any block.
+    """
+    for block, rngs, thresholds, jumps, psi in _blocks(seeds, channels,
+                                                       initial_state.amplitudes):
+        yield block, _propagate_program(program, layout, channels, psi, thresholds, rngs,
+                                        jumps), jumps
+
+
+def run_ensemble(program: PulseProgram, layout: RegisterLayout,
+                 channels: list[JumpChannel], seeds: Sequence[int],
+                 initial_state: QuantumState,
+                 ideal_final: np.ndarray | None = None) -> list[TrajectoryRecord]:
+    """One record per seed, in seed order (see ``trajectory_blocks``);
+    with ``ideal_final`` each record carries the fidelity of its
+    renormalized final state with it."""
+    records = []
+    for block, psi, jumps in trajectory_blocks(program, layout, channels, seeds,
+                                               initial_state):
+        fidelities = [None] * len(block)
+        if ideal_final is not None:
+            fidelities = np.abs(psi @ np.conj(ideal_final)) ** 2 / _norm2(psi)
+        for seed, amplitudes, row, fidelity in zip(block, psi, jumps, fidelities):
+            records.append(TrajectoryRecord(
+                seed=seed, jumps=tuple(row),
+                final_state=QuantumState(layout=layout, amplitudes=amplitudes),
+                fidelity=None if fidelity is None else float(fidelity),
+                emitted_count=len(row)))
+    return records
 
 
 def run_trajectory(program: PulseProgram, layout: RegisterLayout,
                    channels: list[JumpChannel], seed: int,
                    initial_state: QuantumState,
                    ideal_final: np.ndarray | None = None) -> TrajectoryRecord:
-    """Run one quantum-jump trajectory through a pulse program.
-
-    Threshold scheme: draw r uniform in [0, 1); propagate each pulse
-    exactly; when the squared norm would fall below r inside the pulse,
-    an emission occurs at the time it reaches r — pick the channel with
-    probability proportional to its weight there, apply it, renormalize,
-    redraw r and continue through the rest of the pulse.  Same seed,
-    program and channels give a bit-identical record.
-    """
-    rng = trajectory_rng(seed)
-    r = rng.random() if any(ch.gamma > 0.0 for ch in channels) else 0.0
-    jumps: list[tuple[float, int]] = []
-    psi = _propagate_program(program, layout, channels, initial_state.amplitudes.copy(),
-                             r, rng, jumps)
-    final = QuantumState(layout=layout, amplitudes=psi)
-    fidelity = None
-    if ideal_final is not None:
-        normed = psi / np.linalg.norm(psi)
-        fidelity = float(np.abs(np.vdot(ideal_final, normed)) ** 2)
-    return TrajectoryRecord(seed=seed, jumps=tuple(jumps), final_state=final,
-                            fidelity=fidelity, emitted_count=len(jumps))
+    """Run one quantum-jump trajectory through a pulse program: the
+    one-row case of ``run_ensemble``.  Same seed, program and channels
+    give a bit-identical record."""
+    return run_ensemble(program, layout, channels, [seed], initial_state, ideal_final)[0]
 
 
 def conditional_no_jump_branch(program: PulseProgram, layout: RegisterLayout,
@@ -338,11 +452,12 @@ def conditional_no_jump_branch(program: PulseProgram, layout: RegisterLayout,
     Every zero-jump trajectory ends in exactly this state (conditional
     evolution is deterministic; randomness only decides whether jumps
     happen), so the zero-class statistics of an ensemble can be checked
-    against a single propagation.
+    against a single propagation.  It is a one-row block whose
+    threshold 0 never jumps.
     """
-    psi = _propagate_program(program, layout, channels, initial_state.amplitudes.copy(),
-                             0.0, None, [])
-    return QuantumState(layout=layout, amplitudes=psi)
+    psi = _propagate_program(program, layout, channels, initial_state.amplitudes[None],
+                             np.zeros(1), [], [[]])
+    return QuantumState(layout=layout, amplitudes=psi[0])
 
 
 def run_constant_hamiltonian_ensemble(
@@ -350,53 +465,49 @@ def run_constant_hamiltonian_ensemble(
         initial_state: QuantumState, duration: float, n_trajectories: int,
         seed0: int, observable: tuple[int, int] | None = None,
         n_checkpoints: int = 0):
-    """Vectorized trajectory ensemble for a single constant drive.
+    """Trajectory ensemble for a single constant drive.
 
-    The window is cut into ``max(n_checkpoints, 1)`` equal segments.
-    All trajectories share each segment's exact map, so the whole batch
-    advances with one array operation per segment; only rows whose
-    squared norm crosses their threshold search their jump times, each
-    with its own Philox stream (seed0 + index), matching
-    run_trajectory's draw order.  Returns (first_jump_times,
-    jump_counts, checkpoint_times, mean_observable, stderr_observable)
-    where ``mean_observable`` is the trajectory mean of the renormalized
-    population of ``observable = (ion, level)`` at each checkpoint (the
-    segment ends) and ``stderr_observable`` its standard error (empty
-    arrays when not requested).
+    The window is cut into ``max(n_checkpoints, 1)`` equal segments
+    that share one exact propagator; each block of trajectories (seeds
+    seed0 + index) advances through them like a program's pulses.
+    Returns (first_jump_times, jump_counts, checkpoint_times,
+    mean_observable, stderr_observable) where ``mean_observable`` is the
+    trajectory mean of the renormalized population of
+    ``observable = (ion, level)`` at each checkpoint (the segment ends)
+    and ``stderr_observable`` its standard error (empty arrays when not
+    requested).
     """
     layout = hamiltonian.layout
     n_segments = max(n_checkpoints, 1)
     segment = duration / n_segments
     propagator = ConditionalPropagator(hamiltonian, channels, segment)
+    key = tuple(channels)
+    sampled = n_checkpoints > 0 and observable is not None
 
-    rngs = [trajectory_rng(seed0 + i) for i in range(n_trajectories)]
-    psi = np.tile(initial_state.amplitudes, (n_trajectories, 1))
-    thresholds = np.array([rng.random() for rng in rngs])
-    jumps: list[list[tuple[float, int]]] = [[] for _ in range(n_trajectories)]
+    first_jump = np.full(n_trajectories, np.nan)
+    counts = np.zeros(n_trajectories, dtype=np.int64)
+    populations = np.empty((n_segments, n_trajectories))
+    start = 0
+    for block, rngs, thresholds, jumps, psi in _blocks(
+            range(seed0, seed0 + n_trajectories), channels, initial_state.amplitudes):
+        stop = start + len(block)
+        for k in range(n_segments):
+            psi = _advance(propagator, psi, thresholds, rngs, key, k * segment, jumps)
+            if sampled:
+                upper = _level_view(psi, layout, *observable)
+                populations[k, start:stop] = ((np.abs(upper) ** 2).sum(axis=(-2, -1))
+                                              / _norm2(psi))
+        first_jump[start:stop] = [row[0][0] if row else np.nan for row in jumps]
+        counts[start:stop] = [len(row) for row in jumps]
+        start = stop
 
     checkpoint_times = np.array([])
     if n_checkpoints > 0:
         checkpoint_times = segment * np.arange(1, n_segments + 1)
-    means = []
-    stderrs = []
-
-    for k in range(n_segments):
-        out = propagator.end(psi)
-        norm2 = np.einsum("ij,ij->i", np.conj(out), out).real
-        for row in np.nonzero(norm2 < thresholds)[0]:
-            out[row], thresholds[row] = _propagate_with_jumps(
-                propagator, psi[row], thresholds[row], rngs[row], channels,
-                k * segment, jumps[row])
-            norm2[row] = float(np.vdot(out[row], out[row]).real)
-        psi = out
-        if n_checkpoints > 0 and observable is not None:
-            ion, level = observable
-            upper = _level_view(psi, layout, ion, level)
-            pop = (np.abs(upper) ** 2).sum(axis=(-2, -1)) / norm2
-            means.append(float(np.mean(pop)))
-            spread = float(np.std(pop, ddof=1)) if n_trajectories > 1 else 0.0
-            stderrs.append(spread / math.sqrt(n_trajectories))
-
-    first_jump = np.array([row[0][0] if row else np.nan for row in jumps])
-    counts = np.array([len(row) for row in jumps], dtype=np.int64)
-    return first_jump, counts, checkpoint_times, np.array(means), np.array(stderrs)
+    means = stderrs = np.array([])
+    if sampled:
+        means = populations.mean(axis=1)
+        spread = (populations.std(axis=1, ddof=1) if n_trajectories > 1
+                  else np.zeros(n_segments))
+        stderrs = spread / math.sqrt(n_trajectories)
+    return first_jump, counts, checkpoint_times, means, stderrs

@@ -175,12 +175,25 @@ def apply_internal_unitary(amplitudes: np.ndarray, layout: RegisterLayout,
                            ion: int, matrix: np.ndarray) -> np.ndarray:
     """Apply a 3x3 internal unitary to one ion (new array returned).
 
-    Accepts batches with the state axis last, shape (..., dim).
+    Accepts batches with the state axis last, shape (..., dim).  The
+    sum over the three input levels skips zero matrix entries, of which
+    the programs' phase and Hadamard-like gates have four to six.
     """
     layout.check_ion(ion)
     lead = layout.internal_dim**ion
     rest = layout.dim // (lead * layout.internal_dim)
     shape = amplitudes.shape
     block = amplitudes.reshape(-1, lead, layout.internal_dim, rest)
-    out = np.einsum("ab,kibj->kiaj", matrix, block)
-    return np.ascontiguousarray(out).reshape(shape)
+    out = np.empty(block.shape, dtype=np.result_type(matrix, amplitudes))
+    for a in range(layout.internal_dim):
+        target = out[:, :, a, :]
+        terms = [(matrix[a, b], block[:, :, b, :])
+                 for b in range(layout.internal_dim) if matrix[a, b] != 0.0]
+        if not terms:
+            target[...] = 0.0
+        for k, (entry, level) in enumerate(terms):
+            if k == 0:
+                np.multiply(level, entry, out=target)
+            else:
+                target += entry * level
+    return out.reshape(shape)

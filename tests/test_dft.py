@@ -20,6 +20,7 @@ from ionjump.dft import (
     write_trajectories_csv,
 )
 from ionjump.errors import ValidationError, ZeroFunction
+from ionjump.evolve import conditional_no_jump_branch
 from ionjump.gates import run_program_exact
 from ionjump.register import QuantumState, RegisterLayout
 
@@ -87,6 +88,19 @@ def test_circuit_matches_oracle_exactly():
     assert np.max(np.abs(frequency_distribution(state) - ideal_dft_oracle(f))) < 1e-12
     assert state.leakage() < 1e-12
     assert state.phonon_excited_population() < 1e-12
+
+
+@pytest.mark.parametrize("n_ions", [4, 5])
+def test_cached_ideal_output_matches_exact_program(n_ions):
+    """The experiment's ideal output comes from the cached gamma = 0
+    pulse propagators; run_program_exact builds every pulse afresh."""
+    layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
+    support = np.nonzero(dft_input_function(n_ions))[0]
+    initial = QuantumState.from_computational(layout, {int(n): 1.0 for n in support})
+    program = qft_program(layout)
+    cached = conditional_no_jump_branch(program, layout, [], initial).amplitudes
+    exact = run_program_exact(program, layout, initial.amplitudes)
+    assert np.max(np.abs(cached - exact)) < 1e-12
 
 
 def test_qft_gate_count():

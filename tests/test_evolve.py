@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ionjump.evolve import (
+    BLOCK_AMPLITUDES,
     ConditionalPropagator,
     JumpChannel,
     conditional_no_jump_branch,
@@ -12,6 +13,7 @@ from ionjump.evolve import (
     qubit_channels,
     rk4_reference_step,
     run_constant_hamiltonian_ensemble,
+    run_ensemble,
     run_trajectory,
     trajectory_rng,
 )
@@ -52,6 +54,10 @@ def test_exact_propagator_matches_fine_rk4():
         batch = np.stack([psi, 1j * psi])
         assert np.allclose(propagator.end(batch)[1], 1j * propagator.end(psi))
         assert np.max(np.abs(propagator.at(0.0)(psi) - psi)) < 1e-12
+        times = np.array([0.3, 1.7, 0.0])
+        rows = propagator.at(times)(np.stack([psi, 1j * psi, psi]))
+        for row, t, start in zip(rows, times, (psi, 1j * psi, psi)):
+            assert np.max(np.abs(row - propagator.at(t)(start))) < 1e-14
 
 
 def test_decay_vector():
@@ -180,6 +186,35 @@ def test_batched_ensemble_matches_sequential():
         assert record.emitted_count == counts[i]
         if record.emitted_count:
             assert record.jump_times()[0] == pytest.approx(first[i], rel=1e-9)
+
+
+def test_block_ensemble_matches_one_row_runs():
+    """An ensemble over several blocks, its size no multiple of the block
+    rows, against one run_trajectory per seed: same jumps and channels,
+    same jump times and final states.  Long decaying carrier pulses make
+    rows jump again inside a pulse."""
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+    carriers = PulseProgram(tuple(Pulse(ion=k, transition=QUBIT_CARRIER, rabi=1.0,
+                                        duration=20.0) for k in range(4)))
+    program = compile_gate(CNOT(0, 1), layout) + carriers
+    channels = qubit_channels(layout, 0.02, gamma_aux=0.02)
+    initial = QuantumState.from_computational(layout, {0b1010: 1.0, 0b0111: 1.0})
+    n, rows = 150, BLOCK_AMPLITUDES // layout.dim
+    assert n > rows and n % rows != 0
+    records = run_ensemble(program, layout, channels, range(40, 40 + n), initial)
+    pulse_ends = np.cumsum([item.duration for item in program.pulses()])
+    repeats = 0
+    for seed, record in zip(range(40, 40 + n), records):
+        single = run_trajectory(program, layout, channels, seed, initial)
+        assert record.seed == seed
+        assert [c for _, c in record.jumps] == [c for _, c in single.jumps]
+        times, expected = np.array(record.jump_times()), np.array(single.jump_times())
+        assert np.all(np.abs(times - expected) <= 1e-12 * expected)
+        assert np.max(np.abs(record.final_state.amplitudes
+                             - single.final_state.amplitudes)) < 1e-12
+        pulse = np.searchsorted(pulse_ends, times)
+        repeats += int(np.sum(pulse[1:] == pulse[:-1]))
+    assert repeats > 0
 
 
 def test_jump_time_distribution_is_exponential():

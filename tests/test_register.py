@@ -68,3 +68,23 @@ def test_apply_internal_unitary_batched():
     assert np.allclose(out[2], single)
     # applying the swap twice restores the batch
     assert np.allclose(apply_internal_unitary(out, layout, 1, swap01), batch)
+
+
+def test_apply_internal_unitary_matches_dense_kron():
+    """Single states and batches against kron(1, M, 1) @ psi for a dense
+    random unitary, a Hadamard-like gate and a phase gate (the skipped
+    zero entries)."""
+    layout = RegisterLayout(n_ions=3, phonon_cutoff=2)
+    rng = np.random.default_rng(11)
+    dense, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    hadamard = np.array([[1, 1, 0], [1, -1, 0], [0, 0, np.sqrt(2)]]) / np.sqrt(2)
+    phase = np.diag([1.0, np.exp(0.7j), 1.0])
+    batch = rng.normal(size=(5, layout.dim)) + 1j * rng.normal(size=(5, layout.dim))
+    for ion in range(layout.n_ions):
+        rest = layout.dim // 3 ** (ion + 1)
+        for matrix in (dense, hadamard.astype(complex), phase):
+            full = np.kron(np.kron(np.eye(3**ion), matrix), np.eye(rest))
+            assert np.max(np.abs(apply_internal_unitary(batch, layout, ion, matrix)
+                                 - batch @ full.T)) < 1e-15
+            assert np.max(np.abs(apply_internal_unitary(batch[3], layout, ion, matrix)
+                                 - full @ batch[3])) < 1e-15
