@@ -92,27 +92,24 @@ def qft_program(layout: RegisterLayout, params: PulseParams | None = None) -> Pu
     return program
 
 
-def bit_reverse(value: int, n_bits: int) -> int:
-    out = 0
-    for _ in range(n_bits):
-        out = (out << 1) | (value & 1)
-        value >>= 1
-    return out
+def frequency_distribution(states: np.ndarray, layout: RegisterLayout) -> np.ndarray:
+    """Map register bit-pattern probabilities to DFT bins, one row per
+    state of an (n, dim) batch.
 
-
-def frequency_distribution(state: QuantumState) -> np.ndarray:
-    """Map register bit-pattern probabilities to DFT bins.
-
-    The Fourier network leaves its output bit-reversed; readout applies
-    the reversal so bin k of the result is directly comparable with the
+    Each row holds the renormalized probabilities of the 2^n bit
+    patterns with the phonon traced out; auxiliary-level population is
+    excluded, so a row sums to one minus the state's leakage.  The
+    Fourier network leaves its output bit-reversed; readout applies the
+    reversal so bin k of the result is directly comparable with the
     oracle spectrum.
     """
-    n = state.layout.n_ions
-    probs = state.computational_probabilities()
-    out = np.empty_like(probs)
-    for pattern in range(probs.size):
-        out[bit_reverse(pattern, n)] = probs[pattern]
-    return out
+    n = layout.n_ions
+    density = np.abs(states) ** 2
+    grid = density.reshape((-1,) + layout.internal_shape()).sum(axis=-1)
+    probs = grid[(slice(None),) + (slice(0, 2),) * n].reshape(-1, 2**n)
+    # bin k reads pattern reverse(k): the pattern index with its n bits reversed
+    reversal = np.arange(2**n).reshape((2,) * n).transpose().ravel()
+    return probs[:, reversal] / density.sum(axis=-1)[:, None]
 
 
 #: Gauss-Legendre nodes per pulse of the excitation integral.  Bus
@@ -350,8 +347,9 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
     records = run_ensemble(program, layout, channels,
                            range(seed0, seed0 + n_trajectories), initial,
                            ideal_final=ideal_final)
-    distributions = np.array([frequency_distribution(r.final_state) for r in records])
-    leakages = np.array([r.final_state.leakage() for r in records])
+    distributions = frequency_distribution(
+        np.array([r.final_state.amplitudes for r in records]), layout)
+    leakages = 1.0 - distributions.sum(axis=-1)
 
     return EnsembleReport(
         layout=layout,

@@ -20,24 +20,38 @@ the pair-structured resonant drives, dense diagonalization otherwise.
 Each pulse's propagator and end-of-pulse map are built once per (pulse,
 layout, channels) and reused.
 
-One engine runs every ensemble, and a single trajectory is its one-row
-case.  All trajectories run the same program, so they advance together
-as the rows of a block, pulse by pulse: a block takes its end-of-pulse
-states with one array operation, and because the squared norm is
+One engine runs every ensemble, and a single trajectory is its
+one-seed case.  All trajectories run the same program, so they advance
+together as the rows of a block, pulse by pulse.  Until its first jump
+every trajectory follows the same no-jump branch, whose squared norm
+is the survival probability, so a trajectory has no amplitudes of its
+own until then: row 0 of a block is the branch, and one more row is
+made for each trajectory that has jumped.  A pulse takes every row's
+end state with one array operation.  Because the squared norm is
 non-increasing, a row whose end norm stays at or above its r holds no
-jump in that pulse.  Only the rows that cross search for their jump
-times, all together, each by safeguarded Newton iteration on
-||U(t) psi||^2 = r inside its own bracket; the jumps are applied at
-those times, and the jumped rows finish the pulse as a smaller block,
-which repeats while any of them crosses again.  A block holds at most
-BLOCK_AMPLITUDES amplitudes (rows x dim), a fixed budget, so memory
-stays flat however large the ensemble.
+jump in that pulse; a trajectory still on the branch leaves it when
+the branch's end norm falls below its first r, and starts as a copy
+of the branch at the start of that pulse.  Only the rows that cross
+search for their jump times, all together, each by safeguarded Newton
+iteration on ||U(t) psi||^2 = r inside its own bracket; the jumps are
+applied at those times, and the jumped rows finish the pulse as a
+smaller batch, which repeats while any of them crosses again.
+
+A trajectory whose first r is at most the branch's smallest
+end-of-pulse norm never jumps and never gets a row.  A block takes
+seeds until BLOCK_AMPLITUDES // dim of them will jump (the first
+block, before that norm is known, takes that many seeds), so while it
+runs it holds at most 1 + BLOCK_AMPLITUDES // dim rows of amplitudes
+however large the ensemble; only the final states it hands back have
+one row per seed.  The branch lives only as long as its block; nothing
+is kept across calls but the pulse propagators.
 
 Randomness comes from a counter-based generator (Philox) keyed by an
 explicit 64-bit seed; ensemble members use seed0 + trajectory index.
-Each row draws its thresholds and channel picks from its own stream in
-the order a lone trajectory would, so results are reproducible and
-independent of the block a trajectory runs in and of execution order.
+Each trajectory draws its thresholds and channel picks from its own
+stream in the order a lone trajectory would, so results are
+reproducible and independent of the block a trajectory runs in, of the
+rows it shares and of execution order.
 """
 
 from __future__ import annotations
@@ -62,10 +76,11 @@ _ROOT_RTOL = 1e-13
 _ROOT_MAX_EVALUATIONS = 100
 #: Largest register for the dense (non-pair-structured) propagator.
 _DENSE_MAX_DIM = 4096
-#: Amplitudes held by one block of trajectories (rows x dim): 67 rows at
-#: dim 243, 22 at dim 729.  A fixed budget keeps peak memory flat in the
-#: ensemble size while a block's array operations still amortize the
-#: per-pulse Python work over many rows.
+#: Amplitudes of the jumped trajectories one block holds (rows x dim),
+#: besides its no-jump branch: 67 rows at dim 243, 22 at dim 729.  A
+#: fixed budget keeps peak memory flat in the ensemble size while a
+#: block's array operations still amortize the per-pulse Python work
+#: over many rows.
 BLOCK_AMPLITUDES = 16384
 
 
@@ -295,61 +310,116 @@ def trajectory_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _blocks(seeds: Sequence[int], channels: list[JumpChannel], initial: np.ndarray):
-    """Split ``seeds`` into blocks of at most BLOCK_AMPLITUDES amplitudes.
+class _Block:
+    """The trajectories of one block and the rows that hold their states.
 
-    Yields (seeds of the block, streams, first thresholds, empty jump
-    lists, initial states).  Without decay no row draws and every
-    threshold is 0, which never jumps.
+    Row 0 of ``phys`` is the no-jump branch; its threshold 0 never
+    jumps.  A trajectory that has not jumped has no row of its own:
+    ``src[k]`` is 0 and ``first[k]`` is its first threshold.  Once it
+    jumps it owns a row (``owner`` maps rows back to trajectories, -1
+    for the branch), ``first[k]`` is 0, and it draws its thresholds and
+    channel picks from ``rngs[k]``.  ``min_norm2`` is the smallest
+    end-of-pulse squared norm the branch has reached.
     """
-    rows = max(1, BLOCK_AMPLITUDES // initial.size)
+
+    def __init__(self, batch: Sequence[tuple[int, np.random.Generator | None, float]],
+                 initial: np.ndarray) -> None:
+        self.seeds = [seed for seed, _, _ in batch]
+        self.rngs = [rng for _, rng, _ in batch]
+        self.first = np.array([r for _, _, r in batch])
+        self.jumps: list[list[tuple[float, int]]] = [[] for _ in batch]
+        self.src = np.zeros(len(batch), dtype=np.intp)
+        self.phys = np.array(initial, dtype=np.complex128)[None]
+        self.thresholds = np.zeros(1)
+        self.owner = np.full(1, -1)
+        self.min_norm2 = math.inf
+
+
+def _sized_blocks(seeds: Sequence[int], channels: list[JumpChannel],
+                  initial: np.ndarray) -> Iterator[_Block]:
+    """Split ``seeds`` into blocks of trajectories, in seed order.
+
+    The caller runs each block before it asks for the next.  The first
+    block takes BLOCK_AMPLITUDES // dim seeds; its branch then gives the
+    smallest end-of-pulse squared norm N_min of the no-jump evolution,
+    which every block shares.  A trajectory whose first threshold r is
+    at most N_min never leaves the branch, so each later block takes
+    seeds until BLOCK_AMPLITUDES // dim of them have r > N_min: no block
+    holds more than 1 + BLOCK_AMPLITUDES // dim rows.  Without decay no
+    trajectory draws and every threshold is 0, which never jumps.
+    """
+    budget = max(1, BLOCK_AMPLITUDES // initial.size)
     draws = any(ch.gamma > 0.0 for ch in channels)
-    for start in range(0, len(seeds), rows):
-        block = seeds[start:start + rows]
-        rngs = [trajectory_rng(seed) for seed in block]
-        thresholds = (np.array([rng.random() for rng in rngs]) if draws
-                      else np.zeros(len(block)))
-        yield block, rngs, thresholds, [[] for _ in block], np.tile(initial, (len(block), 1))
+    min_norm2 = None            # known once the first block has run
+    batch, jumpers = [], 0
+    for seed in seeds:
+        rng = trajectory_rng(seed) if draws else None
+        r = rng.random() if draws else 0.0
+        batch.append((seed, rng, r))
+        jumpers += min_norm2 is None or r > min_norm2
+        if jumpers == budget:
+            block = _Block(batch, initial)
+            yield block
+            if min_norm2 is None:
+                min_norm2 = block.min_norm2
+            batch, jumpers = [], 0
+    if batch:
+        yield _Block(batch, initial)
 
 
-def _advance(propagator: ConditionalPropagator, psi: np.ndarray, thresholds: np.ndarray,
-             rngs: list[np.random.Generator], channels: tuple[JumpChannel, ...],
-             t_start: float, jumps: list[list[tuple[float, int]]]) -> np.ndarray:
-    """Carry a block of states (rows, dim) through the propagator's
-    duration and return the block at its end.
+def _advance(propagator: ConditionalPropagator, block: _Block,
+             channels: tuple[JumpChannel, ...], t_start: float) -> None:
+    """Carry a block through the propagator's duration.
 
-    Row k jumps whenever its squared norm falls to ``thresholds[k]``:
-    the channel pick and the next threshold are the next two draws of
-    ``rngs[k]``, ``thresholds[k]`` is replaced in place and the jump is
-    appended to ``jumps[k]`` as (time, channel index), with the time
-    offset by ``t_start``.  Rows that jump finish the duration as a
-    smaller block, which repeats while any of them crosses again.
+    Its rows go through the pulse together.  A trajectory still on the
+    branch crosses when the branch's end norm falls below its first
+    threshold; it then becomes a copy of the branch's start-of-pulse
+    state with a row of its own.  A row jumps whenever its squared norm
+    falls to its threshold: the channel pick and the next threshold are
+    the next two draws of its trajectory's stream, and the jump is
+    appended to that trajectory's list as (time, channel index), the
+    time offset by ``t_start``.  Rows that jump finish the duration as a
+    smaller batch, which repeats while any of them crosses again.
     """
     layout = propagator.layout
     duration = propagator.duration
-    out = propagator.end(psi)
-    norm2, out_norm2 = _norm2(psi), _norm2(out)
-    _check_norm(norm2, out_norm2)
-    rows = np.flatnonzero(out_norm2 < thresholds)
+    start = block.phys
+    out = propagator.end(start)
+    start_norm2, end_norm2 = _norm2(start), _norm2(out)
+    _check_norm(start_norm2, end_norm2)
+    block.min_norm2 = min(block.min_norm2, float(end_norm2[0]))
+    fresh = np.flatnonzero(end_norm2[0] < block.first)
+    if fresh.size:
+        # trajectories leaving the branch in this pulse start as copies of it
+        block.src[fresh] = np.arange(start.shape[0], start.shape[0] + fresh.size)
+        block.owner = np.concatenate([block.owner, fresh])
+        block.thresholds = np.concatenate([block.thresholds, block.first[fresh]])
+        block.first[fresh] = 0.0
+        branch = np.zeros(fresh.size, dtype=np.intp)
+        start, out, start_norm2, end_norm2 = (
+            np.concatenate([a, a[branch]]) for a in (start, out, start_norm2, end_norm2))
+    block.phys = out
+    rows = np.flatnonzero(end_norm2 < block.thresholds)
     if not rows.size:
-        return out
-    psi, norm2, out_norm2 = psi[rows], norm2[rows], out_norm2[rows]
+        return
+    rows = rows[np.argsort(block.owner[rows], kind="stable")]     # in seed order
+    psi, norm2, out_norm2 = start[rows], start_norm2[rows], end_norm2[rows]
     elapsed = np.zeros(rows.size)
     while rows.size:
-        dt, psi = propagator.crossing(psi, thresholds[rows], duration - elapsed, norm2,
+        dt, psi = propagator.crossing(psi, block.thresholds[rows], duration - elapsed, norm2,
                                       out_norm2)
         elapsed += dt
         weights = (psi.real**2 + psi.imag**2) @ _jump_rates(layout, channels)
         total = weights.sum(axis=-1)
         if np.any(total <= 0.0):
             raise ValidationError("jump triggered with no channel weight")
-        draws = np.array([rngs[row].random(2) for row in rows])
+        owners = block.owner[rows].tolist()
+        draws = np.array([block.rngs[k].random(2) for k in owners])
         picks = (np.cumsum(weights, axis=-1) / total[:, None] <= draws[:, :1]).sum(axis=-1)
         picks = np.minimum(picks, len(channels) - 1)
-        thresholds[rows] = draws[:, 1]
-        for row, time, pick in zip(rows.tolist(), (t_start + elapsed).tolist(),
-                                   picks.tolist()):
-            jumps[row].append((time, pick))
+        block.thresholds[rows] = draws[:, 1]
+        for k, time, pick in zip(owners, (t_start + elapsed).tolist(), picks.tolist()):
+            block.jumps[k].append((time, pick))
         jumped = np.empty_like(psi)
         for pick in np.unique(picks):
             chosen = picks == pick
@@ -360,30 +430,25 @@ def _advance(propagator: ConditionalPropagator, psi: np.ndarray, thresholds: np.
         out_norm2 = _norm2(end)
         _check_norm(norm2, out_norm2)
         out[rows] = end
-        again = out_norm2 < thresholds[rows]
+        again = out_norm2 < block.thresholds[rows]
         rows, psi, norm2, out_norm2, elapsed = (
             rows[again], psi[again], norm2[again], out_norm2[again], elapsed[again])
-    return out
 
 
 def _propagate_program(program: PulseProgram, layout: RegisterLayout,
-                       channels: list[JumpChannel], psi: np.ndarray, thresholds: np.ndarray,
-                       rngs: list[np.random.Generator],
-                       jumps: list[list[tuple[float, int]]]) -> np.ndarray:
-    """Carry a block of states through every item of a program, one
-    cached propagator per pulse (see ``_advance``)."""
+                       channels: list[JumpChannel], block: _Block) -> None:
+    """Carry a block through every item of a program, one cached
+    propagator per pulse (see ``_advance``)."""
     key = tuple(channels)
     t_start = 0.0
     for item in program.items:
         if isinstance(item, InstantGate):
-            psi = apply_internal_unitary(psi, layout, item.ion, item.matrix)
+            block.phys = apply_internal_unitary(block.phys, layout, item.ion, item.matrix)
             continue
         if item.duration == 0.0:
             continue
-        psi = _advance(pulse_propagator(item, layout, key), psi, thresholds, rngs, key,
-                       t_start, jumps)
+        _advance(pulse_propagator(item, layout, key), block, key, t_start)
         t_start += item.duration
-    return psi
 
 
 def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
@@ -399,17 +464,17 @@ def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
     probability proportional to its weight there, apply it, renormalize,
     redraw r and continue through the rest of the pulse.
 
-    Trajectories run as the rows of blocks of at most BLOCK_AMPLITUDES
-    amplitudes.  Yields, block by block in seed order, (the block's
-    seeds, their final states as a (rows, dim) array, their jumps as
-    lists of (time, channel index)); a caller keeps what it needs of
-    each block.  Each row uses its own stream ``trajectory_rng(seed)``,
-    so a seed gives the same trajectory in any block.
+    Trajectories run in blocks (see ``_sized_blocks``) whose rows share
+    the no-jump branch until they jump.  Yields, block by block in seed
+    order, (the block's seeds, their final states as a (rows, dim)
+    array, their jumps as lists of (time, channel index)); a caller
+    keeps what it needs of each block.  Each trajectory uses its own
+    stream ``trajectory_rng(seed)``, so a seed gives the same trajectory
+    in any block.
     """
-    for block, rngs, thresholds, jumps, psi in _blocks(seeds, channels,
-                                                       initial_state.amplitudes):
-        yield block, _propagate_program(program, layout, channels, psi, thresholds, rngs,
-                                        jumps), jumps
+    for block in _sized_blocks(seeds, channels, initial_state.amplitudes):
+        _propagate_program(program, layout, channels, block)
+        yield block.seeds, block.phys[block.src], block.jumps
 
 
 def run_ensemble(program: PulseProgram, layout: RegisterLayout,
@@ -439,7 +504,7 @@ def run_trajectory(program: PulseProgram, layout: RegisterLayout,
                    initial_state: QuantumState,
                    ideal_final: np.ndarray | None = None) -> TrajectoryRecord:
     """Run one quantum-jump trajectory through a pulse program: the
-    one-row case of ``run_ensemble``.  Same seed, program and channels
+    one-seed case of ``run_ensemble``.  Same seed, program and channels
     give a bit-identical record."""
     return run_ensemble(program, layout, channels, [seed], initial_state, ideal_final)[0]
 
@@ -452,12 +517,12 @@ def conditional_no_jump_branch(program: PulseProgram, layout: RegisterLayout,
     Every zero-jump trajectory ends in exactly this state (conditional
     evolution is deterministic; randomness only decides whether jumps
     happen), so the zero-class statistics of an ensemble can be checked
-    against a single propagation.  It is a one-row block whose
-    threshold 0 never jumps.
+    against a single propagation.  It is row 0 of a block that holds
+    no trajectories.
     """
-    psi = _propagate_program(program, layout, channels, initial_state.amplitudes[None],
-                             np.zeros(1), [], [[]])
-    return QuantumState(layout=layout, amplitudes=psi[0])
+    block = _Block([], initial_state.amplitudes)
+    _propagate_program(program, layout, channels, block)
+    return QuantumState(layout=layout, amplitudes=block.phys[0])
 
 
 def run_constant_hamiltonian_ensemble(
@@ -469,7 +534,8 @@ def run_constant_hamiltonian_ensemble(
 
     The window is cut into ``max(n_checkpoints, 1)`` equal segments
     that share one exact propagator; each block of trajectories (seeds
-    seed0 + index) advances through them like a program's pulses.
+    seed0 + index) advances through them like a program's pulses, on
+    the same engine as ``trajectory_blocks``.
     Returns (first_jump_times, jump_counts, checkpoint_times,
     mean_observable, stderr_observable) where ``mean_observable`` is the
     trajectory mean of the renormalized population of
@@ -488,17 +554,17 @@ def run_constant_hamiltonian_ensemble(
     counts = np.zeros(n_trajectories, dtype=np.int64)
     populations = np.empty((n_segments, n_trajectories))
     start = 0
-    for block, rngs, thresholds, jumps, psi in _blocks(
-            range(seed0, seed0 + n_trajectories), channels, initial_state.amplitudes):
-        stop = start + len(block)
+    for block in _sized_blocks(range(seed0, seed0 + n_trajectories), channels,
+                               initial_state.amplitudes):
+        stop = start + len(block.seeds)
         for k in range(n_segments):
-            psi = _advance(propagator, psi, thresholds, rngs, key, k * segment, jumps)
+            _advance(propagator, block, key, k * segment)
             if sampled:
-                upper = _level_view(psi, layout, *observable)
+                upper = _level_view(block.phys, layout, *observable)
                 populations[k, start:stop] = ((np.abs(upper) ** 2).sum(axis=(-2, -1))
-                                              / _norm2(psi))
-        first_jump[start:stop] = [row[0][0] if row else np.nan for row in jumps]
-        counts[start:stop] = [len(row) for row in jumps]
+                                              / _norm2(block.phys))[block.src]
+        first_jump[start:stop] = [row[0][0] if row else np.nan for row in block.jumps]
+        counts[start:stop] = [len(row) for row in block.jumps]
         start = stop
 
     checkpoint_times = np.array([])

@@ -1,10 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from ionjump.dft import (
-    bit_reverse,
     calibrate_gamma,
     dft_experiment,
     dft_input_function,
@@ -20,9 +20,10 @@ from ionjump.dft import (
     write_trajectories_csv,
 )
 from ionjump.errors import ValidationError, ZeroFunction
-from ionjump.evolve import conditional_no_jump_branch
+from ionjump.evolve import conditional_no_jump_branch, qubit_channels
 from ionjump.gates import run_program_exact
 from ionjump.register import QuantumState, RegisterLayout
+from test_acceptance import CALIBRATED_GAMMA
 
 # 32-point spectrum of f(n) = [n = 8 mod 10], frozen from the direct
 # O(N^2) summation oracle
@@ -72,10 +73,41 @@ def test_oracle_golden_spectrum():
     assert {0, 3, 13, 16, 19, 29} == top
 
 
+def bit_reverse(value: int, n_bits: int) -> int:
+    """The n-bit reversal of ``value``, bit by bit: the oracle of the
+    readout's bit-reversal permutation."""
+    out = 0
+    for _ in range(n_bits):
+        out = (out << 1) | (value & 1)
+        value >>= 1
+    return out
+
+
 def test_bit_reverse():
     assert bit_reverse(0b10110, 5) == 0b01101
     for value in range(32):
         assert bit_reverse(bit_reverse(value, 5), 5) == value
+
+
+@pytest.mark.parametrize("n_ions", [3, 5])
+def test_batched_readout_matches_per_state_path(n_ions):
+    """The batched readout against each state's own computational
+    probabilities moved bin by bin with ``bit_reverse``; leakage is one
+    minus a row's sum."""
+    layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
+    rng = np.random.default_rng(n_ions)
+    states = rng.normal(size=(6, layout.dim)) + 1j * rng.normal(size=(6, layout.dim))
+    states *= rng.uniform(0.1, 1.0, size=(6, 1)) / np.linalg.norm(states, axis=-1)[:, None]
+    distributions = frequency_distribution(states, layout)
+    assert distributions.shape == (6, 2**n_ions)
+    for amplitudes, row in zip(states, distributions):
+        state = QuantumState(layout=layout, amplitudes=amplitudes)
+        probs = state.computational_probabilities()
+        expected = np.empty_like(probs)
+        for pattern in range(probs.size):
+            expected[bit_reverse(pattern, n_ions)] = probs[pattern]
+        assert np.max(np.abs(row - expected)) < 1e-15
+        assert abs(1.0 - row.sum() - state.leakage()) < 1e-15
 
 
 def test_circuit_matches_oracle_exactly():
@@ -85,7 +117,8 @@ def test_circuit_matches_oracle_exactly():
     initial = QuantumState.from_computational(layout, {3: 1.0, 5: 0.5})
     out = run_program_exact(qft_program(layout), layout, initial.amplitudes)
     state = QuantumState(layout=layout, amplitudes=out)
-    assert np.max(np.abs(frequency_distribution(state) - ideal_dft_oracle(f))) < 1e-12
+    assert np.max(np.abs(frequency_distribution(out[None], layout)[0]
+                         - ideal_dft_oracle(f))) < 1e-12
     assert state.leakage() < 1e-12
     assert state.phonon_excited_population() < 1e-12
 
@@ -101,6 +134,25 @@ def test_cached_ideal_output_matches_exact_program(n_ions):
     cached = conditional_no_jump_branch(program, layout, [], initial).amplitudes
     exact = run_program_exact(program, layout, initial.amplitudes)
     assert np.max(np.abs(cached - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("n_ions", [4, 5])
+def test_zero_class_count_matches_no_jump_probability(n_ions):
+    """Exact P(0) gate: the zero-emission count of 1000 trajectories at
+    the calibrated decay (seed 7, the C7 ensemble at five ions) lies
+    within 4 binomial standard errors of 1000 * ||branch(T)||^2."""
+    layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
+    n = 1000
+    report = dft_experiment(n_trajectories=n, gamma11=CALIBRATED_GAMMA, layout=layout,
+                            seed0=7)
+    support = np.nonzero(dft_input_function(n_ions))[0]
+    initial = QuantumState.from_computational(layout, {int(k): 1.0 for k in support})
+    channels = qubit_channels(layout, CALIBRATED_GAMMA, gamma_aux=CALIBRATED_GAMMA)
+    p0 = conditional_no_jump_branch(qft_program(layout), layout, channels,
+                                    initial).squared_norm()
+    assert 0.2 < p0 < 0.9
+    zero = report.class_counts()["zero"]
+    assert abs(zero - n * p0) <= 4.0 * math.sqrt(n * p0 * (1.0 - p0))
 
 
 def test_qft_gate_count():

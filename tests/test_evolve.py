@@ -10,11 +10,13 @@ from ionjump.evolve import (
     conditional_no_jump_branch,
     decay_vector,
     evolve_conditional,
+    pulse_propagator,
     qubit_channels,
     rk4_reference_step,
     run_constant_hamiltonian_ensemble,
     run_ensemble,
     run_trajectory,
+    trajectory_blocks,
     trajectory_rng,
 )
 from ionjump.gates import CNOT, compile_gate
@@ -23,8 +25,8 @@ from ionjump.hamiltonians import (
     build_raman_hamiltonian,
     build_sideband_hamiltonian,
 )
-from ionjump.program import Pulse, PulseProgram, QUBIT_CARRIER
-from ionjump.register import QuantumState, RegisterLayout
+from ionjump.program import InstantGate, Pulse, PulseProgram, QUBIT_CARRIER
+from ionjump.register import QuantumState, RegisterLayout, apply_internal_unitary
 
 KS_CRITICAL_1PCT = 1.628  # asymptotic Kolmogorov-Smirnov quantile at alpha = 0.01
 
@@ -215,6 +217,68 @@ def test_block_ensemble_matches_one_row_runs():
         pulse = np.searchsorted(pulse_ends, times)
         repeats += int(np.sum(pulse[1:] == pulse[:-1]))
     assert repeats > 0
+
+
+def test_first_jump_leaves_the_no_jump_branch():
+    """Every trajectory follows the no-jump branch until its first jump.
+
+    With r the first draw of a seed's stream: r at or below the branch's
+    smallest end-of-pulse squared norm means no jump and the branch's
+    final state, bit for bit; otherwise the first jump lands where the
+    branch's squared norm reaches r.  The branch is propagated here one
+    pulse at a time on a single state, apart from the engine.  The
+    ensemble spans several blocks, later ones sized by the rows that
+    jump, with zero-jump rows and rows that jump twice in one pulse."""
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+    carriers = PulseProgram(tuple(Pulse(ion=k, transition=QUBIT_CARRIER, rabi=1.0,
+                                        duration=20.0) for k in range(4)))
+    program = compile_gate(CNOT(0, 1), layout) + carriers
+    channels = qubit_channels(layout, 5e-4, gamma_aux=5e-4)
+    initial = QuantumState.from_computational(layout, {0b1010: 1.0, 0b0111: 1.0})
+
+    pulses, end_norm2 = [], []     # (start time, start state, propagator) per pulse
+    psi, t = initial.amplitudes, 0.0
+    for item in program.items:
+        if isinstance(item, InstantGate):
+            psi = apply_internal_unitary(psi, layout, item.ion, item.matrix)
+        elif item.duration > 0.0:
+            propagator = pulse_propagator(item, layout, tuple(channels))
+            pulses.append((t, psi, propagator))
+            psi = propagator.at(item.duration)(psi)
+            end_norm2.append(np.vdot(psi, psi).real)
+            t += item.duration
+    end_norm2 = np.array(end_norm2)
+    min_norm2 = end_norm2.min()
+    pulse_ends = np.array([start + p.duration for start, _, p in pulses])
+    branch = conditional_no_jump_branch(program, layout, channels, initial).amplitudes
+
+    seeds = range(40, 340)
+    blocks = list(trajectory_blocks(program, layout, channels, seeds, initial))
+    rows = BLOCK_AMPLITUDES // layout.dim
+    assert [seed for block_seeds, _, _ in blocks for seed in block_seeds] == list(seeds)
+    assert len(blocks) >= 3 and len(blocks[0][0]) == rows
+    assert any(len(block_seeds) > rows for block_seeds, _, _ in blocks[1:])
+    for block_seeds, _, _ in blocks[1:]:
+        assert sum(trajectory_rng(seed).random() > min_norm2 for seed in block_seeds) <= rows
+    zero, repeats = 0, 0
+    for block_seeds, states, jumps in blocks:
+        for seed, state, row in zip(block_seeds, states, jumps):
+            r = trajectory_rng(seed).random()
+            if r <= min_norm2:
+                assert row == []
+                assert np.array_equal(state, branch)
+                zero += 1
+                continue
+            assert row
+            t1 = row[0][0]
+            pulse = int(np.flatnonzero(end_norm2 < r)[0])
+            start, start_state, propagator = pulses[pulse]
+            assert start <= t1 <= pulse_ends[pulse]
+            before = propagator.at(t1 - start)(start_state)
+            assert abs(np.vdot(before, before).real - r) < 1e-10
+            pulse_of_jump = np.searchsorted(pulse_ends, [time for time, _ in row])
+            repeats += int(np.sum(pulse_of_jump[1:] == pulse_of_jump[:-1]))
+    assert zero > 0 and repeats > 0
 
 
 def test_jump_time_distribution_is_exponential():
