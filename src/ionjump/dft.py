@@ -330,6 +330,10 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
     params = params or PulseParams()
     f = dft_input_function(layout.n_ions)
     support = np.nonzero(f)[0]
+    if not support.size:
+        raise ZeroFunction(
+            f"f(n) = [n = 8 mod 10] is zero on all {f.size} points of a "
+            f"{layout.n_ions}-ion register; the DFT input needs at least 4 ions")
     initial = QuantumState.from_computational(
         layout, {int(n): 1.0 for n in support})
     program = qft_program(layout, params)

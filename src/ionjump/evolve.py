@@ -43,8 +43,16 @@ seeds until BLOCK_AMPLITUDES // dim of them will jump (the first
 block, before that norm is known, takes that many seeds), so while it
 runs it holds at most 1 + BLOCK_AMPLITUDES // dim rows of amplitudes
 however large the ensemble; only the final states it hands back have
-one row per seed.  The branch lives only as long as its block; nothing
-is kept across calls but the pulse propagators.
+one row per seed.  The budget, 2**17 amplitudes (539 rows at dim 243,
+179 at dim 729), is the smallest power of two that runs a 400-seed
+calibration pilot at dim 243 as one block: about budget / pulses rows
+cross in a pulse, and the larger the crossing batch, the more rows
+share each Newton iteration's fixed numpy overhead.  A pulse step
+holds at most two block-sized arrays (start and end states, or end
+states before and after fresh rows are appended), 2 MiB each, plus
+one chunk-sized temporary of the pair map.  The branch lives only as
+long as its block; nothing is kept across calls but the pulse
+propagators.
 
 Randomness comes from a counter-based generator (Philox) keyed by an
 explicit 64-bit seed; ensemble members use seed0 + trajectory index.
@@ -77,11 +85,14 @@ _ROOT_MAX_EVALUATIONS = 100
 #: Largest register for the dense (non-pair-structured) propagator.
 _DENSE_MAX_DIM = 4096
 #: Amplitudes of the jumped trajectories one block holds (rows x dim),
-#: besides its no-jump branch: 67 rows at dim 243, 22 at dim 729.  A
-#: fixed budget keeps peak memory flat in the ensemble size while a
-#: block's array operations still amortize the per-pulse Python work
-#: over many rows.
-BLOCK_AMPLITUDES = 16384
+#: besides its no-jump branch: 539 rows at dim 243, 179 at dim 729.  A
+#: fixed budget keeps peak memory flat in the ensemble size (a pulse
+#: step holds two block-sized arrays, 2 MiB each, plus one chunk of the
+#: pair map); 2**17 is the smallest power of two at which a 400-seed
+#: calibration pilot at dim 243 is one block, so the rows that cross in
+#: a pulse search their jump times as one batch and share each Newton
+#: iteration's fixed per-call overhead.
+BLOCK_AMPLITUDES = 131072
 
 
 def _level_view(array: np.ndarray, layout: RegisterLayout, ion: int,
@@ -388,22 +399,27 @@ def _advance(propagator: ConditionalPropagator, block: _Block,
     start_norm2, end_norm2 = _norm2(start), _norm2(out)
     _check_norm(start_norm2, end_norm2)
     block.min_norm2 = min(block.min_norm2, float(end_norm2[0]))
+    n_rows = start.shape[0]
+    rows = np.flatnonzero(end_norm2 < block.thresholds)
     fresh = np.flatnonzero(end_norm2[0] < block.first)
     if fresh.size:
         # trajectories leaving the branch in this pulse start as copies of it
-        block.src[fresh] = np.arange(start.shape[0], start.shape[0] + fresh.size)
+        block.src[fresh] = np.arange(n_rows, n_rows + fresh.size)
         block.owner = np.concatenate([block.owner, fresh])
         block.thresholds = np.concatenate([block.thresholds, block.first[fresh]])
         block.first[fresh] = 0.0
-        branch = np.zeros(fresh.size, dtype=np.intp)
-        start, out, start_norm2, end_norm2 = (
-            np.concatenate([a, a[branch]]) for a in (start, out, start_norm2, end_norm2))
+        rows = np.concatenate([rows, block.src[fresh]])
     block.phys = out
-    rows = np.flatnonzero(end_norm2 < block.thresholds)
     if not rows.size:
         return
     rows = rows[np.argsort(block.owner[rows], kind="stable")]     # in seed order
-    psi, norm2, out_norm2 = start[rows], start_norm2[rows], end_norm2[rows]
+    origin = np.where(rows < n_rows, rows, 0)       # a fresh row starts from the branch
+    psi, norm2, out_norm2 = start[origin], start_norm2[origin], end_norm2[origin]
+    # drop the start-of-pulse array before the block grows: at most two
+    # block-sized arrays are alive at once
+    del start
+    if fresh.size:
+        block.phys = out = np.concatenate([out, out[np.zeros(fresh.size, dtype=np.intp)]])
     elapsed = np.zeros(rows.size)
     while rows.size:
         dt, psi = propagator.crossing(psi, block.thresholds[rows], duration - elapsed, norm2,

@@ -26,6 +26,10 @@ from .errors import ValidationError, ZeroDetuning
 from .program import QUBIT_CARRIER, RED_SIDEBAND, Pulse
 from .register import AUX_LEVEL, RegisterLayout
 
+#: Amplitudes per row chunk of the diagonal term of a pair map: the
+#: map holds its input, its output and one temporary of this size.
+_CHUNK_AMPLITUDES = 16384
+
 
 @dataclass(frozen=True)
 class Hamiltonian:
@@ -100,6 +104,8 @@ class Hamiltonian:
         degenerate = omega == 0.0
         safe = np.where(degenerate, 1.0, omega)
         off_i, off_j = -1j * np.conj(g), -1j * g
+        dim = self.layout.dim
+        step = max(1, _CHUNK_AMPLITUDES // dim)
 
         def at(t):
             t = np.asarray(t, dtype=np.float64)[..., None]
@@ -114,12 +120,16 @@ class Hamiltonian:
             off[..., j] = off_j * sinc
 
             def apply(psi):
-                # one block-sized temporary: freeing several per call makes
-                # the allocator return and refault their pages
+                # coeff * psi is formed a row chunk at a time, so the only
+                # temporary is chunk-sized rather than block-sized
                 psi = np.asarray(psi, dtype=np.complex128)
                 out = np.take(psi, perm, axis=-1)
                 out *= off
-                out += coeff * psi
+                rows, out_rows = psi.reshape(-1, dim), out.reshape(-1, dim)
+                for lo in range(0, len(rows), step):
+                    target = out_rows[lo:lo + step]       # a view: += writes in place
+                    scale = coeff if coeff.ndim == 1 else coeff[lo:lo + step]
+                    target += scale * rows[lo:lo + step]
                 return out
 
             return apply

@@ -122,6 +122,16 @@ def test_simulate_dft_deterministic_outputs(tmp_path, capsys):
                 == (tmp_path / "two" / name).read_bytes())
 
 
+@pytest.mark.parametrize("ions", [1, 2, 3])
+def test_simulate_dft_too_few_ions_exits_2(tmp_path, capsys, ions):
+    code, out, err = run_cli(capsys, "simulate", "dft", "--ions", str(ions),
+                             "--traj", "1", "--gamma", "0", "--out", str(tmp_path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert f"{ions}-ion register" in err and "at least 4 ions" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_lenient_database_loading(tmp_path, capsys):
     raw = json.loads(DEFAULT_DATABASE.read_text())
     raw["ions"][0]["annotation"] = "left by a hand edit"

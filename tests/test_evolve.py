@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ionjump import evolve
 from ionjump.evolve import (
     BLOCK_AMPLITUDES,
     ConditionalPropagator,
@@ -190,18 +191,20 @@ def test_batched_ensemble_matches_sequential():
             assert record.jump_times()[0] == pytest.approx(first[i], rel=1e-9)
 
 
-def test_block_ensemble_matches_one_row_runs():
+def test_block_ensemble_matches_one_row_runs(monkeypatch):
     """An ensemble over several blocks, its size no multiple of the block
     rows, against one run_trajectory per seed: same jumps and channels,
     same jump times and final states.  Long decaying carrier pulses make
-    rows jump again inside a pulse."""
+    rows jump again inside a pulse.  The budget is lowered so that 150
+    seeds span several blocks."""
+    monkeypatch.setattr(evolve, "BLOCK_AMPLITUDES", 16384)
     layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
     carriers = PulseProgram(tuple(Pulse(ion=k, transition=QUBIT_CARRIER, rabi=1.0,
                                         duration=20.0) for k in range(4)))
     program = compile_gate(CNOT(0, 1), layout) + carriers
     channels = qubit_channels(layout, 0.02, gamma_aux=0.02)
     initial = QuantumState.from_computational(layout, {0b1010: 1.0, 0b0111: 1.0})
-    n, rows = 150, BLOCK_AMPLITUDES // layout.dim
+    n, rows = 150, evolve.BLOCK_AMPLITUDES // layout.dim
     assert n > rows and n % rows != 0
     records = run_ensemble(program, layout, channels, range(40, 40 + n), initial)
     pulse_ends = np.cumsum([item.duration for item in program.pulses()])
@@ -219,7 +222,7 @@ def test_block_ensemble_matches_one_row_runs():
     assert repeats > 0
 
 
-def test_first_jump_leaves_the_no_jump_branch():
+def test_first_jump_leaves_the_no_jump_branch(monkeypatch):
     """Every trajectory follows the no-jump branch until its first jump.
 
     With r the first draw of a seed's stream: r at or below the branch's
@@ -227,8 +230,10 @@ def test_first_jump_leaves_the_no_jump_branch():
     final state, bit for bit; otherwise the first jump lands where the
     branch's squared norm reaches r.  The branch is propagated here one
     pulse at a time on a single state, apart from the engine.  The
-    ensemble spans several blocks, later ones sized by the rows that
-    jump, with zero-jump rows and rows that jump twice in one pulse."""
+    ensemble spans several blocks (the budget is lowered for that),
+    later ones sized by the rows that jump, with zero-jump rows and rows
+    that jump twice in one pulse."""
+    monkeypatch.setattr(evolve, "BLOCK_AMPLITUDES", 16384)
     layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
     carriers = PulseProgram(tuple(Pulse(ion=k, transition=QUBIT_CARRIER, rabi=1.0,
                                         duration=20.0) for k in range(4)))
@@ -254,7 +259,7 @@ def test_first_jump_leaves_the_no_jump_branch():
 
     seeds = range(40, 340)
     blocks = list(trajectory_blocks(program, layout, channels, seeds, initial))
-    rows = BLOCK_AMPLITUDES // layout.dim
+    rows = evolve.BLOCK_AMPLITUDES // layout.dim
     assert [seed for block_seeds, _, _ in blocks for seed in block_seeds] == list(seeds)
     assert len(blocks) >= 3 and len(blocks[0][0]) == rows
     assert any(len(block_seeds) > rows for block_seeds, _, _ in blocks[1:])
@@ -279,6 +284,38 @@ def test_first_jump_leaves_the_no_jump_branch():
             pulse_of_jump = np.searchsorted(pulse_ends, [time for time, _ in row])
             repeats += int(np.sum(pulse_of_jump[1:] == pulse_of_jump[:-1]))
     assert zero > 0 and repeats > 0
+
+
+def test_results_do_not_depend_on_the_block_budget(monkeypatch):
+    """The block budget only decides how trajectories are grouped: 400
+    seeds at dim 243 run as one block at the default budget and as at
+    least three at 16384 amplitudes, with the same jumps and final
+    states."""
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+    carriers = PulseProgram(tuple(Pulse(ion=k, transition=QUBIT_CARRIER, rabi=1.0,
+                                        duration=20.0) for k in range(4)))
+    program = compile_gate(CNOT(0, 1), layout) + carriers
+    channels = qubit_channels(layout, 1e-3, gamma_aux=1e-3)
+    initial = QuantumState.from_computational(layout, {0b1010: 1.0, 0b0111: 1.0})
+    seeds = range(500, 900)
+
+    def run():
+        blocks = list(trajectory_blocks(program, layout, channels, seeds, initial))
+        states = np.concatenate([block_states for _, block_states, _ in blocks])
+        return len(blocks), states, [row for _, _, jumps in blocks for row in jumps]
+
+    assert layout.dim == 243 and len(seeds) <= BLOCK_AMPLITUDES // layout.dim
+    n_blocks, states, jumps = run()
+    assert n_blocks == 1
+    monkeypatch.setattr(evolve, "BLOCK_AMPLITUDES", 16384)
+    n_small, small_states, small_jumps = run()
+    assert n_small >= 3
+    assert any(len(row) > 1 for row in jumps) and any(not row for row in jumps)
+    for row, small_row in zip(jumps, small_jumps, strict=True):
+        assert [c for _, c in row] == [c for _, c in small_row]
+        times, expected = np.array([t for t, _ in row]), np.array([t for t, _ in small_row])
+        assert np.all(np.abs(times - expected) <= 1e-12 * expected)
+    assert np.max(np.abs(states - small_states)) < 1e-12
 
 
 def test_jump_time_distribution_is_exponential():
