@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ValidationError, ZeroFunction
 from .evolve import (
     TrajectoryRecord,
+    check_seeds,
     conditional_no_jump_branch,
     decay_vector,
     pulse_propagator,
@@ -318,7 +319,8 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
 
     Prepares the normalized superposition of the support of f, compiles
     the five-qubit Fourier network once, and runs ``n_trajectories``
-    quantum-jump trajectories with per-trajectory seeds seed0 + index.
+    quantum-jump trajectories with per-trajectory seeds seed0 + index,
+    which must lie in [0, 2**128) (checked before any work is done).
     ``gamma11="auto"`` calibrates the decay so the expected emission
     count per run is ``t_ratio`` (register lifetime = T/t_ratio).  With
     ``include_aux_channel`` the auxiliary gate level decays at the same
@@ -326,6 +328,7 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
     """
     if n_trajectories < 1:
         raise ValidationError("n_trajectories must be >= 1")
+    check_seeds(seed0, seed0 + n_trajectories - 1)
     layout = layout or RegisterLayout(n_ions=5, phonon_cutoff=3)
     params = params or PulseParams()
     f = dft_input_function(layout.n_ions)

@@ -16,7 +16,8 @@ RMP 70, 101 (1998)).
 
 Every pulse Hamiltonian is constant in time, so the no-jump propagator
 exp(-i H_eff t) of a pulse is exact: a closed-form 2x2 block formula for
-the pair-structured resonant drives, dense diagonalization otherwise.
+the pair-structured resonant drives, evaluated once per distinct rate
+and per group of equal pairs, dense diagonalization otherwise.
 Each pulse's propagator and end-of-pulse map are built once per (pulse,
 layout, channels) and reused.
 
@@ -54,12 +55,20 @@ one chunk-sized temporary of the pair map.  The branch lives only as
 long as its block; nothing is kept across calls but the pulse
 propagators.
 
-Randomness comes from a counter-based generator (Philox) keyed by an
-explicit 64-bit seed; ensemble members use seed0 + trajectory index.
-Each trajectory draws its thresholds and channel picks from its own
-stream in the order a lone trajectory would, so results are
-reproducible and independent of the block a trajectory runs in, of the
-rows it shares and of execution order.
+Randomness comes from a counter-based generator (Philox4x64-10) keyed
+by the trajectory's seed, an integer in [0, 2**128); ensemble members
+use seed0 + trajectory index.  ``trajectory_rng(seed)`` defines each
+stream, but building one costs tens of microseconds, so the engine
+builds few: the first eight draws of every stream (its first two
+counter blocks) are evaluated for all seeds at once in numpy, which
+covers the first threshold and three jumps' channel picks and next
+thresholds.  Only a trajectory that draws past them, at its fourth
+jump, builds its own ``trajectory_rng`` and skips the draws already
+taken.  Each
+trajectory draws its thresholds and channel picks in the order a lone
+trajectory would, so results are reproducible and independent of the
+block a trajectory runs in, of the rows it shares and of execution
+order.
 """
 
 from __future__ import annotations
@@ -317,8 +326,58 @@ class TrajectoryRecord:
 
 
 def trajectory_rng(seed: int) -> np.random.Generator:
-    """Counter-based stream for one trajectory."""
+    """Counter-based stream for one trajectory: the definition of its
+    draws, which ``_stream_heads`` and ``_Block.jump_draws`` reproduce."""
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def check_seeds(first: int, last: int) -> None:
+    """Reject seeds outside [0, 2**128), the range of Philox's 128-bit
+    key, given the smallest and the largest."""
+    if first < 0 or last >> 128:
+        raise ValidationError(
+            f"trajectory seeds must lie in [0, 2**128); got {first} to {last}")
+
+
+def _stream_heads(seeds: Sequence[int]) -> np.ndarray:
+    """The first eight draws of ``trajectory_rng(seed)`` for every seed,
+    as an (n, 8) array.
+
+    numpy's Philox draws its 64-bit words four at a time from counters
+    1, 2, ...; here Philox4x64-10 (Salmon et al., "Parallel random
+    numbers: as easy as 1, 2, 3", SC'11) evaluates counters 1 and 2
+    under every key at once, and a draw is a word's top 53 bits times
+    2**-53, as in ``Generator.random``.  The state's two multiplied
+    words and its two others advance as (2, 2n) arrays, so the cost is
+    about 200 small array operations whatever the number of seeds.
+    """
+    if seeds:
+        check_seeds(min(seeds), max(seeds))
+    n = len(seeds)
+    counters = np.arange(1, 3, dtype=np.uint64)
+    key = np.tile(np.array([[seed & 0xFFFFFFFFFFFFFFFF for seed in seeds],
+                            [seed >> 64 for seed in seeds]], dtype=np.uint64).reshape(2, n),
+                  counters.size)
+    mult = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+    weyl = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+    low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+    m_lo, m_hi = mult & low, mult >> shift
+    # each counter (c, 0, 0, 0) as multiplied words x = (w0, w2), others y = (w1, w3)
+    x = np.zeros_like(key)
+    x[0] = np.repeat(counters, n)
+    y = np.zeros_like(key)
+    for round_ in range(10):
+        if round_:
+            key += weyl
+        # high 64 bits of the 128-bit products x * mult, from 32-bit halves
+        x_lo, x_hi = x & low, x >> shift
+        cross = x_hi * m_lo
+        mid = ((x_lo * m_lo) >> shift) + (cross & low) + x_lo * m_hi     # < 2**64
+        hi = x_hi * m_hi + (cross >> shift) + (mid >> shift)
+        x, y = hi[::-1] ^ y ^ key, (x * mult)[::-1]
+    words = np.stack([x[0], y[0], x[1], y[1]], axis=-1).reshape(counters.size, n, 4)
+    words = words.transpose(1, 0, 2).reshape(n, 4 * counters.size)
+    return (words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
 class _Block:
@@ -328,22 +387,44 @@ class _Block:
     jumps.  A trajectory that has not jumped has no row of its own:
     ``src[k]`` is 0 and ``first[k]`` is its first threshold.  Once it
     jumps it owns a row (``owner`` maps rows back to trajectories, -1
-    for the branch), ``first[k]`` is 0, and it draws its thresholds and
-    channel picks from ``rngs[k]``.  ``min_norm2`` is the smallest
-    end-of-pulse squared norm the branch has reached.
+    for the branch), ``first[k]`` is 0, and it draws its channel picks
+    and thresholds with ``jump_draws``.  ``heads`` holds the first
+    draws of every trajectory's stream (see ``_stream_heads``).
+    ``min_norm2`` is the smallest end-of-pulse squared norm the branch
+    has reached.
     """
 
-    def __init__(self, batch: Sequence[tuple[int, np.random.Generator | None, float]],
+    def __init__(self, seeds: Sequence[int], heads: np.ndarray,
                  initial: np.ndarray) -> None:
-        self.seeds = [seed for seed, _, _ in batch]
-        self.rngs = [rng for _, rng, _ in batch]
-        self.first = np.array([r for _, _, r in batch])
-        self.jumps: list[list[tuple[float, int]]] = [[] for _ in batch]
-        self.src = np.zeros(len(batch), dtype=np.intp)
+        self.seeds = seeds
+        self.heads = heads
+        self.drawn = [1] * len(seeds)       # draws taken from each stream
+        self.tails: dict[int, np.random.Generator] = {}
+        self.first = heads[:, 0].copy()
+        self.jumps: list[list[tuple[float, int]]] = [[] for _ in seeds]
+        self.src = np.zeros(len(seeds), dtype=np.intp)
         self.phys = np.array(initial, dtype=np.complex128)[None]
         self.thresholds = np.zeros(1)
         self.owner = np.full(1, -1)
         self.min_norm2 = math.inf
+
+    def jump_draws(self, owners: Sequence[int]) -> np.ndarray:
+        """The next two draws (channel pick, next threshold) of each
+        listed trajectory's stream, as a (len(owners), 2) array.  Draws
+        past a stream's head come from its own ``trajectory_rng``, which
+        skips the draws already taken."""
+        draws = np.empty((len(owners), 2))
+        for row, k in enumerate(owners):
+            taken = self.drawn[k]
+            self.drawn[k] = taken + 2
+            if taken + 2 <= self.heads.shape[1]:
+                draws[row] = self.heads[k, taken:taken + 2]
+                continue
+            if k not in self.tails:
+                self.tails[k] = trajectory_rng(self.seeds[k])
+                self.tails[k].random(taken)
+            draws[row] = self.tails[k].random(2)
+        return draws
 
 
 def _sized_blocks(seeds: Sequence[int], channels: list[JumpChannel],
@@ -356,26 +437,29 @@ def _sized_blocks(seeds: Sequence[int], channels: list[JumpChannel],
     which every block shares.  A trajectory whose first threshold r is
     at most N_min never leaves the branch, so each later block takes
     seeds until BLOCK_AMPLITUDES // dim of them have r > N_min: no block
-    holds more than 1 + BLOCK_AMPLITUDES // dim rows.  Without decay no
-    trajectory draws and every threshold is 0, which never jumps.
+    holds more than 1 + BLOCK_AMPLITUDES // dim rows.  The first draws
+    of every seed's stream come from one ``_stream_heads`` evaluation.
+    Without decay no trajectory draws and every threshold is 0, which
+    never jumps.
     """
     budget = max(1, BLOCK_AMPLITUDES // initial.size)
-    draws = any(ch.gamma > 0.0 for ch in channels)
+    seeds = list(seeds)
+    if any(ch.gamma > 0.0 for ch in channels):
+        heads = _stream_heads(seeds)
+    else:
+        heads = np.zeros((len(seeds), 1))       # thresholds 0: no draws
     min_norm2 = None            # known once the first block has run
-    batch, jumpers = [], 0
-    for seed in seeds:
-        rng = trajectory_rng(seed) if draws else None
-        r = rng.random() if draws else 0.0
-        batch.append((seed, rng, r))
+    start, jumpers = 0, 0
+    for k, r in enumerate(heads[:, 0].tolist()):
         jumpers += min_norm2 is None or r > min_norm2
         if jumpers == budget:
-            block = _Block(batch, initial)
+            block = _Block(seeds[start:k + 1], heads[start:k + 1], initial)
             yield block
             if min_norm2 is None:
                 min_norm2 = block.min_norm2
-            batch, jumpers = [], 0
-    if batch:
-        yield _Block(batch, initial)
+            start, jumpers = k + 1, 0
+    if start < len(seeds):
+        yield _Block(seeds[start:], heads[start:], initial)
 
 
 def _advance(propagator: ConditionalPropagator, block: _Block,
@@ -430,7 +514,7 @@ def _advance(propagator: ConditionalPropagator, block: _Block,
         if np.any(total <= 0.0):
             raise ValidationError("jump triggered with no channel weight")
         owners = block.owner[rows].tolist()
-        draws = np.array([block.rngs[k].random(2) for k in owners])
+        draws = block.jump_draws(owners)
         picks = (np.cumsum(weights, axis=-1) / total[:, None] <= draws[:, :1]).sum(axis=-1)
         picks = np.minimum(picks, len(channels) - 1)
         block.thresholds[rows] = draws[:, 1]
@@ -536,7 +620,7 @@ def conditional_no_jump_branch(program: PulseProgram, layout: RegisterLayout,
     against a single propagation.  It is row 0 of a block that holds
     no trajectories.
     """
-    block = _Block([], initial_state.amplitudes)
+    block = _Block([], np.zeros((0, 1)), initial_state.amplitudes)
     _propagate_program(program, layout, channels, block)
     return QuantumState(layout=layout, amplitudes=block.phys[0])
 

@@ -91,33 +91,55 @@ class Hamiltonian:
         Each coupled pair is a 2x2 block with complex
         Omega = sqrt(half^2 + |g|^2); cos(Omega t) and sin(Omega t)/Omega
         are even in Omega, so the branch of the root does not matter.
+
+        The map's entries take few distinct values.  An unpaired state's
+        entry is exp(rate t), fixed by its diagonal element; a pair's
+        four entries are fixed by its group, the pairs that share both
+        diagonal elements and g (see ``_pair_groups``; a QFT pulse at
+        dim 729 has 6 distinct rates and 10 groups).  The rates and
+        groups are indexed once here; ``at(t)`` evaluates exp, sin and
+        cos per rate and per group only, into a diagonal and an
+        off-diagonal table of (rows, n_rates + 2 * n_groups) entries,
+        and ``np.take`` spreads each over the states through one column
+        index (unpaired states read zeros in the off-diagonal table).
+        Each entry is the same floating-point operation on the same
+        inputs as an evaluation per state, so the map is bit-identical
+        to one.
         """
         diag = self.diag if decay is None else self.diag - 1j * decay
         i, j, g = self.pair_i, self.pair_j, self.pair_g
-        perm = np.arange(self.layout.dim)
+        dim = self.layout.dim
+        perm = np.arange(dim)
         perm[i], perm[j] = j, i
+        rate_first, state_rate, first, group = _pair_groups(diag, i, j, g)
+        n_rates, n_groups = rate_first.size, first.size
+        i, j, g = i[first], j[first], g[first]          # one pair per group
         rate = -1j * diag
-        avg_rate = 0.5 * (rate[i] + rate[j])
+        exponent = np.concatenate([rate[rate_first], 0.5 * (rate[i] + rate[j])])
         half = 0.5 * (diag[i] - diag[j])
         ihalf = 1j * half
         omega = np.sqrt(half**2 + np.abs(g) ** 2 + 0j)
         degenerate = omega == 0.0
         safe = np.where(degenerate, 1.0, omega)
         off_i, off_j = -1j * np.conj(g), -1j * g
-        dim = self.layout.dim
+        # table columns: the rates, then each group's i and j entries
+        column = state_rate
+        column[self.pair_i] = n_rates + group
+        column[self.pair_j] = n_rates + n_groups + group
         step = max(1, _CHUNK_AMPLITUDES // dim)
 
         def at(t):
             t = np.asarray(t, dtype=np.float64)[..., None]
-            coeff = np.exp(rate * t)
-            off = np.zeros(coeff.shape, dtype=np.complex128)
-            phase = np.exp(avg_rate * t)
+            table = np.exp(exponent * t)
+            phase = table[..., n_rates:]
             sinc = phase * np.where(degenerate, t, np.sin(omega * t) / safe)
             cos = phase * np.cos(omega * t)
-            coeff[..., i] = cos - ihalf * sinc
-            coeff[..., j] = cos + ihalf * sinc
-            off[..., i] = off_i * sinc
-            off[..., j] = off_j * sinc
+            coeff = np.take(np.concatenate(
+                [table[..., :n_rates], cos - ihalf * sinc, cos + ihalf * sinc], axis=-1),
+                column, axis=-1)
+            off = np.take(np.concatenate(
+                [np.zeros_like(table[..., :n_rates]), off_i * sinc, off_j * sinc], axis=-1),
+                column, axis=-1)
 
             def apply(psi):
                 # coeff * psi is formed a row chunk at a time, so the only
@@ -151,6 +173,37 @@ class Hamiltonian:
         vals, vecs = np.linalg.eigh(dense)
         rotated = psi @ vecs.conj()
         return (rotated * np.exp(-1j * vals * t)) @ vecs.T
+
+
+def _distinct(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index the distinct entries of equal-length 1-D arrays read
+    together: returns (one position per distinct entry, each position's
+    entry index)."""
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    entry = np.empty(order.size, dtype=np.intp)
+    entry[order] = np.cumsum(new) - 1
+    return order[new], entry
+
+
+def _pair_groups(diag: np.ndarray, pair_i: np.ndarray, pair_j: np.ndarray,
+                 pair_g: np.ndarray):
+    """Index the distinct values a pair map depends on.
+
+    Returns (a state of each distinct diagonal element, each state's
+    element index, a pair of each group, each pair's group); a group
+    is the pairs with equal diag[i], diag[j] and g.  Pairs are keyed on
+    g and an integer code of their two element indices, so only 1-D
+    arrays are sorted.
+    """
+    rate_first, state_rate = _distinct(diag)
+    first, group = _distinct(pair_g, state_rate[pair_i] * rate_first.size
+                             + state_rate[pair_j])
+    return rate_first, state_rate, first, group
 
 
 def _pair_indices(layout: RegisterLayout, ion: int, lower_digit: int,

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ionjump import dft
 from ionjump.atomic import DEFAULT_DATABASE
 from ionjump.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, main
 from ionjump.dft import dft_input_function, ideal_dft_oracle
@@ -129,6 +130,23 @@ def test_simulate_dft_too_few_ions_exits_2(tmp_path, capsys, ions):
     assert code == EXIT_INPUT
     assert out == ""
     assert f"{ions}-ion register" in err and "at least 4 ions" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("seed, traj", [(-5, 1), (2**128 - 2, 3)],
+                         ids=["negative", "past-2**128"])
+def test_simulate_dft_out_of_range_seed_exits_2_before_any_work(tmp_path, capsys,
+                                                                monkeypatch, seed, traj):
+    def calibrate(*args, **kwargs):
+        raise AssertionError("calibrate_gamma ran for an out-of-range seed")
+
+    monkeypatch.setattr(dft, "calibrate_gamma", calibrate)
+    code, out, err = run_cli(capsys, "simulate", "dft", "--ions", "5", "--gamma", "auto",
+                             "--seed", str(seed), "--traj", str(traj),
+                             "--out", str(tmp_path))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "[0, 2**128)" in err and str(seed) in err
     assert not any(tmp_path.iterdir())
 
 

@@ -20,6 +20,7 @@ from ionjump.evolve import (
     trajectory_blocks,
     trajectory_rng,
 )
+from ionjump.errors import ValidationError
 from ionjump.gates import CNOT, compile_gate
 from ionjump.hamiltonians import (
     build_carrier_hamiltonian,
@@ -406,3 +407,28 @@ def test_trajectory_rng_is_counter_based():
     gen = trajectory_rng(99)
     assert isinstance(gen.bit_generator, np.random.Philox)
     assert trajectory_rng(99).random() == gen.random()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64 + 3, 2**128 - 1],
+                         ids=["0", "2**64-1", "2**64+3", "2**128-1"])
+def test_block_streams_match_trajectory_rng(seed):
+    """A block reads each trajectory's first eight draws from one Philox
+    evaluation over all its seeds and later draws from the trajectory's
+    own stream; both agree with trajectory_rng at draw indices 0-10,
+    across the 4-word counter blocks that end at indices 3 and 7."""
+    seeds = [seed, 7]
+    block = evolve._Block(seeds, evolve._stream_heads(seeds), np.ones(1))
+    draws = np.column_stack([block.first] + [block.jump_draws([0, 1]) for _ in range(5)])
+    for row, s in zip(draws, seeds):
+        assert np.array_equal(row, trajectory_rng(s).random(11))
+    assert set(block.tails) == {0, 1}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128], ids=["-1", "2**128"])
+def test_seeds_outside_the_philox_key_range_are_rejected(seed):
+    layout = RegisterLayout(n_ions=1, phonon_cutoff=2)
+    program = _single_pulse_program(1.0, 1.0)
+    initial = QuantumState.from_computational(layout, {0: 1.0})
+    with pytest.raises(ValidationError, match=r"\[0, 2\*\*128\)"):
+        list(trajectory_blocks(program, layout, qubit_channels(layout, 0.1), [3, seed],
+                               initial))

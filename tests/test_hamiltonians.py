@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from ionjump.dft import qft_program
 from ionjump.errors import ValidationError, ZeroDetuning
-from ionjump.evolve import ConditionalPropagator
+from ionjump.evolve import ConditionalPropagator, decay_vector, qubit_channels
 from ionjump.hamiltonians import (
+    Hamiltonian,
+    _pair_groups,
     build_carrier_hamiltonian,
     build_pulse_hamiltonian,
     build_raman_hamiltonian,
@@ -69,6 +72,97 @@ def test_propagate_exact_matches_dense_diagonalization(layout):
     vals, vecs = np.linalg.eigh(h.to_dense())
     reference = vecs @ (np.exp(-1j * vals * 2.1) * (vecs.conj().T @ psi))
     assert np.max(np.abs(h.propagate_exact(psi, 2.1) - reference)) < 1e-13
+
+
+def per_pair_propagator(h, decay=None):
+    """Closed form of exp(-i (H - i*decay) t) evaluated per state and per
+    pair: the oracle of the grouped ``Hamiltonian.pair_propagator``."""
+    diag = h.diag if decay is None else h.diag - 1j * decay
+    i, j, g = h.pair_i, h.pair_j, h.pair_g
+    perm = np.arange(h.layout.dim)
+    perm[i], perm[j] = j, i
+    rate = -1j * diag
+    avg_rate = 0.5 * (rate[i] + rate[j])
+    half = 0.5 * (diag[i] - diag[j])
+    ihalf = 1j * half
+    omega = np.sqrt(half**2 + np.abs(g) ** 2 + 0j)
+    degenerate = omega == 0.0
+    safe = np.where(degenerate, 1.0, omega)
+    off_i, off_j = -1j * np.conj(g), -1j * g
+
+    def at(t):
+        t = np.asarray(t, dtype=np.float64)[..., None]
+        coeff = np.exp(rate * t)
+        off = np.zeros(coeff.shape, dtype=np.complex128)
+        phase = np.exp(avg_rate * t)
+        sinc = phase * np.where(degenerate, t, np.sin(omega * t) / safe)
+        cos = phase * np.cos(omega * t)
+        coeff[..., i] = cos - ihalf * sinc
+        coeff[..., j] = cos + ihalf * sinc
+        off[..., i] = off_i * sinc
+        off[..., j] = off_j * sinc
+        return lambda psi: np.take(psi, perm, axis=-1) * off + coeff * psi
+
+    return at
+
+
+def _diagonal_pairs(layout):
+    """Sideband pairs under a real diagonal taking three values, so
+    half != 0 and Omega is complex, plus one zero-coupling pair whose
+    two states have equal diagonal elements (Omega = 0)."""
+    h = build_sideband_hamiltonian(layout, 1, rabi=0.9, eta=0.2, phase=1.1)
+    # drawn at random, so pairs with equal diag[i] differ in diag[j] and back
+    diag = np.random.default_rng(2).choice([0.0, 0.3, -1.1], size=layout.dim)
+    free = np.setdiff1d(np.arange(layout.dim), np.concatenate([h.pair_i, h.pair_j]))
+    a, b = free[0], free[np.flatnonzero(diag[free] == diag[free[0]])[1]]
+    return Hamiltonian(layout=layout, diag=diag,
+                       pair_i=np.append(h.pair_i, a), pair_j=np.append(h.pair_j, b),
+                       pair_g=np.append(h.pair_g, 0.0))
+
+
+@pytest.mark.parametrize("builder", [
+    lambda lay: build_carrier_hamiltonian(lay, 0, rabi=0.7, phase=0.3),
+    lambda lay: build_sideband_hamiltonian(lay, 1, rabi=0.9, eta=0.2, phase=1.1),
+    lambda lay: build_sideband_hamiltonian(lay, 0, rabi=0.9, eta=0.2, upper_level=2),
+    _diagonal_pairs,
+], ids=["carrier", "sideband", "aux-sideband", "real-diagonal"])
+@pytest.mark.parametrize("t", [0.0, 2.3, np.array([0.0, 0.4, 3.7, 11.0])],
+                         ids=["t0", "scalar", "batch"])
+def test_grouped_pair_map_matches_per_pair_oracle(layout, builder, t):
+    h = builder(layout)
+    assert h.is_pair_structured
+    decay = decay_vector(layout, qubit_channels(layout, 0.05, gamma_aux=0.02))
+    psi = (random_state(layout) if np.ndim(t) == 0
+           else np.stack([random_state(layout, seed) for seed in range(len(t))]))
+    for d in (None, decay):
+        expected = per_pair_propagator(h, d)(t)(psi)
+        assert np.array_equal(h.pair_propagator(d)(t)(psi), expected)
+
+
+def test_zero_coupling_pair_takes_the_degenerate_branch(layout):
+    h = _diagonal_pairs(layout)
+    a, b = h.pair_i[-1], h.pair_j[-1]
+    psi = random_state(layout, seed=5)
+    out = h.pair_propagator()(1.7)(psi)
+    # an uncoupled pair with equal diagonal elements only picks up phases
+    assert np.allclose(out[[a, b]], np.exp(-1j * h.diag[a] * 1.7) * psi[[a, b]],
+                       rtol=0.0, atol=1e-15)
+
+
+def test_qft_pulses_have_few_rates_and_groups():
+    """At dim 729 a QFT pulse's decay takes one value per number of
+    excited ions (at most n_ions + 1 rates), and its sideband pairs
+    group by the other ions' excitation count and the phonon number."""
+    layout = RegisterLayout(n_ions=5, phonon_cutoff=3)
+    decay = decay_vector(layout, qubit_channels(layout, 1e-4, gamma_aux=1e-4))
+    pulses = {item for item in qft_program(layout).items if isinstance(item, Pulse)}
+    for pulse in pulses:
+        h = build_pulse_hamiltonian(pulse, layout)
+        rates, _, groups, group = _pair_groups(h.diag - 1j * decay, h.pair_i, h.pair_j,
+                                               h.pair_g)
+        assert rates.size <= layout.n_ions + 1
+        assert groups.size <= 2 * layout.n_ions < h.pair_i.size
+        assert group.shape == h.pair_i.shape
 
 
 def test_norm_bound_dominates_spectrum(layout):
