@@ -122,6 +122,8 @@ class BoundScenario:
     delta3: float | None = None   # rad/s, overrides the derived value
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.eta):
+            raise OutOfRange(f"eta must be finite, got {self.eta!r}")
         if self.eta <= 0.0:
             raise NonPositiveInput("eta must be > 0")
 

@@ -67,6 +67,23 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _finite_float(text: str) -> float:
+    """Value of a float flag: a finite number.  argparse turns the error
+    into exit code 2 with a message that names the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _finite_or_auto(text: str) -> float | str:
+    """Value of a flag that takes a finite number or 'auto'."""
+    return text if text == "auto" else _finite_float(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ionjump",
@@ -99,30 +116,30 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="metastable")
     bound.add_argument("--case", choices=["a", "b"],
                        help="qubit transition class; default from the ion data")
-    bound.add_argument("--eta", type=float, default=1.0)
-    bound.add_argument("--epsilon", type=float, default=216.0)
+    bound.add_argument("--eta", type=_finite_float, default=1.0)
+    bound.add_argument("--epsilon", type=_finite_float, default=216.0)
     bound.add_argument("--qec", action="store_true",
                        help="apply error-correction overheads")
-    bound.add_argument("--q", type=float, default=5.0)
-    bound.add_argument("--c", type=float, default=5.0)
+    bound.add_argument("--q", type=_finite_float, default=5.0)
+    bound.add_argument("--c", type=_finite_float, default=5.0)
     bound.add_argument("--k", type=int, default=2)
-    bound.add_argument("--p-em1", type=float, default=1.0)
-    bound.add_argument("--p-em2", type=float, default=1.0)
-    bound.add_argument("--p-em3", type=float, default=1.0)
-    bound.add_argument("--p-fail", type=float, default=1.0)
-    bound.add_argument("--p-out", type=float, default=1.0)
-    bound.add_argument("--beta", default=None,
+    bound.add_argument("--p-em1", type=_finite_float, default=1.0)
+    bound.add_argument("--p-em2", type=_finite_float, default=1.0)
+    bound.add_argument("--p-em3", type=_finite_float, default=1.0)
+    bound.add_argument("--p-fail", type=_finite_float, default=1.0)
+    bound.add_argument("--p-out", type=_finite_float, default=1.0)
+    bound.add_argument("--beta", type=_finite_or_auto, default=None,
                        help="Raman branching constant; number or 'auto' (default: "
                             "'auto' without overheads, 1.0 with)")
-    bound.add_argument("--delta2", type=float, default=None,
+    bound.add_argument("--delta2", type=_finite_float, default=None,
                        help="detuning override [rad/s]")
-    bound.add_argument("--delta3", type=float, default=None,
+    bound.add_argument("--delta3", type=_finite_float, default=None,
                        help="one-photon detuning override [rad/s]")
     bound.add_argument("--naive-raman", action="store_true",
                        help="two-level Raman estimate from --delta2/--gamma22 only")
-    bound.add_argument("--gamma22", type=float, default=None,
+    bound.add_argument("--gamma22", type=_finite_float, default=None,
                        help="decay rate for --naive-raman [1/s]")
-    bound.add_argument("--rabi-sq-over-gamma", type=float, default=1e16,
+    bound.add_argument("--rabi-sq-over-gamma", type=_finite_float, default=1e16,
                        help="drive strength Omega01^2/Gamma11 for the time estimate")
 
     tables = sub.add_parser("tables", help="reproduce a reference table")
@@ -137,11 +154,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sim_sub = simulate.add_subparsers(dest="simulate_command", required=True)
     dft = sim_sub.add_parser("dft", help="unstable-register DFT ensemble")
     dft.add_argument("--traj", type=int, default=1000)
-    dft.add_argument("--gamma", default="auto",
+    dft.add_argument("--gamma", type=_finite_or_auto, default="auto",
                      help="decay constant Gamma11 [1/s] or 'auto' (lifetime = T)")
     dft.add_argument("--seed", type=int, default=None,
                      help=f"base seed; defaults to ${SEED_ENV_VAR} or 0")
-    dft.add_argument("--t-ratio", type=float, default=1.0,
+    dft.add_argument("--t-ratio", type=_finite_float, default=1.0,
                      help="target T/tau_sp for the auto calibration")
     dft.add_argument("--auto-mode", choices=["calibrated", "measured", "mean-half"],
                      default="calibrated")
@@ -340,11 +357,10 @@ def _cmd_simulate_dft(args: argparse.Namespace) -> int:
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get(SEED_ENV_VAR, "0"))
-    gamma = args.gamma if args.gamma == "auto" else float(args.gamma)
     layout = RegisterLayout(n_ions=args.ions, phonon_cutoff=args.phonon_cutoff)
     report = dft_experiment(
         n_trajectories=args.traj,
-        gamma11=gamma,
+        gamma11=args.gamma,
         layout=layout,
         seed0=seed,
         t_ratio=args.t_ratio,

@@ -153,18 +153,23 @@ def integrated_upper_population(program: PulseProgram, layout: RegisterLayout,
 #: from the user's seed so the calibrated gamma is a deterministic
 #: property of the experiment configuration alone.
 CALIBRATION_SEED_BASE = 0x5EED_CA1B
-CALIBRATION_PILOT_SIZE = 400
+CALIBRATION_PILOT_SIZE = 182
 
 
 def _pilot_mean_jumps(program: PulseProgram, layout: RegisterLayout,
                       initial: QuantumState, gamma: float, include_aux: bool,
                       n_pilot: int, seed_base: int) -> float:
+    """E[N] at ``gamma`` as P(N >= 1) + E[(N - 1)+]: the first term is
+    exact, 1 - ||no-jump branch(T)||^2; only the second is sampled, as
+    the pilot mean of max(N_k - 1, 0)."""
     channels = qubit_channels(layout, gamma,
                               gamma_aux=gamma if include_aux else None)
+    p_none = conditional_no_jump_branch(program, layout, channels,
+                                        initial).squared_norm()
     seeds = range(seed_base, seed_base + n_pilot)
-    counts = sum(len(row) for _, _, jumps in trajectory_blocks(
+    later = sum(max(len(row) - 1, 0) for _, _, jumps in trajectory_blocks(
         program, layout, channels, seeds, initial) for row in jumps)
-    return counts / n_pilot
+    return (1.0 - p_none) + later / n_pilot
 
 
 def calibrate_gamma(program: PulseProgram, layout: RegisterLayout,
@@ -183,6 +188,17 @@ def calibrate_gamma(program: PulseProgram, layout: RegisterLayout,
     back-action of the conditional no-click evolution and of the jumps
     themselves, which suppress the mean excitation below its gamma=0
     value (by roughly 15% at t_ratio = 1 for the standard experiment).
+
+    Each pilot estimates E[N] through the exact identity
+    E[N] = P(N >= 1) + E[(N - 1)+], where P(N >= 1) = 1 - ||no-jump
+    branch(T)||^2 is computed, not sampled (Plenio and Knight, RMP 70,
+    101 (1998)); only the jumps after each trajectory's first are
+    sampled, so the exact term acts as a control variate.  On the
+    standard experiment Var(N) / Var((N - 1)+) is 2.2 to 2.7 at five
+    ions and 2.5 to 3.9 at four between the first-order and the
+    calibrated gamma; at the smallest, 2.2 (five ions, calibrated
+    gamma), the 182 pilots of ``CALIBRATION_PILOT_SIZE`` give the
+    spread that 400 plain jump counts gave (400 / 2.2 = 182).
     """
     integral = integrated_upper_population(program, layout, initial,
                                            include_aux=include_aux)
@@ -206,6 +222,19 @@ def calibrate_gamma(program: PulseProgram, layout: RegisterLayout,
     return gamma2
 
 
+def _check_decay_inputs(gamma11: float | str, t_ratio: float) -> None:
+    """Reject a decay constant other than 'auto' or a finite number
+    >= 0, and a target ``t_ratio`` other than a finite number >= 0: a
+    NaN decay would drop every channel and run loss-free."""
+    if isinstance(gamma11, str):
+        if gamma11 != "auto":
+            raise ValidationError(f"gamma11 must be a number or 'auto', got {gamma11!r}")
+    elif not 0.0 <= gamma11 < math.inf:
+        raise ValidationError(f"gamma11 must be a finite number >= 0, got {gamma11!r}")
+    if not 0.0 <= t_ratio < math.inf:
+        raise ValidationError(f"t_ratio must be a finite number >= 0, got {t_ratio!r}")
+
+
 def resolve_gamma11(gamma11: float | str, program: PulseProgram,
                     layout: RegisterLayout, initial: QuantumState,
                     t_ratio: float = 1.0, auto_mode: str = "calibrated",
@@ -216,7 +245,9 @@ def resolve_gamma11(gamma11: float | str, program: PulseProgram,
     ``t_ratio``, i.e. the register lifetime is T/t_ratio.  Modes:
 
     * "calibrated" (default) — pilot-ensemble fixed point, see
-      calibrate_gamma; exact to pilot statistics.
+      calibrate_gamma; P(N >= 1) enters exactly, and only the jumps
+      after the first are sampled, so the result is exact up to the
+      pilots' statistics of those later jumps.
     * "measured" — first-order value t_ratio/(2 * integrated gamma=0
       excitation); ignores the dissipative back-action.
     * "mean-half" — the coarse estimate gamma = t_ratio/(n_ions * T)
@@ -224,9 +255,8 @@ def resolve_gamma11(gamma11: float | str, program: PulseProgram,
       the standard experiment the true integrated excitation is nearer
       0.32, so this underdrives the emission rate by about a third.
     """
+    _check_decay_inputs(gamma11, t_ratio)
     if isinstance(gamma11, str):
-        if gamma11 != "auto":
-            raise ValidationError(f"gamma11 must be a number or 'auto', got {gamma11!r}")
         if auto_mode == "mean-half":
             return t_ratio / (layout.n_ions * program.duration)
         if auto_mode == "measured":
@@ -237,8 +267,6 @@ def resolve_gamma11(gamma11: float | str, program: PulseProgram,
             return calibrate_gamma(program, layout, initial, t_ratio,
                                    include_aux=include_aux)
         raise ValidationError(f"unknown auto_mode {auto_mode!r}")
-    if gamma11 < 0.0:
-        raise ValidationError("gamma11 must be >= 0")
     return float(gamma11)
 
 
@@ -320,7 +348,8 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
     Prepares the normalized superposition of the support of f, compiles
     the five-qubit Fourier network once, and runs ``n_trajectories``
     quantum-jump trajectories with per-trajectory seeds seed0 + index,
-    which must lie in [0, 2**128) (checked before any work is done).
+    which must lie in [0, 2**128); they, ``gamma11`` and ``t_ratio`` are
+    checked before any work is done.
     ``gamma11="auto"`` calibrates the decay so the expected emission
     count per run is ``t_ratio`` (register lifetime = T/t_ratio).  With
     ``include_aux_channel`` the auxiliary gate level decays at the same
@@ -329,6 +358,7 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
     if n_trajectories < 1:
         raise ValidationError("n_trajectories must be >= 1")
     check_seeds(seed0, seed0 + n_trajectories - 1)
+    _check_decay_inputs(gamma11, t_ratio)
     layout = layout or RegisterLayout(n_ions=5, phonon_cutoff=3)
     params = params or PulseParams()
     f = dft_input_function(layout.n_ions)

@@ -205,6 +205,12 @@ def test_bound_metastable_closes_on_emission_budget(db):
     assert 2.0 * gamma22 * rho22 * t_run == pytest.approx(p2, rel=1e-9)
 
 
+@pytest.mark.parametrize("eta", [math.inf, math.nan])
+def test_scenario_rejects_non_finite_eta(db, eta):
+    with pytest.raises(OutOfRange, match="eta must be finite"):
+        scenario(db.get("Ca+"), eta=eta)
+
+
 def test_bound_metastable_wrong_encoding(db):
     with pytest.raises(WrongEncoding):
         bound_metastable(scenario(db.get("Ca+"), encoding=Encoding.RAMAN))

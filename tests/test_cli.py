@@ -150,6 +150,50 @@ def test_simulate_dft_out_of_range_seed_exits_2_before_any_work(tmp_path, capsys
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["bound", "--ion", "Ca", "--eta", "inf"], "--eta"),
+    (["bound", "--ion", "Ca", "--eta", "nan"], "--eta"),
+    (["bound", "--ion", "Ca", "--epsilon", "nan"], "--epsilon"),
+    (["bound", "--naive-raman", "--delta2", "nan", "--gamma22", "1e7"], "--delta2"),
+    (["bound", "--ion", "Ca", "--encoding", "raman", "--beta", "inf"], "--beta"),
+    (["simulate", "dft", "--gamma", "nan"], "--gamma"),
+    (["simulate", "dft", "--gamma", "inf"], "--gamma"),
+    (["simulate", "dft", "--gamma", "-inf"], "--gamma"),
+    (["simulate", "dft", "--t-ratio", "nan"], "--t-ratio"),
+    (["simulate", "dft", "--t-ratio", "-1"], "t_ratio"),
+    (["simulate", "dft", "--gamma", "-1"], "gamma11"),
+])
+def test_non_finite_or_negative_float_flags_exit_2(tmp_path, capsys, monkeypatch,
+                                                    argv, flag):
+    """Non-finite floats are refused while parsing, naming the flag; a
+    negative rate or t_ratio before the program is compiled or
+    calibrated.  Neither case ends in a traceback."""
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran for an invalid flag")
+
+    monkeypatch.setattr(dft, "qft_program", never)
+    monkeypatch.setattr(dft, "calibrate_gamma", never)
+    if argv[0] == "simulate":
+        argv = argv + ["--traj", "2", "--out", str(tmp_path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:       # argparse's own exit on a bad flag value
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert flag in captured.err and "Traceback" not in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_bound_config_non_finite_eta_exits_2(tmp_path, capsys):
+    config = tmp_path / "inf.json"
+    config.write_text('{"ion": "Ca+", "eta": Infinity}')
+    code, out, err = run_cli(capsys, "bound", "--config", str(config))
+    assert code == EXIT_INPUT
+    assert out == "" and "eta must be finite" in err
+
+
 def test_lenient_database_loading(tmp_path, capsys):
     raw = json.loads(DEFAULT_DATABASE.read_text())
     raw["ions"][0]["annotation"] = "left by a hand edit"

@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from ionjump import dft
 from ionjump.dft import (
+    CALIBRATION_PILOT_SIZE,
+    CALIBRATION_SEED_BASE,
+    _pilot_mean_jumps,
     calibrate_gamma,
     dft_experiment,
     dft_input_function,
@@ -20,8 +24,9 @@ from ionjump.dft import (
     write_trajectories_csv,
 )
 from ionjump.errors import ValidationError, ZeroFunction
-from ionjump.evolve import conditional_no_jump_branch, qubit_channels
+from ionjump.evolve import conditional_no_jump_branch, qubit_channels, trajectory_blocks
 from ionjump.gates import run_program_exact
+from ionjump.program import PulseProgram
 from ionjump.register import QuantumState, RegisterLayout
 from test_acceptance import CALIBRATED_GAMMA
 
@@ -181,6 +186,26 @@ def test_auto_gamma_modes():
         resolve_gamma11(-1.0, program, layout, initial)
 
 
+@pytest.mark.parametrize("gamma11, t_ratio", [
+    (math.nan, 1.0), (math.inf, 1.0), ("auto", math.nan), ("auto", math.inf),
+    ("auto", -1.0), (2e-4, math.nan), (2e-4, -1.0),
+])
+def test_non_finite_decay_inputs_are_rejected_before_any_work(monkeypatch, gamma11,
+                                                              t_ratio):
+    def never(*args, **kwargs):
+        raise AssertionError("compiled or calibrated despite invalid decay inputs")
+
+    monkeypatch.setattr(dft, "qft_program", never)
+    monkeypatch.setattr(dft, "calibrate_gamma", never)
+    with pytest.raises(ValidationError):
+        dft_experiment(n_trajectories=2, gamma11=gamma11, t_ratio=t_ratio,
+                       layout=RegisterLayout(n_ions=4, phonon_cutoff=3))
+    layout = RegisterLayout(n_ions=2, phonon_cutoff=3)
+    initial = QuantumState.from_computational(layout, {1: 1.0})
+    with pytest.raises(ValidationError):
+        resolve_gamma11(gamma11, PulseProgram(), layout, initial, t_ratio=t_ratio)
+
+
 def test_calibration_is_deterministic_and_scales():
     layout = RegisterLayout(n_ions=2, phonon_cutoff=3)
     initial = QuantumState.from_computational(layout, {1: 1.0, 2: 1.0})
@@ -189,6 +214,48 @@ def test_calibration_is_deterministic_and_scales():
     second = calibrate_gamma(program, layout, initial, t_ratio=1.0, n_pilot=40)
     assert first == second
     assert first > 0.0
+
+
+def test_pilot_estimate_takes_the_first_jump_from_the_no_jump_branch():
+    """On the same seeds, the pilot estimate (1 - P0) + mean (N_k - 1)+
+    exceeds the plain mean jump count by exactly (1 - P0) - P^(N >= 1),
+    P0 = ||no-jump branch(T)||^2, and that gap lies within 4 binomial
+    standard errors of 0."""
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+    support = np.nonzero(dft_input_function(4))[0]
+    initial = QuantumState.from_computational(layout, {int(k): 1.0 for k in support})
+    program = qft_program(layout)
+    gamma, n = 7e-4, CALIBRATION_PILOT_SIZE
+    estimate = _pilot_mean_jumps(program, layout, initial, gamma, True, n,
+                                 CALIBRATION_SEED_BASE)
+    channels = qubit_channels(layout, gamma, gamma_aux=gamma)
+    seeds = range(CALIBRATION_SEED_BASE, CALIBRATION_SEED_BASE + n)
+    counts = np.array([len(row) for _, _, jumps in trajectory_blocks(
+        program, layout, channels, seeds, initial) for row in jumps])
+    p0 = conditional_no_jump_branch(program, layout, channels, initial).squared_norm()
+    assert 0.2 < p0 < 0.8
+    gap = (1.0 - p0) - np.mean(counts >= 1)
+    assert estimate - counts.mean() == pytest.approx(gap, abs=1e-12)
+    assert abs(gap) <= 4.0 * math.sqrt(p0 * (1.0 - p0) / n)
+
+
+def test_calibration_pilots_share_one_seed_range(monkeypatch):
+    """Both pilots of one calibration run on the same seeds (common
+    random numbers for the secant step)."""
+    layout = RegisterLayout(n_ions=2, phonon_cutoff=3)
+    initial = QuantumState.from_computational(layout, {1: 1.0, 2: 1.0})
+    seed_ranges = []
+    pilot = dft._pilot_mean_jumps
+
+    def spy(*args):
+        *_, n_pilot, seed_base = args
+        seed_ranges.append(range(seed_base, seed_base + n_pilot))
+        return pilot(*args)
+
+    monkeypatch.setattr(dft, "_pilot_mean_jumps", spy)
+    calibrate_gamma(qft_program(layout), layout, initial, t_ratio=1.0)
+    expected = range(CALIBRATION_SEED_BASE, CALIBRATION_SEED_BASE + CALIBRATION_PILOT_SIZE)
+    assert seed_ranges == [expected, expected]
 
 
 def test_experiment_gamma_zero_reproduces_oracle():
