@@ -9,7 +9,11 @@ conditional no-click evolution is itself non-unitary.
 
 Trajectories run in row blocks of one batched engine, propagate each
 pulse exactly and place every jump at its root-found time (see
-``evolve``).  The exact spectrum comes from
+``evolve.trajectory_blocks``).  ``dft_experiment`` reduces each block
+as it arrives to the arrays of ``EnsembleReport`` (jump counts, jump
+times and channels, fidelities and DFT distributions) and drops its
+final states, so an ensemble holds about one block of states however
+many trajectories it runs.  The exact spectrum comes from
 ``ideal_dft_oracle``, a direct O(N^2) summation independent of the
 circuit and of the propagator.
 """
@@ -17,6 +21,7 @@ circuit and of the propagator.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -26,13 +31,12 @@ import numpy as np
 
 from .errors import ValidationError, ZeroFunction
 from .evolve import (
-    TrajectoryRecord,
     check_seeds,
     conditional_no_jump_branch,
     decay_vector,
+    fidelities,
     pulse_propagator,
     qubit_channels,
-    run_ensemble,
     trajectory_blocks,
 )
 from .gates import ControlledPhase, Hadamard, PulseParams, compile_gate
@@ -160,15 +164,17 @@ def _pilot_mean_jumps(program: PulseProgram, layout: RegisterLayout,
                       initial: QuantumState, gamma: float, include_aux: bool,
                       n_pilot: int, seed_base: int) -> float:
     """E[N] at ``gamma`` as P(N >= 1) + E[(N - 1)+]: the first term is
-    exact, 1 - ||no-jump branch(T)||^2; only the second is sampled, as
-    the pilot mean of max(N_k - 1, 0)."""
+    exact, 1 - ||no-jump branch(T)||^2, read from the branch the pilot
+    blocks carry; only the second is sampled, as the pilot mean of
+    max(N_k - 1, 0)."""
     channels = qubit_channels(layout, gamma,
                               gamma_aux=gamma if include_aux else None)
-    p_none = conditional_no_jump_branch(program, layout, channels,
-                                        initial).squared_norm()
     seeds = range(seed_base, seed_base + n_pilot)
-    later = sum(max(len(row) - 1, 0) for _, _, jumps in trajectory_blocks(
-        program, layout, channels, seeds, initial) for row in jumps)
+    later = 0
+    for _, _, jumps, branch in trajectory_blocks(program, layout, channels, seeds,
+                                                 initial):
+        later += sum(max(len(row) - 1, 0) for row in jumps)
+    p_none = float(np.vdot(branch, branch).real)
     return (1.0 - p_none) + later / n_pilot
 
 
@@ -187,7 +193,9 @@ def calibrate_gamma(program: PulseProgram, layout: RegisterLayout,
     for a given experiment configuration.  The corrections absorb the
     back-action of the conditional no-click evolution and of the jumps
     themselves, which suppress the mean excitation below its gamma=0
-    value (by roughly 15% at t_ratio = 1 for the standard experiment).
+    value (at t_ratio = 1 for the standard experiment, the first pilot
+    reads 0.657 at four ions and 0.815 at five: 34% and 19% below the
+    first-order target).
 
     Each pilot estimates E[N] through the exact identity
     E[N] = P(N >= 1) + E[(N - 1)+], where P(N >= 1) = 1 - ||no-jump
@@ -270,20 +278,23 @@ def resolve_gamma11(gamma11: float | str, program: PulseProgram,
     return float(gamma11)
 
 
-def jump_class(count: int) -> str:
-    if count == 0:
-        return "zero"
-    if count == 1:
-        return "one"
-    return "multi"
-
-
 @dataclass(frozen=True)
 class EnsembleReport:
-    """Per-trajectory records plus the derived ensemble statistics."""
+    """Per-trajectory arrays in seed order (trajectory k ran with seed
+    seed0 + k) plus the derived ensemble statistics.
+
+    ``jump_times`` and ``jump_channels`` hold every trajectory's jumps
+    back to back: trajectory k's are the ``jump_counts[k]`` entries that
+    follow those of trajectories 0..k-1.  ``classes[k]`` indexes
+    JUMP_CLASSES: min(jump count, 2).
+    """
 
     layout: RegisterLayout
-    records: tuple[TrajectoryRecord, ...]
+    jump_counts: np.ndarray = field(repr=False)
+    jump_times: np.ndarray = field(repr=False)
+    jump_channels: np.ndarray = field(repr=False)
+    classes: np.ndarray = field(repr=False)
+    fidelities: np.ndarray = field(repr=False)
     distributions: np.ndarray = field(repr=False)   # (n_traj, 2^n) DFT bins
     leakages: np.ndarray = field(repr=False)
     oracle_distribution: np.ndarray = field(repr=False)
@@ -294,48 +305,40 @@ class EnsembleReport:
 
     @property
     def n_trajectories(self) -> int:
-        return len(self.records)
-
-    def jump_counts(self) -> np.ndarray:
-        return np.array([r.emitted_count for r in self.records])
+        return self.jump_counts.size
 
     @property
     def mean_jump_count(self) -> float:
-        return float(self.jump_counts().mean())
+        return float(self.jump_counts.mean())
 
     @property
     def jump_count_variance(self) -> float:
-        return float(self.jump_counts().var())
-
-    def classes(self) -> list[str]:
-        return [jump_class(r.emitted_count) for r in self.records]
+        return float(self.jump_counts.var())
 
     def class_counts(self) -> dict[str, int]:
-        classes = self.classes()
-        return {name: classes.count(name) for name in JUMP_CLASSES}
+        counts = np.bincount(self.classes, minlength=len(JUMP_CLASSES))
+        return dict(zip(JUMP_CLASSES, counts.tolist()))
 
-    def class_indices(self, class_name: str) -> list[int]:
-        return [i for i, name in enumerate(self.classes()) if name == class_name]
+    def class_indices(self, class_name: str) -> np.ndarray:
+        return np.flatnonzero(self.classes == JUMP_CLASSES.index(class_name))
 
     def mean_fidelity(self, class_name: str | None = None) -> float | None:
-        if class_name is None:
-            values = [r.fidelity for r in self.records]
-        else:
-            values = [self.records[i].fidelity for i in self.class_indices(class_name)]
-        if not values:
+        values = self.fidelities
+        if class_name is not None:
+            values = values[self.class_indices(class_name)]
+        if not values.size:
             return None
         return float(np.mean(values))
 
     def class_distribution(self, class_name: str) -> np.ndarray | None:
         idx = self.class_indices(class_name)
-        if not idx:
+        if not idx.size:
             return None
         return self.distributions[idx].mean(axis=0)
 
     def fidelity_histogram(self, n_bins: int = 20) -> tuple[np.ndarray, np.ndarray]:
         """Histogram of per-trajectory fidelities over [0, 1]."""
-        values = np.array([r.fidelity for r in self.records])
-        return np.histogram(values, bins=n_bins, range=(0.0, 1.0))
+        return np.histogram(self.fidelities, bins=n_bins, range=(0.0, 1.0))
 
 
 def dft_experiment(n_trajectories: int, gamma11: float | str,
@@ -381,18 +384,29 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
     ideal_final = conditional_no_jump_branch(program, layout, [], initial).amplitudes
     oracle = ideal_dft_oracle(f)
 
-    records = run_ensemble(program, layout, channels,
-                           range(seed0, seed0 + n_trajectories), initial,
-                           ideal_final=ideal_final)
-    distributions = frequency_distribution(
-        np.array([r.final_state.amplitudes for r in records]), layout)
-    leakages = 1.0 - distributions.sum(axis=-1)
+    # each block is reduced to the report's values as it arrives, and its
+    # final states are dropped before the next block runs
+    counts, jumps, fidelity_blocks, distribution_blocks = [], [], [], []
+    for _, states, rows, _ in trajectory_blocks(program, layout, channels,
+                                                range(seed0, seed0 + n_trajectories),
+                                                initial):
+        counts += map(len, rows)
+        jumps += itertools.chain.from_iterable(rows)
+        fidelity_blocks.append(fidelities(states, ideal_final))
+        distribution_blocks.append(frequency_distribution(states, layout))
+        del states
+    counts = np.array(counts)
+    distributions = np.concatenate(distribution_blocks)
 
     return EnsembleReport(
         layout=layout,
-        records=tuple(records),
+        jump_counts=counts,
+        jump_times=np.array([t for t, _ in jumps], dtype=np.float64),
+        jump_channels=np.array([pick for _, pick in jumps], dtype=np.intp),
+        classes=np.minimum(counts, len(JUMP_CLASSES) - 1),
+        fidelities=np.concatenate(fidelity_blocks),
         distributions=distributions,
-        leakages=leakages,
+        leakages=1.0 - distributions.sum(axis=-1),
         oracle_distribution=oracle,
         gamma11=gamma,
         program_duration=program.duration,
@@ -414,16 +428,20 @@ def _fmt(value: float) -> str:
 
 def write_trajectories_csv(report: EnsembleReport, path: str | Path) -> None:
     """One row per trajectory: seed, jump_count, jump_times, fidelity."""
+    counts = report.jump_counts
+    times = np.split(report.jump_times, np.cumsum(counts)[:-1])
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["seed", "jump_count", "jump_times", "fidelity"])
-        for record in report.records:
-            times = ";".join(_fmt(t) for t in record.jump_times())
-            writer.writerow([record.seed, record.emitted_count, times,
-                             _fmt(record.fidelity)])
+        for k, (count, row, fidelity) in enumerate(zip(counts.tolist(), times,
+                                                       report.fidelities.tolist())):
+            writer.writerow([report.seed0 + k, count, ";".join(map(_fmt, row.tolist())),
+                             _fmt(fidelity)])
 
 
 def write_summary_json(report: EnsembleReport, path: str | Path) -> None:
+    histogram, edges = report.fidelity_histogram()
+    class_distributions = {name: report.class_distribution(name) for name in JUMP_CLASSES}
     payload = {
         "n_trajectories": report.n_trajectories,
         "seed0": report.seed0,
@@ -438,15 +456,11 @@ def write_summary_json(report: EnsembleReport, path: str | Path) -> None:
             **{name: report.mean_fidelity(name) for name in JUMP_CLASSES},
         },
         "mean_leakage": float(report.leakages.mean()),
-        "fidelity_histogram": {
-            "counts": [int(c) for c in report.fidelity_histogram()[0]],
-            "bin_edges": [float(e) for e in report.fidelity_histogram()[1]],
-        },
-        "oracle_distribution": [float(p) for p in report.oracle_distribution],
+        "fidelity_histogram": {"counts": histogram.tolist(), "bin_edges": edges.tolist()},
+        "oracle_distribution": report.oracle_distribution.tolist(),
         "class_distributions": {
-            name: (None if report.class_distribution(name) is None
-                   else [float(p) for p in report.class_distribution(name)])
-            for name in JUMP_CLASSES
+            name: None if distribution is None else distribution.tolist()
+            for name, distribution in class_distributions.items()
         },
     }
     with open(path, "w", encoding="utf-8") as handle:
@@ -459,9 +473,9 @@ def representative_distribution(report: EnsembleReport,
     """First trajectory of the requested emission class, falling back to
     the first trajectory overall when the class is empty."""
     idx = report.class_indices(class_name)
-    if idx:
+    if idx.size:
         return report.distributions[idx[0]], class_name
-    return report.distributions[0], jump_class(report.records[0].emitted_count)
+    return report.distributions[0], JUMP_CLASSES[report.classes[0]]
 
 
 def write_bins_csv(report: EnsembleReport, path: str | Path,

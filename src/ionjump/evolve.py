@@ -555,7 +555,7 @@ def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
                       channels: list[JumpChannel], seeds: Sequence[int],
                       initial_state: QuantumState
                       ) -> Iterator[tuple[Sequence[int], np.ndarray,
-                                          list[list[tuple[float, int]]]]]:
+                                          list[list[tuple[float, int]]], np.ndarray]]:
     """Run one quantum-jump trajectory per seed through a pulse program.
 
     Threshold scheme: draw r uniform in [0, 1); propagate each pulse
@@ -567,36 +567,22 @@ def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
     Trajectories run in blocks (see ``_sized_blocks``) whose rows share
     the no-jump branch until they jump.  Yields, block by block in seed
     order, (the block's seeds, their final states as a (rows, dim)
-    array, their jumps as lists of (time, channel index)); a caller
+    array, their jumps as lists of (time, channel index), the final
+    state of the no-jump branch, which every block shares); a caller
     keeps what it needs of each block.  Each trajectory uses its own
     stream ``trajectory_rng(seed)``, so a seed gives the same trajectory
     in any block.
     """
     for block in _sized_blocks(seeds, channels, initial_state.amplitudes):
         _propagate_program(program, layout, channels, block)
-        yield block.seeds, block.phys[block.src], block.jumps
+        # the branch is copied, so a caller that keeps it frees the block
+        yield block.seeds, block.phys[block.src], block.jumps, block.phys[0].copy()
 
 
-def run_ensemble(program: PulseProgram, layout: RegisterLayout,
-                 channels: list[JumpChannel], seeds: Sequence[int],
-                 initial_state: QuantumState,
-                 ideal_final: np.ndarray | None = None) -> list[TrajectoryRecord]:
-    """One record per seed, in seed order (see ``trajectory_blocks``);
-    with ``ideal_final`` each record carries the fidelity of its
-    renormalized final state with it."""
-    records = []
-    for block, psi, jumps in trajectory_blocks(program, layout, channels, seeds,
-                                               initial_state):
-        fidelities = [None] * len(block)
-        if ideal_final is not None:
-            fidelities = np.abs(psi @ np.conj(ideal_final)) ** 2 / _norm2(psi)
-        for seed, amplitudes, row, fidelity in zip(block, psi, jumps, fidelities):
-            records.append(TrajectoryRecord(
-                seed=seed, jumps=tuple(row),
-                final_state=QuantumState(layout=layout, amplitudes=amplitudes),
-                fidelity=None if fidelity is None else float(fidelity),
-                emitted_count=len(row)))
-    return records
+def fidelities(states: np.ndarray, ideal: np.ndarray) -> np.ndarray:
+    """Fidelity |<ideal|psi>|^2 / ||psi||^2 of each renormalized row of
+    an (n, dim) batch of states with a normalized ``ideal``."""
+    return np.abs(states @ np.conj(ideal)) ** 2 / _norm2(states)
 
 
 def run_trajectory(program: PulseProgram, layout: RegisterLayout,
@@ -604,9 +590,15 @@ def run_trajectory(program: PulseProgram, layout: RegisterLayout,
                    initial_state: QuantumState,
                    ideal_final: np.ndarray | None = None) -> TrajectoryRecord:
     """Run one quantum-jump trajectory through a pulse program: the
-    one-seed case of ``run_ensemble``.  Same seed, program and channels
-    give a bit-identical record."""
-    return run_ensemble(program, layout, channels, [seed], initial_state, ideal_final)[0]
+    one-seed case of ``trajectory_blocks``; with ``ideal_final`` the
+    record carries the fidelity of its renormalized final state with
+    it.  Same seed, program and channels give a bit-identical record."""
+    (_, states, (jumps,), _), = trajectory_blocks(program, layout, channels, [seed],
+                                                  initial_state)
+    fidelity = None if ideal_final is None else float(fidelities(states, ideal_final)[0])
+    return TrajectoryRecord(seed=seed, jumps=tuple(jumps),
+                            final_state=QuantumState(layout=layout, amplitudes=states[0]),
+                            fidelity=fidelity, emitted_count=len(jumps))
 
 
 def conditional_no_jump_branch(program: PulseProgram, layout: RegisterLayout,

@@ -262,15 +262,16 @@ def run_program_exact(program: PulseProgram, layout: RegisterLayout,
     """Propagate states through a program with exact pulse unitaries.
 
     Loss-free reference for the trajectory engine, built apart from its
-    propagator cache; state axis last, batched input allowed.
+    propagator cache; state axis last, batched input allowed.  Compiled
+    pulses are carrier and sideband drives, which are pair-structured,
+    so each takes the closed-form pair map.
     """
     out = np.asarray(psi, dtype=np.complex128).copy()
     for item in program.items:
         if isinstance(item, InstantGate):
             out = apply_internal_unitary(out, layout, item.ion, item.matrix)
         else:
-            hamiltonian = build_pulse_hamiltonian(item, layout)
-            out = hamiltonian.propagate_exact(out, item.duration)
+            out = build_pulse_hamiltonian(item, layout).pair_propagator()(item.duration)(out)
     return out
 
 

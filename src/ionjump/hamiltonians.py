@@ -158,22 +158,6 @@ class Hamiltonian:
 
         return at
 
-    def propagate_exact(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """Exact unitary evolution e^{-iHt} psi (state axis last).
-
-        Pair-structured operators use the closed-form 2x2 rotation per
-        block; anything else is diagonalized densely.  Serves as the
-        gate compiler's verification path and the tests' loss-free
-        oracle (``gates.run_program_exact``).  Accepts batches of states
-        with shape (..., dim).
-        """
-        if self.is_pair_structured:
-            return self.pair_propagator()(t)(psi)
-        dense = self.to_dense()
-        vals, vecs = np.linalg.eigh(dense)
-        rotated = psi @ vecs.conj()
-        return (rotated * np.exp(-1j * vals * t)) @ vecs.T
-
 
 def _distinct(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index the distinct entries of equal-length 1-D arrays read

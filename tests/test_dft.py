@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ionjump import dft
+from ionjump import dft, evolve
 from ionjump.dft import (
     CALIBRATION_PILOT_SIZE,
     CALIBRATION_SEED_BASE,
@@ -230,13 +230,28 @@ def test_pilot_estimate_takes_the_first_jump_from_the_no_jump_branch():
                                  CALIBRATION_SEED_BASE)
     channels = qubit_channels(layout, gamma, gamma_aux=gamma)
     seeds = range(CALIBRATION_SEED_BASE, CALIBRATION_SEED_BASE + n)
-    counts = np.array([len(row) for _, _, jumps in trajectory_blocks(
+    counts = np.array([len(row) for _, _, jumps, _ in trajectory_blocks(
         program, layout, channels, seeds, initial) for row in jumps])
     p0 = conditional_no_jump_branch(program, layout, channels, initial).squared_norm()
     assert 0.2 < p0 < 0.8
     gap = (1.0 - p0) - np.mean(counts >= 1)
     assert estimate - counts.mean() == pytest.approx(gap, abs=1e-12)
     assert abs(gap) <= 4.0 * math.sqrt(p0 * (1.0 - p0) / n)
+
+
+def test_calibration_reads_the_no_jump_probability_from_the_pilot_blocks(monkeypatch):
+    """The pilots take P0 from the branch their blocks carry as row 0;
+    calibration propagates no separate no-jump branch."""
+    layout = RegisterLayout(n_ions=2, phonon_cutoff=3)
+    initial = QuantumState.from_computational(layout, {1: 1.0, 2: 1.0})
+    program = qft_program(layout)
+    expected = calibrate_gamma(program, layout, initial, t_ratio=1.0, n_pilot=40)
+
+    def never(*args, **kwargs):
+        raise AssertionError("calibration propagated a separate no-jump branch")
+
+    monkeypatch.setattr(dft, "conditional_no_jump_branch", never)
+    assert calibrate_gamma(program, layout, initial, t_ratio=1.0, n_pilot=40) == expected
 
 
 def test_calibration_pilots_share_one_seed_range(monkeypatch):
@@ -260,8 +275,8 @@ def test_calibration_pilots_share_one_seed_range(monkeypatch):
 
 def test_experiment_gamma_zero_reproduces_oracle():
     report = dft_experiment(n_trajectories=1, gamma11=0.0, seed0=3)
-    assert report.records[0].emitted_count == 0
-    assert report.records[0].fidelity == pytest.approx(1.0, abs=1e-9)
+    assert report.jump_counts.tolist() == [0] and report.jump_times.size == 0
+    assert report.fidelities[0] == pytest.approx(1.0, abs=1e-9)
     assert np.max(np.abs(report.distributions[0] - report.oracle_distribution)) < 1e-9
     assert report.class_counts() == {"zero": 1, "one": 0, "multi": 0}
 
@@ -269,10 +284,12 @@ def test_experiment_gamma_zero_reproduces_oracle():
 def test_experiment_statistics_and_artifacts(tmp_path):
     report = dft_experiment(n_trajectories=4, gamma11=2e-4, seed0=20)
     assert report.n_trajectories == 4
-    assert report.mean_jump_count == pytest.approx(
-        np.mean([r.emitted_count for r in report.records]))
+    assert report.mean_jump_count == pytest.approx(np.mean(report.jump_counts))
+    assert report.jump_times.size == report.jump_channels.size == report.jump_counts.sum()
     counts = report.class_counts()
     assert sum(counts.values()) == 4
+    assert counts == {name: int(np.sum(np.minimum(report.jump_counts, 2) == k))
+                      for k, name in enumerate(("zero", "one", "multi"))}
 
     write_trajectories_csv(report, tmp_path / "trajectories.csv")
     write_summary_json(report, tmp_path / "summary.json")
@@ -294,6 +311,46 @@ def test_experiment_statistics_and_artifacts(tmp_path):
     bins = (tmp_path / "bins.csv").read_text().splitlines()
     assert bins[0] == "k,ideal_prob,trajectory_prob,class"
     assert len(bins) == 33
+
+
+def test_report_does_not_depend_on_the_block_budget(monkeypatch):
+    """The report is reduced block by block: 150 four-ion trajectories
+    give the same arrays at the default budget (one block) and at 16384
+    amplitudes (several blocks)."""
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+    readout = dft.frequency_distribution
+    block_sizes = []
+
+    def spy(states, layout):
+        block_sizes.append(len(states))
+        return readout(states, layout)
+
+    monkeypatch.setattr(dft, "frequency_distribution", spy)
+
+    def run():
+        block_sizes.clear()
+        report = dft_experiment(n_trajectories=150, gamma11=7e-4, layout=layout, seed0=5)
+        return report, len(block_sizes)
+
+    default, n_default = run()
+    monkeypatch.setattr(evolve, "BLOCK_AMPLITUDES", 16384)
+    small, n_small = run()
+    assert n_default == 1 and n_small >= 2
+    assert default.class_counts()["zero"] > 0 and default.class_counts()["multi"] > 0
+    for name in ("jump_counts", "jump_times", "jump_channels", "classes", "fidelities",
+                 "distributions", "leakages"):
+        assert np.array_equal(getattr(default, name), getattr(small, name)), name
+
+
+def test_largest_seeds_reach_trajectories_csv(tmp_path):
+    """Seeds stay exact Python integers up to the top of the Philox key
+    range."""
+    seed0 = 2**128 - 3
+    report = dft_experiment(n_trajectories=3, gamma11=7e-4, seed0=seed0,
+                            layout=RegisterLayout(n_ions=4, phonon_cutoff=3))
+    write_trajectories_csv(report, tmp_path / "trajectories.csv")
+    lines = (tmp_path / "trajectories.csv").read_text().splitlines()[1:]
+    assert [int(line.split(",")[0]) for line in lines] == [seed0, seed0 + 1, seed0 + 2]
 
 
 def test_experiment_deterministic_artifacts(tmp_path):

@@ -15,7 +15,6 @@ from ionjump.evolve import (
     qubit_channels,
     rk4_reference_step,
     run_constant_hamiltonian_ensemble,
-    run_ensemble,
     run_trajectory,
     trajectory_blocks,
     trajectory_rng,
@@ -194,10 +193,10 @@ def test_batched_ensemble_matches_sequential():
 
 def test_block_ensemble_matches_one_row_runs(monkeypatch):
     """An ensemble over several blocks, its size no multiple of the block
-    rows, against one run_trajectory per seed: same jumps and channels,
-    same jump times and final states.  Long decaying carrier pulses make
-    rows jump again inside a pulse.  The budget is lowered so that 150
-    seeds span several blocks."""
+    rows, against one run_trajectory per seed: same seeds in order, same
+    jumps and channels, same jump times and final states.  Long decaying
+    carrier pulses make rows jump again inside a pulse.  The budget is
+    lowered so that 150 seeds span several blocks."""
     monkeypatch.setattr(evolve, "BLOCK_AMPLITUDES", 16384)
     layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
     carriers = PulseProgram(tuple(Pulse(ion=k, transition=QUBIT_CARRIER, rabi=1.0,
@@ -207,17 +206,18 @@ def test_block_ensemble_matches_one_row_runs(monkeypatch):
     initial = QuantumState.from_computational(layout, {0b1010: 1.0, 0b0111: 1.0})
     n, rows = 150, evolve.BLOCK_AMPLITUDES // layout.dim
     assert n > rows and n % rows != 0
-    records = run_ensemble(program, layout, channels, range(40, 40 + n), initial)
+    blocks = trajectory_blocks(program, layout, channels, range(40, 40 + n), initial)
+    ensemble = [(seed, state, row) for block_seeds, states, jumps, _ in blocks
+                for seed, state, row in zip(block_seeds, states, jumps, strict=True)]
+    assert [seed for seed, _, _ in ensemble] == list(range(40, 40 + n))
     pulse_ends = np.cumsum([item.duration for item in program.pulses()])
     repeats = 0
-    for seed, record in zip(range(40, 40 + n), records):
+    for seed, state, row in ensemble:
         single = run_trajectory(program, layout, channels, seed, initial)
-        assert record.seed == seed
-        assert [c for _, c in record.jumps] == [c for _, c in single.jumps]
-        times, expected = np.array(record.jump_times()), np.array(single.jump_times())
+        assert [c for _, c in row] == [c for _, c in single.jumps]
+        times, expected = np.array([t for t, _ in row]), np.array(single.jump_times())
         assert np.all(np.abs(times - expected) <= 1e-12 * expected)
-        assert np.max(np.abs(record.final_state.amplitudes
-                             - single.final_state.amplitudes)) < 1e-12
+        assert np.max(np.abs(state - single.final_state.amplitudes)) < 1e-12
         pulse = np.searchsorted(pulse_ends, times)
         repeats += int(np.sum(pulse[1:] == pulse[:-1]))
     assert repeats > 0
@@ -261,13 +261,15 @@ def test_first_jump_leaves_the_no_jump_branch(monkeypatch):
     seeds = range(40, 340)
     blocks = list(trajectory_blocks(program, layout, channels, seeds, initial))
     rows = evolve.BLOCK_AMPLITUDES // layout.dim
-    assert [seed for block_seeds, _, _ in blocks for seed in block_seeds] == list(seeds)
+    assert [seed for block_seeds, *_ in blocks for seed in block_seeds] == list(seeds)
     assert len(blocks) >= 3 and len(blocks[0][0]) == rows
-    assert any(len(block_seeds) > rows for block_seeds, _, _ in blocks[1:])
-    for block_seeds, _, _ in blocks[1:]:
+    assert any(len(block_seeds) > rows for block_seeds, *_ in blocks[1:])
+    for block_seeds, *_ in blocks[1:]:
         assert sum(trajectory_rng(seed).random() > min_norm2 for seed in block_seeds) <= rows
     zero, repeats = 0, 0
-    for block_seeds, states, jumps in blocks:
+    for block_seeds, states, jumps, block_branch in blocks:
+        # every block hands back the branch it carried as row 0
+        assert np.array_equal(block_branch, branch)
         for seed, state, row in zip(block_seeds, states, jumps):
             r = trajectory_rng(seed).random()
             if r <= min_norm2:
@@ -302,8 +304,8 @@ def test_results_do_not_depend_on_the_block_budget(monkeypatch):
 
     def run():
         blocks = list(trajectory_blocks(program, layout, channels, seeds, initial))
-        states = np.concatenate([block_states for _, block_states, _ in blocks])
-        return len(blocks), states, [row for _, _, jumps in blocks for row in jumps]
+        states = np.concatenate([block_states for _, block_states, _, _ in blocks])
+        return len(blocks), states, [row for _, _, jumps, _ in blocks for row in jumps]
 
     assert layout.dim == 243 and len(seeds) <= BLOCK_AMPLITUDES // layout.dim
     n_blocks, states, jumps = run()

@@ -60,7 +60,7 @@ def test_pi_pulse_phase_convention(layout):
     t_pi = math.pi * math.sqrt(5.0 * layout.effective_ions) / 0.2
     psi = np.zeros(layout.dim, dtype=complex)
     psi[layout.basis_index((1, 0), 0)] = 1.0
-    out = h.propagate_exact(psi, t_pi)
+    out = h.pair_propagator()(t_pi)(psi)
     target = layout.basis_index((0, 0), 1)
     assert out[target] == pytest.approx(-1j, abs=1e-12)
     assert np.linalg.norm(np.delete(out, target)) < 1e-12
@@ -71,7 +71,7 @@ def test_propagate_exact_matches_dense_diagonalization(layout):
     psi = random_state(layout, seed=3)
     vals, vecs = np.linalg.eigh(h.to_dense())
     reference = vecs @ (np.exp(-1j * vals * 2.1) * (vecs.conj().T @ psi))
-    assert np.max(np.abs(h.propagate_exact(psi, 2.1) - reference)) < 1e-13
+    assert np.max(np.abs(h.pair_propagator()(2.1)(psi) - reference)) < 1e-13
 
 
 def per_pair_propagator(h, decay=None):
