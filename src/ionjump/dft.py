@@ -15,12 +15,16 @@ times and channels, fidelities and DFT distributions) and drops its
 final states, so an ensemble holds about one block of states however
 many trajectories it runs.  The exact spectrum comes from
 ``ideal_dft_oracle``, a direct O(N^2) summation independent of the
-circuit and of the propagator.
+circuit and of the propagator.  The compiled network, its input state,
+its loss-free output and the exact spectrum depend only on the register
+and the pulse settings, so ``compile_experiment`` builds them once per
+process.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -341,6 +345,48 @@ class EnsembleReport:
         return np.histogram(self.fidelities, bins=n_bins, range=(0.0, 1.0))
 
 
+@dataclass(frozen=True)
+class CompiledExperiment:
+    """The parts of the DFT experiment that depend only on the register
+    and the pulse settings: the compiled Fourier network, the prepared
+    input state, its loss-free (gamma = 0) output and the exact
+    spectrum of f.  Their arrays are read-only."""
+
+    program: PulseProgram
+    initial: QuantumState
+    ideal_final: np.ndarray = field(repr=False)
+    oracle: np.ndarray = field(repr=False)
+
+
+@functools.lru_cache(maxsize=8)
+def compile_experiment(layout: RegisterLayout, params: PulseParams) -> CompiledExperiment:
+    """Compile the DFT experiment once per (layout, params) and process.
+
+    Nothing here depends on the decay, the seeds or the trajectories, so
+    every ``dft_experiment`` call on the same register shares one
+    record.  The ideal output is the gamma = 0 no-jump branch of the
+    program, from the same cached propagators that the
+    measured-excitation integral uses.  A register too small to hold
+    f's support raises ``ZeroFunction``; exceptions are not cached.
+    """
+    f = dft_input_function(layout.n_ions)
+    support = np.nonzero(f)[0]
+    if not support.size:
+        raise ZeroFunction(
+            f"f(n) = [n = 8 mod 10] is zero on all {f.size} points of a "
+            f"{layout.n_ions}-ion register; the DFT input needs at least 4 ions")
+    initial = QuantumState.from_computational(
+        layout, {int(n): 1.0 for n in support})
+    program = qft_program(layout, params)
+    ideal_final = conditional_no_jump_branch(program, layout, [], initial).amplitudes
+    oracle = ideal_dft_oracle(f)
+    # every caller shares these arrays
+    matrices = [item.matrix for item in program.items if isinstance(item, InstantGate)]
+    for array in (initial.amplitudes, ideal_final, oracle, *matrices):
+        array.flags.writeable = False
+    return CompiledExperiment(program, initial, ideal_final, oracle)
+
+
 def dft_experiment(n_trajectories: int, gamma11: float | str,
                    layout: RegisterLayout | None = None, seed0: int = 0,
                    t_ratio: float = 1.0, params: PulseParams | None = None,
@@ -348,11 +394,13 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
                    auto_mode: str = "calibrated") -> EnsembleReport:
     """Run the unstable-register DFT ensemble.
 
-    Prepares the normalized superposition of the support of f, compiles
-    the five-qubit Fourier network once, and runs ``n_trajectories``
-    quantum-jump trajectories with per-trajectory seeds seed0 + index,
-    which must lie in [0, 2**128); they, ``gamma11`` and ``t_ratio`` are
-    checked before any work is done.
+    Takes the five-qubit Fourier network, the normalized superposition
+    of the support of f and its ideal output from
+    ``compile_experiment``, which builds them once per register and
+    process, and runs ``n_trajectories`` quantum-jump trajectories with
+    per-trajectory seeds seed0 + index, which must lie in [0, 2**128);
+    they, ``gamma11`` and ``t_ratio`` are checked before any work is
+    done, the compile included.
     ``gamma11="auto"`` calibrates the decay so the expected emission
     count per run is ``t_ratio`` (register lifetime = T/t_ratio).  With
     ``include_aux_channel`` the auxiliary gate level decays at the same
@@ -363,26 +411,13 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
     check_seeds(seed0, seed0 + n_trajectories - 1)
     _check_decay_inputs(gamma11, t_ratio)
     layout = layout or RegisterLayout(n_ions=5, phonon_cutoff=3)
-    params = params or PulseParams()
-    f = dft_input_function(layout.n_ions)
-    support = np.nonzero(f)[0]
-    if not support.size:
-        raise ZeroFunction(
-            f"f(n) = [n = 8 mod 10] is zero on all {f.size} points of a "
-            f"{layout.n_ions}-ion register; the DFT input needs at least 4 ions")
-    initial = QuantumState.from_computational(
-        layout, {int(n): 1.0 for n in support})
-    program = qft_program(layout, params)
+    experiment = compile_experiment(layout, params or PulseParams())
+    program, initial = experiment.program, experiment.initial
     gamma = resolve_gamma11(gamma11, program, layout, initial, t_ratio=t_ratio,
                             auto_mode=auto_mode, include_aux=include_aux_channel)
     channels = qubit_channels(layout, gamma,
                               gamma_aux=gamma if include_aux_channel else None)
     channels = [ch for ch in channels if ch.gamma > 0.0]
-
-    # the loss-free output from the same cached gamma = 0 propagators
-    # that the measured-excitation integral uses
-    ideal_final = conditional_no_jump_branch(program, layout, [], initial).amplitudes
-    oracle = ideal_dft_oracle(f)
 
     # each block is reduced to the report's values as it arrives, and its
     # final states are dropped before the next block runs
@@ -392,7 +427,7 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
                                                 initial):
         counts += map(len, rows)
         jumps += itertools.chain.from_iterable(rows)
-        fidelity_blocks.append(fidelities(states, ideal_final))
+        fidelity_blocks.append(fidelities(states, experiment.ideal_final))
         distribution_blocks.append(frequency_distribution(states, layout))
         del states
     counts = np.array(counts)
@@ -407,7 +442,7 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
         fidelities=np.concatenate(fidelity_blocks),
         distributions=distributions,
         leakages=1.0 - distributions.sum(axis=-1),
-        oracle_distribution=oracle,
+        oracle_distribution=experiment.oracle,
         gamma11=gamma,
         program_duration=program.duration,
         seed0=seed0,
@@ -464,8 +499,7 @@ def write_summary_json(report: EnsembleReport, path: str | Path) -> None:
         },
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def representative_distribution(report: EnsembleReport,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGateOperands
-from .hamiltonians import build_pulse_hamiltonian
+from .evolve import pulse_propagator
 from .program import (
     AUX_SIDEBAND,
     QUBIT_CARRIER,
@@ -261,17 +261,18 @@ def run_program_exact(program: PulseProgram, layout: RegisterLayout,
                       psi: np.ndarray) -> np.ndarray:
     """Propagate states through a program with exact pulse unitaries.
 
-    Loss-free reference for the trajectory engine, built apart from its
-    propagator cache; state axis last, batched input allowed.  Compiled
-    pulses are carrier and sideband drives, which are pair-structured,
-    so each takes the closed-form pair map.
+    Loss-free reference, state axis last, batched input allowed.  Each
+    pulse takes the end-of-pulse map of its gamma = 0 propagator from
+    ``evolve.pulse_propagator``'s cache, the map the trajectory engine
+    uses without decay, so repeated calls on one program build no
+    Hamiltonian again.
     """
     out = np.asarray(psi, dtype=np.complex128).copy()
     for item in program.items:
         if isinstance(item, InstantGate):
             out = apply_internal_unitary(out, layout, item.ion, item.matrix)
         else:
-            out = build_pulse_hamiltonian(item, layout).pair_propagator()(item.duration)(out)
+            out = pulse_propagator(item, layout, ()).end(out)
     return out
 
 

@@ -55,8 +55,9 @@ class Hamiltonian:
     @property
     def is_pair_structured(self) -> bool:
         """True when no basis state appears in more than one coupling."""
-        indices = np.concatenate([self.pair_i, self.pair_j])
-        return indices.size == np.unique(indices).size
+        # a sorted scan, not np.unique, which imports numpy.ma on first use
+        indices = np.sort(np.concatenate([self.pair_i, self.pair_j]))
+        return not np.any(indices[1:] == indices[:-1])
 
     def to_dense(self) -> np.ndarray:
         dim = self.layout.dim

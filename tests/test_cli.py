@@ -113,34 +113,43 @@ def test_simulate_dft_gamma_zero_matches_oracle(tmp_path, capsys):
 
 
 def test_simulate_dft_deterministic_outputs(tmp_path, capsys):
-    args = ("simulate", "dft", "--traj", "4", "--gamma", "0.0002", "--out")
-    for sub in ("one", "two"):
-        (tmp_path / sub).mkdir()
-        code, _, _ = run_cli(capsys, *args, str(tmp_path / sub), "--seed", "5")
+    """A call that compiles the experiment afresh and later calls in
+    the same process that reuse it write the same bytes."""
+    args = ("simulate", "dft", "--traj", "4", "--gamma", "0.0002", "--seed", "5", "--out")
+    dft.compile_experiment.cache_clear()
+    stdouts = []
+    for sub in ("cold", "warm", "warm-again"):
+        code, out, _ = run_cli(capsys, *args, str(tmp_path / sub))
         assert code == EXIT_OK
-    for name in ("trajectories.csv", "summary.json", "bins.csv"):
-        assert ((tmp_path / "one" / name).read_bytes()
-                == (tmp_path / "two" / name).read_bytes())
+        stdouts.append(out.replace(str(tmp_path / sub), "DIR"))
+    assert dft.compile_experiment.cache_info().hits == 2
+    assert stdouts[1] == stdouts[2] == stdouts[0]
+    for sub in ("warm", "warm-again"):
+        for name in ("trajectories.csv", "summary.json", "bins.csv"):
+            assert ((tmp_path / "cold" / name).read_bytes()
+                    == (tmp_path / sub / name).read_bytes())
 
 
 @pytest.mark.parametrize("ions", [1, 2, 3])
 def test_simulate_dft_too_few_ions_exits_2(tmp_path, capsys, ions):
-    code, out, err = run_cli(capsys, "simulate", "dft", "--ions", str(ions),
-                             "--traj", "1", "--gamma", "0", "--out", str(tmp_path))
-    assert code == EXIT_INPUT
-    assert out == ""
-    assert f"{ions}-ion register" in err and "at least 4 ions" in err
-    assert not any(tmp_path.iterdir())
+    for _ in range(2):      # a failed compile is not cached: it fails again
+        code, out, err = run_cli(capsys, "simulate", "dft", "--ions", str(ions),
+                                 "--traj", "1", "--gamma", "0", "--out", str(tmp_path))
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert f"{ions}-ion register" in err and "at least 4 ions" in err
+        assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("seed, traj", [(-5, 1), (2**128 - 2, 3)],
                          ids=["negative", "past-2**128"])
 def test_simulate_dft_out_of_range_seed_exits_2_before_any_work(tmp_path, capsys,
                                                                 monkeypatch, seed, traj):
-    def calibrate(*args, **kwargs):
-        raise AssertionError("calibrate_gamma ran for an out-of-range seed")
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran for an out-of-range seed")
 
-    monkeypatch.setattr(dft, "calibrate_gamma", calibrate)
+    monkeypatch.setattr(dft, "compile_experiment", never)
+    monkeypatch.setattr(dft, "calibrate_gamma", never)
     code, out, err = run_cli(capsys, "simulate", "dft", "--ions", "5", "--gamma", "auto",
                              "--seed", str(seed), "--traj", str(traj),
                              "--out", str(tmp_path))
@@ -172,6 +181,7 @@ def test_non_finite_or_negative_float_flags_exit_2(tmp_path, capsys, monkeypatch
         raise AssertionError("the experiment ran for an invalid flag")
 
     monkeypatch.setattr(dft, "qft_program", never)
+    monkeypatch.setattr(dft, "compile_experiment", never)
     monkeypatch.setattr(dft, "calibrate_gamma", never)
     if argv[0] == "simulate":
         argv = argv + ["--traj", "2", "--out", str(tmp_path)]

@@ -10,6 +10,7 @@ from ionjump.dft import (
     CALIBRATION_SEED_BASE,
     _pilot_mean_jumps,
     calibrate_gamma,
+    compile_experiment,
     dft_experiment,
     dft_input_function,
     frequency_distribution,
@@ -25,8 +26,8 @@ from ionjump.dft import (
 )
 from ionjump.errors import ValidationError, ZeroFunction
 from ionjump.evolve import conditional_no_jump_branch, qubit_channels, trajectory_blocks
-from ionjump.gates import run_program_exact
-from ionjump.program import PulseProgram
+from ionjump.gates import PulseParams, run_program_exact
+from ionjump.program import InstantGate, PulseProgram
 from ionjump.register import QuantumState, RegisterLayout
 from test_acceptance import CALIBRATED_GAMMA
 
@@ -130,15 +131,71 @@ def test_circuit_matches_oracle_exactly():
 
 @pytest.mark.parametrize("n_ions", [4, 5])
 def test_cached_ideal_output_matches_exact_program(n_ions):
-    """The experiment's ideal output comes from the cached gamma = 0
-    pulse propagators; run_program_exact builds every pulse afresh."""
+    """The experiment's ideal output is the gamma = 0 no-jump branch;
+    run_program_exact steps through the same cached gamma = 0 pulse
+    maps, so the two agree bit for bit (the circuit's independent check
+    is the DFT oracle, see test_circuit_matches_oracle_exactly)."""
     layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
     support = np.nonzero(dft_input_function(n_ions))[0]
     initial = QuantumState.from_computational(layout, {int(n): 1.0 for n in support})
     program = qft_program(layout)
-    cached = conditional_no_jump_branch(program, layout, [], initial).amplitudes
+    branch = conditional_no_jump_branch(program, layout, [], initial).amplitudes
     exact = run_program_exact(program, layout, initial.amplitudes)
-    assert np.max(np.abs(cached - exact)) < 1e-12
+    compiled = compile_experiment(layout, PulseParams())
+    assert np.array_equal(branch, exact)
+    assert np.array_equal(compiled.ideal_final, branch)
+    assert np.array_equal(compiled.initial.amplitudes, initial.amplitudes)
+
+
+REPORT_ARRAYS = ("jump_counts", "jump_times", "jump_channels", "classes", "fidelities",
+                 "distributions", "leakages", "oracle_distribution")
+
+
+def test_compiled_experiment_is_shared_by_later_calls():
+    """Later calls on one register reuse the compiled record and return
+    the same report arrays as a call that compiled it afresh."""
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+
+    def run():
+        return dft_experiment(n_trajectories=40, gamma11=7e-4, layout=layout, seed0=5)
+
+    compile_experiment.cache_clear()
+    cold = run()
+    warm = [run(), run()]
+    info = compile_experiment.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    for report in warm:
+        assert report.gamma11 == cold.gamma11
+        assert report.program_duration == cold.program_duration
+        for name in REPORT_ARRAYS:
+            assert np.array_equal(getattr(report, name), getattr(cold, name)), name
+
+
+def test_compiled_experiment_arrays_are_read_only():
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+    compiled = compile_experiment(layout, PulseParams())
+    report = dft_experiment(n_trajectories=1, gamma11=0.0, layout=layout)
+    matrices = [item.matrix for item in compiled.program.items
+                if isinstance(item, InstantGate)]
+    assert matrices
+    for array in (compiled.initial.amplitudes, compiled.ideal_final, compiled.oracle,
+                  report.oracle_distribution, *matrices):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_compiled_experiment_is_keyed_by_pulse_params():
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+    compile_experiment.cache_clear()
+    dft_experiment(n_trajectories=1, gamma11=0.0, layout=layout)
+    instant = compile_experiment(layout, PulseParams())
+    carrier = compile_experiment(layout, PulseParams(instant_single_qubit=False))
+    assert compile_experiment.cache_info().currsize == 2
+    assert compile_experiment(layout, PulseParams()) is instant
+    assert carrier is not instant
+    assert len(carrier.program.pulses()) > len(instant.program.pulses())
+    assert carrier.program.duration > instant.program.duration
+    assert not np.array_equal(carrier.ideal_final, instant.ideal_final)
 
 
 @pytest.mark.parametrize("n_ions", [4, 5])
@@ -196,6 +253,7 @@ def test_non_finite_decay_inputs_are_rejected_before_any_work(monkeypatch, gamma
         raise AssertionError("compiled or calibrated despite invalid decay inputs")
 
     monkeypatch.setattr(dft, "qft_program", never)
+    monkeypatch.setattr(dft, "compile_experiment", never)
     monkeypatch.setattr(dft, "calibrate_gamma", never)
     with pytest.raises(ValidationError):
         dft_experiment(n_trajectories=2, gamma11=gamma11, t_ratio=t_ratio,
@@ -337,8 +395,7 @@ def test_report_does_not_depend_on_the_block_budget(monkeypatch):
     small, n_small = run()
     assert n_default == 1 and n_small >= 2
     assert default.class_counts()["zero"] > 0 and default.class_counts()["multi"] > 0
-    for name in ("jump_counts", "jump_times", "jump_channels", "classes", "fidelities",
-                 "distributions", "leakages"):
+    for name in REPORT_ARRAYS:
         assert np.array_equal(getattr(default, name), getattr(small, name)), name
 
 
