@@ -49,7 +49,6 @@ from .dft import EnsembleReport, dft_experiment, ideal_dft_oracle, qft_program
 from .evolve import (
     JumpChannel,
     TrajectoryRecord,
-    evolve_conditional,
     qubit_channels,
     run_trajectory,
 )

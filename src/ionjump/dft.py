@@ -131,9 +131,9 @@ def integrated_upper_population(program: PulseProgram, layout: RegisterLayout,
                                 initial: QuantumState, include_aux: bool = True) -> float:
     """Time integral of the summed upper-level population at gamma = 0.
 
-    Used by the measured-excitation calibration mode: the expected
-    emission count of a run is 2*gamma times this integral (to first
-    order in gamma).  Each pulse contributes a Gauss-Legendre sum over
+    The expected emission count of a run is 2*gamma times this integral
+    to first order in gamma, which gives ``calibrate_gamma`` its
+    starting value.  Each pulse contributes a Gauss-Legendre sum over
     its exact propagator.
     """
     # number of ions in an upper level, per basis state
@@ -247,41 +247,6 @@ def _check_decay_inputs(gamma11: float | str, t_ratio: float) -> None:
         raise ValidationError(f"t_ratio must be a finite number >= 0, got {t_ratio!r}")
 
 
-def resolve_gamma11(gamma11: float | str, program: PulseProgram,
-                    layout: RegisterLayout, initial: QuantumState,
-                    t_ratio: float = 1.0, auto_mode: str = "calibrated",
-                    include_aux: bool = True) -> float:
-    """Resolve the decay constant, including the "auto" calibration.
-
-    "auto" sets gamma so the expected emission count per run equals
-    ``t_ratio``, i.e. the register lifetime is T/t_ratio.  Modes:
-
-    * "calibrated" (default) — pilot-ensemble fixed point, see
-      calibrate_gamma; P(N >= 1) enters exactly, and only the jumps
-      after the first are sampled, so the result is exact up to the
-      pilots' statistics of those later jumps.
-    * "measured" — first-order value t_ratio/(2 * integrated gamma=0
-      excitation); ignores the dissipative back-action.
-    * "mean-half" — the coarse estimate gamma = t_ratio/(n_ions * T)
-      obtained by assigning every ion a mean excitation of 1/2.  For
-      the standard experiment the true integrated excitation is nearer
-      0.32, so this underdrives the emission rate by about a third.
-    """
-    _check_decay_inputs(gamma11, t_ratio)
-    if isinstance(gamma11, str):
-        if auto_mode == "mean-half":
-            return t_ratio / (layout.n_ions * program.duration)
-        if auto_mode == "measured":
-            integral = integrated_upper_population(program, layout, initial,
-                                                   include_aux=include_aux)
-            return t_ratio / (2.0 * integral)
-        if auto_mode == "calibrated":
-            return calibrate_gamma(program, layout, initial, t_ratio,
-                                   include_aux=include_aux)
-        raise ValidationError(f"unknown auto_mode {auto_mode!r}")
-    return float(gamma11)
-
-
 @dataclass(frozen=True)
 class EnsembleReport:
     """Per-trajectory arrays in seed order (trajectory k ran with seed
@@ -365,8 +330,8 @@ def compile_experiment(layout: RegisterLayout, params: PulseParams) -> CompiledE
     Nothing here depends on the decay, the seeds or the trajectories, so
     every ``dft_experiment`` call on the same register shares one
     record.  The ideal output is the gamma = 0 no-jump branch of the
-    program, from the same cached propagators that the
-    measured-excitation integral uses.  A register too small to hold
+    program, from the same cached propagators that the excitation
+    integral of ``calibrate_gamma`` uses.  A register too small to hold
     f's support raises ``ZeroFunction``; exceptions are not cached.
     """
     f = dft_input_function(layout.n_ions)
@@ -390,8 +355,7 @@ def compile_experiment(layout: RegisterLayout, params: PulseParams) -> CompiledE
 def dft_experiment(n_trajectories: int, gamma11: float | str,
                    layout: RegisterLayout | None = None, seed0: int = 0,
                    t_ratio: float = 1.0, params: PulseParams | None = None,
-                   include_aux_channel: bool = True,
-                   auto_mode: str = "calibrated") -> EnsembleReport:
+                   include_aux_channel: bool = True) -> EnsembleReport:
     """Run the unstable-register DFT ensemble.
 
     Takes the five-qubit Fourier network, the normalized superposition
@@ -401,8 +365,9 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
     per-trajectory seeds seed0 + index, which must lie in [0, 2**128);
     they, ``gamma11`` and ``t_ratio`` are checked before any work is
     done, the compile included.
-    ``gamma11="auto"`` calibrates the decay so the expected emission
-    count per run is ``t_ratio`` (register lifetime = T/t_ratio).  With
+    ``gamma11="auto"`` calibrates the decay with ``calibrate_gamma`` so
+    the expected emission count per run is ``t_ratio`` (register
+    lifetime = T/t_ratio); a number is used as given.  With
     ``include_aux_channel`` the auxiliary gate level decays at the same
     rate as the qubit's upper level.
     """
@@ -413,8 +378,11 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
     layout = layout or RegisterLayout(n_ions=5, phonon_cutoff=3)
     experiment = compile_experiment(layout, params or PulseParams())
     program, initial = experiment.program, experiment.initial
-    gamma = resolve_gamma11(gamma11, program, layout, initial, t_ratio=t_ratio,
-                            auto_mode=auto_mode, include_aux=include_aux_channel)
+    if isinstance(gamma11, str):
+        gamma = calibrate_gamma(program, layout, initial, t_ratio,
+                                include_aux=include_aux_channel)
+    else:
+        gamma = float(gamma11)
     channels = qubit_channels(layout, gamma,
                               gamma_aux=gamma if include_aux_channel else None)
     channels = [ch for ch in channels if ch.gamma > 0.0]

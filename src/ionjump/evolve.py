@@ -304,16 +304,6 @@ def rk4_reference_step(hamiltonian: Hamiltonian, channels: list[JumpChannel],
     return psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def evolve_conditional(state: QuantumState, hamiltonian: Hamiltonian,
-                       channels: list[JumpChannel], duration: float) -> QuantumState:
-    """Conditional evolution under H_eff over a finite window, no jumps
-    applied and no renormalization (the squared norm can only
-    decrease: it is the accumulated no-emission probability)."""
-    psi = ConditionalPropagator(hamiltonian, channels, duration).end(state.amplitudes)
-    _check_norm(state.squared_norm(), float(np.vdot(psi, psi).real))
-    return QuantumState(layout=state.layout, amplitudes=psi)
-
-
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """Outcome of one stochastic run."""
@@ -521,10 +511,12 @@ def _advance(propagator: ConditionalPropagator, block: _Block,
         picks = (np.cumsum(weights, axis=-1) / total[:, None] <= draws[:, :1]).sum(axis=-1)
         picks = np.minimum(picks, len(channels) - 1)
         block.thresholds[rows] = draws[:, 1]
-        for k, time, pick in zip(owners, (t_start + elapsed).tolist(), picks.tolist()):
+        pick_list = picks.tolist()
+        for k, time, pick in zip(owners, (t_start + elapsed).tolist(), pick_list):
             block.jumps[k].append((time, pick))
         jumped = np.empty_like(psi)
-        for pick in np.unique(picks):
+        # not np.unique, which imports numpy.ma on first use
+        for pick in set(pick_list):
             chosen = picks == pick
             jumped[chosen] = channels[pick].apply(psi[chosen], layout)
         psi = jumped / np.sqrt(_norm2(jumped))[:, None]
@@ -619,56 +611,3 @@ def conditional_no_jump_branch(program: PulseProgram, layout: RegisterLayout,
     _propagate_program(program, layout, channels, block)
     return QuantumState(layout=layout, amplitudes=block.phys[0])
 
-
-def run_constant_hamiltonian_ensemble(
-        hamiltonian: Hamiltonian, channels: list[JumpChannel],
-        initial_state: QuantumState, duration: float, n_trajectories: int,
-        seed0: int, observable: tuple[int, int] | None = None,
-        n_checkpoints: int = 0):
-    """Trajectory ensemble for a single constant drive.
-
-    The window is cut into ``max(n_checkpoints, 1)`` equal segments
-    that share one exact propagator; each block of trajectories (seeds
-    seed0 + index) advances through them like a program's pulses, on
-    the same engine as ``trajectory_blocks``.
-    Returns (first_jump_times, jump_counts, checkpoint_times,
-    mean_observable, stderr_observable) where ``mean_observable`` is the
-    trajectory mean of the renormalized population of
-    ``observable = (ion, level)`` at each checkpoint (the segment ends)
-    and ``stderr_observable`` its standard error (empty arrays when not
-    requested).
-    """
-    layout = hamiltonian.layout
-    n_segments = max(n_checkpoints, 1)
-    segment = duration / n_segments
-    propagator = ConditionalPropagator(hamiltonian, channels, segment)
-    key = tuple(channels)
-    sampled = n_checkpoints > 0 and observable is not None
-
-    first_jump = np.full(n_trajectories, np.nan)
-    counts = np.zeros(n_trajectories, dtype=np.int64)
-    populations = np.empty((n_segments, n_trajectories))
-    start = 0
-    for block in _sized_blocks(range(seed0, seed0 + n_trajectories), channels,
-                               initial_state.amplitudes):
-        stop = start + len(block.seeds)
-        for k in range(n_segments):
-            _advance(propagator, block, key, k * segment)
-            if sampled:
-                upper = _level_view(block.phys, layout, *observable)
-                populations[k, start:stop] = ((np.abs(upper) ** 2).sum(axis=(-2, -1))
-                                              / _norm2(block.phys))[block.src]
-        first_jump[start:stop] = [row[0][0] if row else np.nan for row in block.jumps]
-        counts[start:stop] = [len(row) for row in block.jumps]
-        start = stop
-
-    checkpoint_times = np.array([])
-    if n_checkpoints > 0:
-        checkpoint_times = segment * np.arange(1, n_segments + 1)
-    means = stderrs = np.array([])
-    if sampled:
-        means = populations.mean(axis=1)
-        spread = (populations.std(axis=1, ddof=1) if n_trajectories > 1
-                  else np.zeros(n_segments))
-        stderrs = spread / math.sqrt(n_trajectories)
-    return first_jump, counts, checkpoint_times, means, stderrs

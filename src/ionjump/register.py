@@ -116,17 +116,8 @@ class QuantumState:
             raise ValidationError("cannot normalize an all-zero state")
         return cls(layout=layout, amplitudes=vec / norm)
 
-    def copy(self) -> "QuantumState":
-        return QuantumState(layout=self.layout, amplitudes=self.amplitudes.copy())
-
     def squared_norm(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def renormalized(self) -> "QuantumState":
-        norm = np.linalg.norm(self.amplitudes)
-        if norm == 0.0:
-            raise ValidationError("cannot renormalize a zero state")
-        return QuantumState(layout=self.layout, amplitudes=self.amplitudes / norm)
 
     def _as_grid(self) -> np.ndarray:
         return self.amplitudes.reshape(self.layout.internal_shape())

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from ionjump import load_database
+from ionjump.evolve import trajectory_blocks
 from ionjump.tables import Table
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -28,6 +30,15 @@ DOCUMENTED_OUT_OF_TOLERANCE: dict[Table, set[tuple[str, float]]] = {
 @pytest.fixture(scope="session")
 def db():
     return load_database()
+
+
+def first_jump_times(program, layout, channels, seeds, initial):
+    """First jump time of each seed's trajectory, in seed order; NaN
+    where the trajectory never jumps."""
+    return np.array([row[0][0] if row else np.nan
+                     for _, _, jumps, _ in trajectory_blocks(program, layout, channels,
+                                                             seeds, initial)
+                     for row in jumps])
 
 
 def record_acceptance(criterion: str, passed: bool, detail: str) -> None:

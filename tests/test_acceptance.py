@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import DOCUMENTED_OUT_OF_TOLERANCE, record_acceptance
+from conftest import DOCUMENTED_OUT_OF_TOLERANCE, first_jump_times, record_acceptance
 from ionjump.bounds import (
     BoundScenario,
     EmissionBudgets,
@@ -47,9 +47,7 @@ from ionjump.dft import (
 from ionjump.evolve import (
     ConditionalPropagator,
     conditional_no_jump_branch,
-    evolve_conditional,
     qubit_channels,
-    run_constant_hamiltonian_ensemble,
 )
 from ionjump.gates import (
     CNOT,
@@ -61,6 +59,7 @@ from ionjump.gates import (
     run_program_exact,
 )
 from ionjump.hamiltonians import build_carrier_hamiltonian, build_raman_hamiltonian
+from ionjump.program import Pulse, PulseProgram, QUBIT_CARRIER
 from ionjump.register import QuantumState, RegisterLayout
 from ionjump.tables import Table, reproduce_table
 
@@ -346,13 +345,14 @@ def test_criterion_8_physics_micro_oracles():
     channels = qubit_channels(layout, gamma)
     idle = build_carrier_hamiltonian(layout, 0, rabi=0.0)
     excited = QuantumState.from_computational(layout, {1: 1.0})
-    out = evolve_conditional(excited, idle, channels, duration=3.0)
-    decay_err = abs(out.squared_norm() - math.exp(-2.0 * gamma * 3.0))
+    out = ConditionalPropagator(idle, channels, 3.0).end(excited.amplitudes)
+    decay_err = abs(np.vdot(out, out).real - math.exp(-2.0 * gamma * 3.0))
 
     # jump-time distribution
     n = 10_000
-    first, _, _, _, _ = run_constant_hamiltonian_ensemble(
-        idle, channels, excited, 12.0 / (2.0 * gamma), n_trajectories=n, seed0=555)
+    idle_pulse = PulseProgram((Pulse(ion=0, transition=QUBIT_CARRIER, rabi=0.0,
+                                     duration=12.0 / (2.0 * gamma)),))
+    first = first_jump_times(idle_pulse, layout, channels, range(555, 555 + n), excited)
     times = np.sort(first[~np.isnan(first)])
     ecdf = np.arange(1, times.size + 1) / times.size
     cdf = 1.0 - np.exp(-2.0 * gamma * times)

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ionjump
 from ionjump import dft
 from ionjump.atomic import DEFAULT_DATABASE
 from ionjump.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, main
@@ -128,6 +133,28 @@ def test_simulate_dft_deterministic_outputs(tmp_path, capsys):
         for name in ("trajectories.csv", "summary.json", "bins.csv"):
             assert ((tmp_path / "cold" / name).read_bytes()
                     == (tmp_path / sub / name).read_bytes())
+
+
+def test_simulate_dft_does_not_import_numpy_ma(tmp_path):
+    """A one-shot simulate dft process that jumps never loads numpy.ma,
+    whose import costs 12-15 ms and 1.3 MB on numpy 2.4 (np.unique
+    imports it on first use)."""
+    script = (
+        "import sys, numpy\n"
+        "bare = 'numpy.ma' in sys.modules\n"
+        "from ionjump.cli import main\n"
+        "main(['simulate', 'dft', '--ions', '4', '--traj', '5', '--gamma', '7e-4',"
+        " '--seed', '0', '--out', sys.argv[1]])\n"
+        "print(bare, 'numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ionjump.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                            capture_output=True, text=True, check=True)
+    bare, after = result.stdout.split()[-2:]
+    if bare == "True":
+        pytest.skip("import numpy alone loads numpy.ma on this numpy")
+    with open(tmp_path / "trajectories.csv", newline="") as handle:
+        assert any(int(row["jump_count"]) for row in csv.DictReader(handle))
+    assert after == "False"
 
 
 @pytest.mark.parametrize("ions", [1, 2, 3])

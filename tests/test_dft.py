@@ -19,7 +19,6 @@ from ionjump.dft import (
     integrated_upper_population,
     qft_gates,
     qft_program,
-    resolve_gamma11,
     write_bins_csv,
     write_summary_json,
     write_trajectories_csv,
@@ -27,7 +26,7 @@ from ionjump.dft import (
 from ionjump.errors import ValidationError, ZeroFunction
 from ionjump.evolve import conditional_no_jump_branch, qubit_channels, trajectory_blocks
 from ionjump.gates import PulseParams, run_program_exact
-from ionjump.program import InstantGate, PulseProgram
+from ionjump.program import InstantGate
 from ionjump.register import QuantumState, RegisterLayout
 from test_acceptance import CALIBRATED_GAMMA
 
@@ -222,30 +221,40 @@ def test_qft_gate_count():
     assert len(gates) == 5 + 10    # Hadamards + controlled phases
 
 
-def test_auto_gamma_modes():
+def test_auto_gamma_starts_from_the_excitation_integral(monkeypatch):
+    """"auto" calibrates from the first-order value t_ratio / (2 *
+    integral): pilots that already read E[N] = t_ratio there leave it
+    unchanged.  A number is used as given."""
     layout = RegisterLayout(n_ions=5, phonon_cutoff=3)
-    f = dft_input_function(5)
-    initial = QuantumState.from_computational(
-        layout, {int(n): 1.0 for n in np.nonzero(f)[0]})
-    program = qft_program(layout)
-    half = resolve_gamma11("auto", program, layout, initial, auto_mode="mean-half")
-    assert half == pytest.approx(1.0 / (5.0 * program.duration))
-    measured = resolve_gamma11("auto", program, layout, initial, auto_mode="measured")
-    integral = integrated_upper_population(program, layout, initial)
-    assert measured == pytest.approx(1.0 / (2.0 * integral))
+    experiment = compile_experiment(layout, PulseParams())
+    program = experiment.program
+    integral = integrated_upper_population(program, layout, experiment.initial)
     # the compiled network parks excitation in the bus, so the true mean
     # excitation sits well below the coarse 1/2 estimate
     assert 0.25 < integral / (5.0 * program.duration) < 0.40
-    assert resolve_gamma11(0.25, program, layout, initial) == 0.25
-    with pytest.raises(ValidationError):
-        resolve_gamma11("magic", program, layout, initial)
-    with pytest.raises(ValidationError):
-        resolve_gamma11(-1.0, program, layout, initial)
+    monkeypatch.setattr(dft, "_pilot_mean_jumps", lambda *args: 1.0)
+    report = dft_experiment(n_trajectories=1, gamma11="auto", layout=layout)
+    assert report.gamma11 == pytest.approx(1.0 / (2.0 * integral))
+    assert dft_experiment(n_trajectories=1, gamma11=1e-4, layout=layout).gamma11 == 1e-4
+
+
+def test_auxiliary_decay_switch():
+    """Without the auxiliary-level channels no jump lands on a channel
+    index >= n_ions, and the calibration needs a larger gamma for the
+    same expected emission count.  Five ions, because the four-ion input
+    never populates the auxiliary level."""
+    layout = RegisterLayout(n_ions=5, phonon_cutoff=3)
+    with_aux = dft_experiment(n_trajectories=300, gamma11="auto", layout=layout, seed0=3)
+    without = dft_experiment(n_trajectories=300, gamma11="auto", layout=layout, seed0=3,
+                             include_aux_channel=False)
+    assert np.any(with_aux.jump_channels >= layout.n_ions)
+    assert without.jump_channels.size and not np.any(without.jump_channels >= layout.n_ions)
+    assert without.gamma11 > with_aux.gamma11
 
 
 @pytest.mark.parametrize("gamma11, t_ratio", [
     (math.nan, 1.0), (math.inf, 1.0), ("auto", math.nan), ("auto", math.inf),
-    ("auto", -1.0), (2e-4, math.nan), (2e-4, -1.0),
+    ("auto", -1.0), (2e-4, math.nan), (2e-4, -1.0), ("magic", 1.0), (-1.0, 1.0),
 ])
 def test_non_finite_decay_inputs_are_rejected_before_any_work(monkeypatch, gamma11,
                                                               t_ratio):
@@ -258,10 +267,6 @@ def test_non_finite_decay_inputs_are_rejected_before_any_work(monkeypatch, gamma
     with pytest.raises(ValidationError):
         dft_experiment(n_trajectories=2, gamma11=gamma11, t_ratio=t_ratio,
                        layout=RegisterLayout(n_ions=4, phonon_cutoff=3))
-    layout = RegisterLayout(n_ions=2, phonon_cutoff=3)
-    initial = QuantumState.from_computational(layout, {1: 1.0})
-    with pytest.raises(ValidationError):
-        resolve_gamma11(gamma11, PulseProgram(), layout, initial, t_ratio=t_ratio)
 
 
 def test_calibration_is_deterministic_and_scales():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import first_jump_times
 from ionjump import evolve
 from ionjump.evolve import (
     BLOCK_AMPLITUDES,
@@ -10,11 +11,9 @@ from ionjump.evolve import (
     JumpChannel,
     conditional_no_jump_branch,
     decay_vector,
-    evolve_conditional,
     pulse_propagator,
     qubit_channels,
     rk4_reference_step,
-    run_constant_hamiltonian_ensemble,
     run_trajectory,
     trajectory_blocks,
     trajectory_rng,
@@ -74,9 +73,9 @@ def test_decay_vector():
 def test_unitary_limit_preserves_norm():
     layout = RegisterLayout(n_ions=2, phonon_cutoff=3)
     h = build_sideband_hamiltonian(layout, 0, rabi=1.0, eta=0.2)
-    state = QuantumState(layout=layout, amplitudes=random_state(layout, 7))
-    out = evolve_conditional(state, h, [], duration=1.0 / h.norm_bound())
-    assert abs(out.squared_norm() - 1.0) < 1e-12
+    psi = random_state(layout, 7)
+    out = ConditionalPropagator(h, [], 1.0 / h.norm_bound()).end(psi)
+    assert abs(np.vdot(out, out).real - 1.0) < 1e-12
 
 
 def test_undriven_decay_norm_law():
@@ -84,10 +83,10 @@ def test_undriven_decay_norm_law():
     gamma = 0.8
     channels = qubit_channels(layout, gamma)
     h = build_carrier_hamiltonian(layout, 0, rabi=0.0)
-    state = QuantumState.from_computational(layout, {1: 1.0})
+    psi = QuantumState.from_computational(layout, {1: 1.0}).amplitudes
     for t_end in (0.5, 2.0, 5.0):
-        out = evolve_conditional(state, h, channels, duration=t_end)
-        assert abs(out.squared_norm() - math.exp(-2.0 * gamma * t_end)) < 1e-8
+        out = ConditionalPropagator(h, channels, t_end).end(psi)
+        assert abs(np.vdot(out, out).real - math.exp(-2.0 * gamma * t_end)) < 1e-8
 
 
 def test_single_conditional_step_is_norm_nonincreasing():
@@ -104,9 +103,10 @@ def test_single_conditional_step_is_norm_nonincreasing():
         norm = new
 
 
-def _single_pulse_program(rabi, duration):
+def _single_pulse_program(rabi, duration, n_pulses=1):
+    """``n_pulses`` equal carrier pulses on ion 0, each ``duration`` long."""
     return PulseProgram((Pulse(ion=0, transition=QUBIT_CARRIER, rabi=rabi,
-                               duration=duration),))
+                               duration=duration),) * n_pulses)
 
 
 def test_trajectory_deterministic_and_jump_free_at_zero_gamma():
@@ -173,22 +173,6 @@ def test_jump_applied_at_root_found_time():
     final = record.final_state.amplitudes
     assert np.max(np.abs(final / np.linalg.norm(final)
                          - expected / np.linalg.norm(expected))) < 1e-9
-
-
-def test_batched_ensemble_matches_sequential():
-    layout = RegisterLayout(n_ions=1, phonon_cutoff=2)
-    gamma, rabi, duration = 0.06, 1.0, 25.0
-    h = build_carrier_hamiltonian(layout, 0, rabi=rabi)
-    channels = qubit_channels(layout, gamma)
-    initial = QuantumState.from_computational(layout, {0: 1.0})
-    first, counts, _, _, _ = run_constant_hamiltonian_ensemble(
-        h, channels, initial, duration, n_trajectories=40, seed0=100)
-    program = _single_pulse_program(rabi, duration)
-    for i in range(40):
-        record = run_trajectory(program, layout, channels, 100 + i, initial)
-        assert record.emitted_count == counts[i]
-        if record.emitted_count:
-            assert record.jump_times()[0] == pytest.approx(first[i], rel=1e-9)
 
 
 def test_block_ensemble_matches_one_row_runs(monkeypatch):
@@ -325,13 +309,11 @@ def test_jump_time_distribution_is_exponential():
     """Undriven excited ion: first-jump times follow rate 2*Gamma."""
     layout = RegisterLayout(n_ions=1, phonon_cutoff=2)
     gamma = 0.5
-    h = build_carrier_hamiltonian(layout, 0, rabi=0.0)
     channels = qubit_channels(layout, gamma)
     initial = QuantumState.from_computational(layout, {1: 1.0})
     n = 10_000
-    t_max = 12.0 / (2.0 * gamma)
-    first, counts, _, _, _ = run_constant_hamiltonian_ensemble(
-        h, channels, initial, t_max, n_trajectories=n, seed0=2024)
+    program = _single_pulse_program(0.0, duration=12.0 / (2.0 * gamma))
+    first = first_jump_times(program, layout, channels, range(2024, 2024 + n), initial)
     times = np.sort(first[~np.isnan(first)])
     assert times.size > 0.999 * n
     ecdf = np.arange(1, times.size + 1) / times.size
@@ -347,7 +329,6 @@ def test_channel_selection_follows_weights():
     layout = RegisterLayout(n_ions=2, phonon_cutoff=2)
     g0, g1 = 0.6, 0.2
     channels = [JumpChannel(ion=0, gamma=g0), JumpChannel(ion=1, gamma=g1)]
-    h = build_carrier_hamiltonian(layout, 0, rabi=0.0)
     initial = QuantumState.from_computational(layout, {3: 1.0})  # |11>
     program = _single_pulse_program(0.0, duration=0.3 / (g0 + g1))
     picks = []
@@ -364,17 +345,29 @@ def test_channel_selection_follows_weights():
 
 
 def test_driven_ensemble_matches_damped_rabi_master_solution():
-    """Trajectory average vs the closed-form two-level master solution."""
+    """Trajectory average vs the closed-form two-level master solution.
+
+    The population is read at ten checkpoints 2.0 apart: checkpoint k
+    runs a program of k equal carrier pulses on the same seeds, so
+    every trajectory makes the same draws up to each checkpoint."""
     layout = RegisterLayout(n_ions=1, phonon_cutoff=2)
     omega, gamma = 1.0, 0.06
     gamma_pop = 2.0 * gamma
-    h = build_carrier_hamiltonian(layout, 0, rabi=omega)
     channels = qubit_channels(layout, gamma)
     initial = QuantumState.from_computational(layout, {0: 1.0})
     n = 10_000
-    _, _, ts, means, errs = run_constant_hamiltonian_ensemble(
-        h, channels, initial, duration=20.0, n_trajectories=n, seed0=77,
-        observable=(0, 1), n_checkpoints=10)
+    ts = 2.0 * np.arange(1, 11)
+    means, errs = [], []
+    for k in range(1, ts.size + 1):
+        program = _single_pulse_program(omega, duration=2.0, n_pulses=k)
+        # renormalized population of the upper qubit level of ion 0
+        populations = np.concatenate([
+            (np.abs(evolve._level_view(states, layout, 0, 1)) ** 2).sum(axis=(-2, -1))
+            / evolve._norm2(states)
+            for _, states, _, _ in trajectory_blocks(program, layout, channels,
+                                                     range(77, 77 + n), initial)])
+        means.append(populations.mean())
+        errs.append(populations.std(ddof=1) / math.sqrt(n))
 
     def reference(t):
         delta = math.sqrt(omega**2 - (gamma_pop / 4.0) ** 2)
