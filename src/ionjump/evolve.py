@@ -60,16 +60,14 @@ compiled experiment (``dft.compile_experiment``).
 Randomness comes from a counter-based generator (Philox4x64-10) keyed
 by the trajectory's seed, an integer in [0, 2**128); ensemble members
 use seed0 + trajectory index.  ``trajectory_rng(seed)`` defines each
-stream, but building one costs tens of microseconds, so the engine
-builds few: the first eight draws of every stream (its first two
-counter blocks) are evaluated for all seeds at once in numpy, which
-covers the first threshold and three jumps' channel picks and next
-thresholds.  Only a trajectory that draws past them, at its fourth
-jump, builds its own ``trajectory_rng`` and skips the draws already
-taken.  Each
-trajectory draws its thresholds and channel picks in the order a lone
-trajectory would, so results are reproducible and independent of the
-block a trajectory runs in, of the rows it shares and of execution
+stream; the engine never builds one but evaluates Philox4x64-10 in
+numpy.  The first 16 draws of every stream (its first four counter
+blocks: the first threshold and seven jumps' channel picks and next
+thresholds) come from one evaluation over all seeds, and a later pair
+from one over that trajectory's seed, so no run imports numpy.random.
+Each trajectory draws its thresholds and channel picks in the order a
+lone trajectory would, so results are reproducible and independent of
+the block a trajectory runs in, of the rows it shares and of execution
 order.
 """
 
@@ -320,7 +318,7 @@ class TrajectoryRecord:
 
 def trajectory_rng(seed: int) -> np.random.Generator:
     """Counter-based stream for one trajectory: the definition of its
-    draws, which ``_stream_heads`` and ``_Block.jump_draws`` reproduce."""
+    draws, which ``_stream_draws`` reproduces."""
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -332,22 +330,21 @@ def check_seeds(first: int, last: int) -> None:
             f"trajectory seeds must lie in [0, 2**128); got {first} to {last}")
 
 
-def _stream_heads(seeds: Sequence[int]) -> np.ndarray:
-    """The first eight draws of ``trajectory_rng(seed)`` for every seed,
-    as an (n, 8) array.
+def _stream_draws(seeds: Sequence[int], first: int, blocks: int) -> np.ndarray:
+    """Draws ``4*first`` to ``4*(first + blocks) - 1`` of
+    ``trajectory_rng(seed)`` for every seed, as an (n, 4*blocks) array.
 
     numpy's Philox draws its 64-bit words four at a time from counters
     1, 2, ...; here Philox4x64-10 (Salmon et al., "Parallel random
-    numbers: as easy as 1, 2, 3", SC'11) evaluates counters 1 and 2
-    under every key at once, and a draw is a word's top 53 bits times
-    2**-53, as in ``Generator.random``.  The state's two multiplied
-    words and its two others advance as (2, 2n) arrays, so the cost is
-    about 200 small array operations whatever the number of seeds.
+    numbers: as easy as 1, 2, 3", SC'11) evaluates counters first + 1
+    to first + blocks under every key at once, and a draw is a word's
+    top 53 bits times 2**-53, as in ``Generator.random``.  The state's
+    two multiplied words and its two others advance as (2, blocks*n)
+    arrays, so the cost is about 200 small array operations whatever
+    the number of seeds.  Seeds must pass ``check_seeds``.
     """
-    if seeds:
-        check_seeds(min(seeds), max(seeds))
     n = len(seeds)
-    counters = np.arange(1, 3, dtype=np.uint64)
+    counters = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)
     key = np.tile(np.array([[seed & 0xFFFFFFFFFFFFFFFF for seed in seeds],
                             [seed >> 64 for seed in seeds]], dtype=np.uint64).reshape(2, n),
                   counters.size)
@@ -381,8 +378,8 @@ class _Block:
     ``src[k]`` is 0 and ``first[k]`` is its first threshold.  Once it
     jumps it owns a row (``owner`` maps rows back to trajectories, -1
     for the branch), ``first[k]`` is 0, and it draws its channel picks
-    and thresholds with ``jump_draws``.  ``heads`` holds the first
-    draws of every trajectory's stream (see ``_stream_heads``).
+    and thresholds with ``jump_draws``.  ``heads`` holds the first 16
+    draws of every trajectory's stream (see ``_stream_draws``).
     ``min_norm2`` is the smallest end-of-pulse squared norm the branch
     has reached.
     """
@@ -392,7 +389,6 @@ class _Block:
         self.seeds = seeds
         self.heads = heads
         self.drawn = [1] * len(seeds)       # draws taken from each stream
-        self.tails: dict[int, np.random.Generator] = {}
         self.first = heads[:, 0].copy()
         self.jumps: list[list[tuple[float, int]]] = [[] for _ in seeds]
         self.src = np.zeros(len(seeds), dtype=np.intp)
@@ -403,20 +399,18 @@ class _Block:
 
     def jump_draws(self, owners: Sequence[int]) -> np.ndarray:
         """The next two draws (channel pick, next threshold) of each
-        listed trajectory's stream, as a (len(owners), 2) array.  Draws
-        past a stream's head come from its own ``trajectory_rng``, which
-        skips the draws already taken."""
+        listed trajectory's stream, as a (len(owners), 2) array.  A pair
+        past a stream's head comes from the two counter blocks that hold
+        it, evaluated for that seed alone."""
         draws = np.empty((len(owners), 2))
         for row, k in enumerate(owners):
             taken = self.drawn[k]
             self.drawn[k] = taken + 2
             if taken + 2 <= self.heads.shape[1]:
                 draws[row] = self.heads[k, taken:taken + 2]
-                continue
-            if k not in self.tails:
-                self.tails[k] = trajectory_rng(self.seeds[k])
-                self.tails[k].random(taken)
-            draws[row] = self.tails[k].random(2)
+            else:
+                at = taken % 4
+                draws[row] = _stream_draws([self.seeds[k]], taken // 4, 2)[0, at:at + 2]
         return draws
 
 
@@ -430,15 +424,16 @@ def _sized_blocks(seeds: Sequence[int], channels: list[JumpChannel],
     which every block shares.  A trajectory whose first threshold r is
     at most N_min never leaves the branch, so each later block takes
     seeds until BLOCK_AMPLITUDES // dim of them have r > N_min: no block
-    holds more than 1 + BLOCK_AMPLITUDES // dim rows.  The first draws
-    of every seed's stream come from one ``_stream_heads`` evaluation.
+    holds more than 1 + BLOCK_AMPLITUDES // dim rows.  The first 16
+    draws of every seed's stream come from one ``_stream_draws`` call.
     Without decay no trajectory draws and every threshold is 0, which
     never jumps.
     """
     budget = max(1, BLOCK_AMPLITUDES // initial.size)
     seeds = list(seeds)
-    if any(ch.gamma > 0.0 for ch in channels):
-        heads = _stream_heads(seeds)
+    if seeds and any(ch.gamma > 0.0 for ch in channels):
+        check_seeds(min(seeds), max(seeds))
+        heads = _stream_draws(seeds, 0, 4)
     else:
         heads = np.zeros((len(seeds), 1))       # thresholds 0: no draws
     min_norm2 = None            # known once the first block has run

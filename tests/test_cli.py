@@ -135,25 +135,32 @@ def test_simulate_dft_deterministic_outputs(tmp_path, capsys):
                     == (tmp_path / sub / name).read_bytes())
 
 
-def test_simulate_dft_does_not_import_numpy_ma(tmp_path):
+@pytest.mark.parametrize("module, argv, min_jumps", [
+    ("numpy.ma", ["--ions", "4", "--traj", "5", "--gamma", "7e-4", "--seed", "0"], 1),
+    ("numpy.random", ["--ions", "5", "--traj", "100", "--gamma", "6e-4", "--seed", "9"], 4),
+], ids=["numpy.ma", "numpy.random"])
+def test_simulate_dft_does_not_import(tmp_path, module, argv, min_jumps):
     """A one-shot simulate dft process that jumps never loads numpy.ma,
     whose import costs 12-15 ms and 1.3 MB on numpy 2.4 (np.unique
-    imports it on first use)."""
+    imports it on first use), nor numpy.random, which adds about 6 MB
+    of RSS on numpy 2.4: the trajectory streams are evaluated without
+    it, also past the 16 draws a block evaluates up front, which the
+    numpy.random case reaches with trajectories of 4 jumps or more."""
     script = (
         "import sys, numpy\n"
-        "bare = 'numpy.ma' in sys.modules\n"
+        "module = sys.argv[1]\n"
+        "bare = module in sys.modules\n"
         "from ionjump.cli import main\n"
-        "main(['simulate', 'dft', '--ions', '4', '--traj', '5', '--gamma', '7e-4',"
-        " '--seed', '0', '--out', sys.argv[1]])\n"
-        "print(bare, 'numpy.ma' in sys.modules)\n")
+        "main(['simulate', 'dft', *sys.argv[3:], '--out', sys.argv[2]])\n"
+        "print(bare, module in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(ionjump.__file__).parents[1]))
-    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                            capture_output=True, text=True, check=True)
+    result = subprocess.run([sys.executable, "-c", script, module, str(tmp_path), *argv],
+                            env=env, capture_output=True, text=True, check=True)
     bare, after = result.stdout.split()[-2:]
     if bare == "True":
-        pytest.skip("import numpy alone loads numpy.ma on this numpy")
+        pytest.skip(f"import numpy alone loads {module} on this numpy")
     with open(tmp_path / "trajectories.csv", newline="") as handle:
-        assert any(int(row["jump_count"]) for row in csv.DictReader(handle))
+        assert any(int(row["jump_count"]) >= min_jumps for row in csv.DictReader(handle))
     assert after == "False"
 
 

@@ -331,12 +331,10 @@ def test_channel_selection_follows_weights():
     channels = [JumpChannel(ion=0, gamma=g0), JumpChannel(ion=1, gamma=g1)]
     initial = QuantumState.from_computational(layout, {3: 1.0})  # |11>
     program = _single_pulse_program(0.0, duration=0.3 / (g0 + g1))
-    picks = []
-    for seed in range(3000):
-        record = run_trajectory(program, layout, channels, seed, initial)
-        if record.jumps:
-            picks.append(record.jumps[0][1])
-    picks = np.array(picks)
+    picks = np.array([row[0][1]
+                      for _, _, jumps, _ in trajectory_blocks(program, layout, channels,
+                                                              range(3000), initial)
+                      for row in jumps if row])
     assert picks.size > 500
     fraction = float(np.mean(picks == 0))
     expected = g0 / (g0 + g1)
@@ -407,16 +405,40 @@ def test_trajectory_rng_is_counter_based():
 @pytest.mark.parametrize("seed", [0, 2**64 - 1, 2**64 + 3, 2**128 - 1],
                          ids=["0", "2**64-1", "2**64+3", "2**128-1"])
 def test_block_streams_match_trajectory_rng(seed):
-    """A block reads each trajectory's first eight draws from one Philox
-    evaluation over all its seeds and later draws from the trajectory's
-    own stream; both agree with trajectory_rng at draw indices 0-10,
-    across the 4-word counter blocks that end at indices 3 and 7."""
+    """A block reads each trajectory's first 16 draws from one Philox
+    evaluation over all its seeds and later pairs from one over the
+    trajectory's seed; both agree with trajectory_rng at draw indices
+    0-24, across the 4-word counter blocks that end at indices 3, 7, 11,
+    15, 19 and 23."""
     seeds = [seed, 7]
-    block = evolve._Block(seeds, evolve._stream_heads(seeds), np.ones(1))
-    draws = np.column_stack([block.first] + [block.jump_draws([0, 1]) for _ in range(5)])
+    block = evolve._Block(seeds, evolve._stream_draws(seeds, 0, 4), np.ones(1))
+    draws = np.column_stack([block.first] + [block.jump_draws([0, 1]) for _ in range(12)])
     for row, s in zip(draws, seeds):
-        assert np.array_equal(row, trajectory_rng(s).random(11))
-    assert set(block.tails) == {0, 1}
+        assert np.array_equal(row, trajectory_rng(s).random(25))
+
+
+def test_jumps_past_the_stream_head_land_on_their_draws():
+    """One ion under a long decaying carrier pulse jumps 22 times, far
+    past the 16 draws a block evaluates up front.  Jump j lands where
+    the squared norm of the state evolved from |0> since jump j-1 (every
+    jump of one ion resets it to |0>) reaches draw 2j of
+    trajectory_rng(seed), against a dense eigendecomposition."""
+    layout = RegisterLayout(n_ions=1, phonon_cutoff=2)
+    gamma, rabi, duration, seed = 0.5, 1.0, 80.0, 11
+    channels = qubit_channels(layout, gamma)
+    h = build_carrier_hamiltonian(layout, 0, rabi=rabi)
+    initial = QuantumState.from_computational(layout, {0: 1.0})
+    record = run_trajectory(_single_pulse_program(rabi, duration), layout, channels,
+                            seed, initial)
+    assert record.emitted_count == 22
+
+    vals, vecs = np.linalg.eig(h.to_dense() - 1j * np.diag(decay_vector(layout, channels)))
+    inv = np.linalg.inv(vecs)
+    thresholds = trajectory_rng(seed).random(2 * record.emitted_count)[::2]
+    gaps = np.diff(record.jump_times(), prepend=0.0)
+    for r, dt in zip(thresholds, gaps):
+        before = vecs @ (np.exp(-1j * vals * dt) * (inv @ initial.amplitudes))
+        assert abs(np.vdot(before, before).real - r) < 1e-10
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128], ids=["-1", "2**128"])
