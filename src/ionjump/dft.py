@@ -161,25 +161,27 @@ def integrated_upper_population(program: PulseProgram, layout: RegisterLayout,
 #: from the user's seed so the calibrated gamma is a deterministic
 #: property of the experiment configuration alone.
 CALIBRATION_SEED_BASE = 0x5EED_CA1B
-CALIBRATION_PILOT_SIZE = 182
+CALIBRATION_PILOT_SIZE = 46
 
 
 def _pilot_mean_jumps(program: PulseProgram, layout: RegisterLayout,
                       initial: QuantumState, gamma: float, include_aux: bool,
                       n_pilot: int, seed_base: int) -> float:
-    """E[N] at ``gamma`` as P(N >= 1) + E[(N - 1)+]: the first term is
-    exact, 1 - ||no-jump branch(T)||^2, read from the branch the pilot
-    blocks carry; only the second is sampled, as the pilot mean of
-    max(N_k - 1, 0)."""
+    """E[N] at ``gamma`` as the pilot mean of each trajectory's
+    integrated jump rate Lambda_k = -sum_j ln r_kj - ln ||psi_k(T)||^2.
+    The r_kj are the thresholds trajectory k crossed, summed by the
+    engine, and psi_k(T) is its final state as the block returns it,
+    unnormalized since its last jump: the no-jump branch for a
+    trajectory that never jumped, whose Lambda is -ln P0."""
     channels = qubit_channels(layout, gamma,
                               gamma_aux=gamma if include_aux else None)
     seeds = range(seed_base, seed_base + n_pilot)
-    later = 0
-    for _, _, jumps, branch in trajectory_blocks(program, layout, channels, seeds,
-                                                 initial):
-        later += sum(max(len(row) - 1, 0) for row in jumps)
-    p_none = float(np.vdot(branch, branch).real)
-    return (1.0 - p_none) + later / n_pilot
+    total = 0.0
+    for _, states, _, _, rate_integrals in trajectory_blocks(program, layout, channels,
+                                                             seeds, initial):
+        norm2 = (states.real**2 + states.imag**2).sum(axis=-1)
+        total += float(rate_integrals.sum() - np.log(norm2).sum())
+    return total / n_pilot
 
 
 def calibrate_gamma(program: PulseProgram, layout: RegisterLayout,
@@ -198,19 +200,23 @@ def calibrate_gamma(program: PulseProgram, layout: RegisterLayout,
     back-action of the conditional no-click evolution and of the jumps
     themselves, which suppress the mean excitation below its gamma=0
     value (at t_ratio = 1 for the standard experiment, the first pilot
-    reads 0.657 at four ions and 0.815 at five: 34% and 19% below the
+    reads 0.641 at four ions and 0.810 at five: 36% and 19% below the
     first-order target).
 
-    Each pilot estimates E[N] through the exact identity
-    E[N] = P(N >= 1) + E[(N - 1)+], where P(N >= 1) = 1 - ||no-jump
-    branch(T)||^2 is computed, not sampled (Plenio and Knight, RMP 70,
-    101 (1998)); only the jumps after each trajectory's first are
-    sampled, so the exact term acts as a control variate.  On the
-    standard experiment Var(N) / Var((N - 1)+) is 2.2 to 2.7 at five
-    ions and 2.5 to 3.9 at four between the first-order and the
-    calibrated gamma; at the smallest, 2.2 (five ions, calibrated
-    gamma), the 182 pilots of ``CALIBRATION_PILOT_SIZE`` give the
-    spread that 400 plain jump counts gave (400 / 2.2 = 182).
+    Each pilot estimates E[N] as the mean of its trajectories'
+    integrated jump rates Lambda (``_pilot_mean_jumps``).  Lambda is
+    the compensator of a trajectory's counting process: N - Lambda is a
+    martingale, so E[Lambda] = E[N] exactly (Bremaud, *Point Processes
+    and Queues*, 1981), and the waiting-time unraveling gives Lambda
+    without extra work, since between jumps -d ln ||psi||^2 / dt is the
+    jump rate (Dalibard, Castin and Molmer, PRL 68, 580 (1992)).  The
+    pilots keep the spread of 182 samples of (N - 1)+, the sampled part
+    of E[N] = P(N >= 1) + E[(N - 1)+] with P(N >= 1) exact.  At the
+    calibrated gamma, Var((N - 1)+) / Var(Lambda) is 4.01 at four ions
+    (20,000 trajectories, bootstrap s.d. 0.05) and 14.6 at five
+    (100,000), so four ions bind and the ceil(182 / 4.01) = 46 pilots of
+    ``CALIBRATION_PILOT_SIZE`` give that spread: a standard error of
+    about 0.04 at four ions and 0.02 at five.
     """
     integral = integrated_upper_population(program, layout, initial,
                                            include_aux=include_aux)
@@ -390,9 +396,9 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
     # each block is reduced to the report's values as it arrives, and its
     # final states are dropped before the next block runs
     counts, jumps, fidelity_blocks, distribution_blocks = [], [], [], []
-    for _, states, rows, _ in trajectory_blocks(program, layout, channels,
-                                                range(seed0, seed0 + n_trajectories),
-                                                initial):
+    for _, states, rows, *_ in trajectory_blocks(program, layout, channels,
+                                                 range(seed0, seed0 + n_trajectories),
+                                                 initial):
         counts += map(len, rows)
         jumps += itertools.chain.from_iterable(rows)
         fidelity_blocks.append(fidelities(states, experiment.ideal_final))

@@ -38,6 +38,14 @@ iteration on ||U(t) psi||^2 = r inside its own bracket; the jumps are
 applied at those times, and the jumped rows finish the pulse as a
 smaller batch, which repeats while any of them crosses again.
 
+A block records, per trajectory, its jumps as (time, channel index)
+and the sum of -ln r over the thresholds r it crossed.  Between jumps
+-d ln ||psi||^2 / dt is the jump rate, so that sum minus
+ln ||final state||^2 is the trajectory's jump rate integrated over the
+program: the compensator Lambda of its jump count N, with
+E[Lambda] = E[N] and a far smaller variance, which ``dft`` calibrates
+from.
+
 A trajectory whose first r is at most the branch's smallest
 end-of-pulse norm never jumps and never gets a row.  A block takes
 seeds until BLOCK_AMPLITUDES // dim of them will jump (the first
@@ -45,9 +53,9 @@ block, before that norm is known, takes that many seeds), so while it
 runs it holds at most 1 + BLOCK_AMPLITUDES // dim rows of amplitudes
 however large the ensemble; only the final states it hands back have
 one row per seed.  The budget is 2**17 amplitudes (539 rows at dim
-243, 179 at dim 729).  A 182-seed calibration pilot at dim 243 runs as
-one block with room to spare, and a 1000-trajectory five-ion ensemble
-ran in 0.45 s against 0.52 s at 2**16 (best of 7, 2-core Xeon): about
+243, 179 at dim 729).  A 46-seed calibration pilot runs as one block
+at dim 243 and 729, and a 1000-trajectory five-ion ensemble ran in
+0.45 s against 0.52 s at 2**16 (best of 7, 2-core Xeon): about
 budget / pulses rows cross in a pulse, and the larger the crossing
 batch, the more rows share each Newton iteration's fixed numpy
 overhead.  A pulse step holds at most two block-sized arrays (start
@@ -97,11 +105,11 @@ _DENSE_MAX_DIM = 4096
 #: besides its no-jump branch: 539 rows at dim 243, 179 at dim 729.  A
 #: fixed budget keeps peak memory flat in the ensemble size (a pulse
 #: step holds two block-sized arrays, 2 MiB each, plus one chunk of the
-#: pair map).  2**17 runs a 182-seed calibration pilot at dim 243 as one
-#: block, and at dim 729 it makes crossing batches large enough that a
-#: 1000-trajectory ensemble ran in 0.45 s against 0.52 s at 2**16: the
-#: rows that cross in a pulse search their jump times as one batch and
-#: share each Newton iteration's fixed per-call overhead.
+#: pair map).  2**17 runs a 46-seed calibration pilot as one block at
+#: dim 243 and 729, and at dim 729 it makes crossing batches large
+#: enough that a 1000-trajectory ensemble ran in 0.45 s against 0.52 s
+#: at 2**16: the rows that cross in a pulse search their jump times as
+#: one batch and share each Newton iteration's fixed per-call overhead.
 BLOCK_AMPLITUDES = 131072
 
 
@@ -380,8 +388,10 @@ class _Block:
     for the branch), ``first[k]`` is 0, and it draws its channel picks
     and thresholds with ``jump_draws``.  ``heads`` holds the first 16
     draws of every trajectory's stream (see ``_stream_draws``).
-    ``min_norm2`` is the smallest end-of-pulse squared norm the branch
-    has reached.
+    ``rate_integrals[k]`` sums -ln r over the thresholds r that
+    trajectory k has crossed: its jump rate integrated up to its last
+    jump.  ``min_norm2`` is the smallest end-of-pulse squared norm the
+    branch has reached.
     """
 
     def __init__(self, seeds: Sequence[int], heads: np.ndarray,
@@ -391,6 +401,7 @@ class _Block:
         self.drawn = [1] * len(seeds)       # draws taken from each stream
         self.first = heads[:, 0].copy()
         self.jumps: list[list[tuple[float, int]]] = [[] for _ in seeds]
+        self.rate_integrals = np.zeros(len(seeds))
         self.src = np.zeros(len(seeds), dtype=np.intp)
         self.phys = np.array(initial, dtype=np.complex128)[None]
         self.thresholds = np.zeros(1)
@@ -501,7 +512,10 @@ def _advance(propagator: ConditionalPropagator, block: _Block,
         total = weights.sum(axis=-1)
         if np.any(total <= 0.0):
             raise ValidationError("jump triggered with no channel weight")
-        owners = block.owner[rows].tolist()
+        owners = block.owner[rows]
+        # the rows of a batch belong to distinct trajectories
+        block.rate_integrals[owners] -= np.log(block.thresholds[rows])
+        owners = owners.tolist()
         draws = block.jump_draws(owners)
         picks = (np.cumsum(weights, axis=-1) / total[:, None] <= draws[:, :1]).sum(axis=-1)
         picks = np.minimum(picks, len(channels) - 1)
@@ -545,7 +559,8 @@ def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
                       channels: list[JumpChannel], seeds: Sequence[int],
                       initial_state: QuantumState
                       ) -> Iterator[tuple[Sequence[int], np.ndarray,
-                                          list[list[tuple[float, int]]], np.ndarray]]:
+                                          list[list[tuple[float, int]]], np.ndarray,
+                                          np.ndarray]]:
     """Run one quantum-jump trajectory per seed through a pulse program.
 
     Threshold scheme: draw r uniform in [0, 1); propagate each pulse
@@ -558,15 +573,19 @@ def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
     the no-jump branch until they jump.  Yields, block by block in seed
     order, (the block's seeds, their final states as a (rows, dim)
     array, their jumps as lists of (time, channel index), the final
-    state of the no-jump branch, which every block shares); a caller
-    keeps what it needs of each block.  Each trajectory uses its own
-    stream ``trajectory_rng(seed)``, so a seed gives the same trajectory
-    in any block.
+    state of the no-jump branch, which every block shares, and each
+    trajectory's sum of -ln r over the thresholds r it crossed); a
+    caller keeps what it needs of each block.  That sum minus
+    ln ||final state||^2 is the trajectory's jump rate integrated over
+    the program, the compensator of its jump count.  Each trajectory
+    uses its own stream ``trajectory_rng(seed)``, so a seed gives the
+    same trajectory in any block.
     """
     for block in _sized_blocks(seeds, channels, initial_state.amplitudes):
         _propagate_program(program, layout, channels, block)
         # the branch is copied, so a caller that keeps it frees the block
-        yield block.seeds, block.phys[block.src], block.jumps, block.phys[0].copy()
+        yield (block.seeds, block.phys[block.src], block.jumps, block.phys[0].copy(),
+               block.rate_integrals)
 
 
 def fidelities(states: np.ndarray, ideal: np.ndarray) -> np.ndarray:
@@ -583,8 +602,8 @@ def run_trajectory(program: PulseProgram, layout: RegisterLayout,
     one-seed case of ``trajectory_blocks``; with ``ideal_final`` the
     record carries the fidelity of its renormalized final state with
     it.  Same seed, program and channels give a bit-identical record."""
-    (_, states, (jumps,), _), = trajectory_blocks(program, layout, channels, [seed],
-                                                  initial_state)
+    (_, states, (jumps,), _, _), = trajectory_blocks(program, layout, channels, [seed],
+                                                     initial_state)
     fidelity = None if ideal_final is None else float(fidelities(states, ideal_final)[0])
     return TrajectoryRecord(seed=seed, jumps=tuple(jumps),
                             final_state=QuantumState(layout=layout, amplitudes=states[0]),

@@ -36,8 +36,8 @@ def first_jump_times(program, layout, channels, seeds, initial):
     """First jump time of each seed's trajectory, in seed order; NaN
     where the trajectory never jumps."""
     return np.array([row[0][0] if row else np.nan
-                     for _, _, jumps, _ in trajectory_blocks(program, layout, channels,
-                                                             seeds, initial)
+                     for _, _, jumps, *_ in trajectory_blocks(program, layout, channels,
+                                                              seeds, initial)
                      for row in jumps])
 
 

@@ -279,27 +279,87 @@ def test_calibration_is_deterministic_and_scales():
     assert first > 0.0
 
 
-def test_pilot_estimate_takes_the_first_jump_from_the_no_jump_branch():
-    """On the same seeds, the pilot estimate (1 - P0) + mean (N_k - 1)+
-    exceeds the plain mean jump count by exactly (1 - P0) - P^(N >= 1),
-    P0 = ||no-jump branch(T)||^2, and that gap lies within 4 binomial
-    standard errors of 0."""
+def _four_ion_experiment():
     layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
-    support = np.nonzero(dft_input_function(4))[0]
-    initial = QuantumState.from_computational(layout, {int(k): 1.0 for k in support})
-    program = qft_program(layout)
+    experiment = compile_experiment(layout, PulseParams())
+    return layout, experiment.program, experiment.initial
+
+
+def test_pilot_estimate_is_the_mean_integrated_jump_rate():
+    """On the pilot seeds, the estimate is the mean over trajectories of
+    -sum_j ln r_kj - ln ||psi_k(T)||^2, the r_kj being the first
+    N_k thresholds of trajectory_rng(seed) (draws 0, 2, 4, ...); a
+    trajectory that never jumps contributes -ln P0 of the separately
+    propagated no-jump branch."""
+    layout, program, initial = _four_ion_experiment()
     gamma, n = 7e-4, CALIBRATION_PILOT_SIZE
     estimate = _pilot_mean_jumps(program, layout, initial, gamma, True, n,
                                  CALIBRATION_SEED_BASE)
     channels = qubit_channels(layout, gamma, gamma_aux=gamma)
     seeds = range(CALIBRATION_SEED_BASE, CALIBRATION_SEED_BASE + n)
-    counts = np.array([len(row) for _, _, jumps, _ in trajectory_blocks(
-        program, layout, channels, seeds, initial) for row in jumps])
     p0 = conditional_no_jump_branch(program, layout, channels, initial).squared_norm()
-    assert 0.2 < p0 < 0.8
-    gap = (1.0 - p0) - np.mean(counts >= 1)
-    assert estimate - counts.mean() == pytest.approx(gap, abs=1e-12)
-    assert abs(gap) <= 4.0 * math.sqrt(p0 * (1.0 - p0) / n)
+    terms, jumped = [], 0
+    for block_seeds, states, jumps, *_ in trajectory_blocks(program, layout, channels,
+                                                            seeds, initial):
+        for seed, state, row in zip(block_seeds, states, jumps, strict=True):
+            thresholds = evolve.trajectory_rng(seed).random(2 * len(row))[::2]
+            last = math.log(np.vdot(state, state).real) if row else math.log(p0)
+            terms.append(-np.log(thresholds).sum() - last)
+            jumped += bool(row)
+    assert len(terms) == n and 0 < jumped < n
+    assert estimate == pytest.approx(np.mean(terms), rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def four_ion_counts_and_rates():
+    """Jump count N and integrated jump rate Lambda of 2000 four-ion
+    trajectories (seeds 0-1999) at gamma 7e-4, near the calibrated one."""
+    layout, program, initial = _four_ion_experiment()
+    channels = qubit_channels(layout, 7e-4, gamma_aux=7e-4)
+    counts, rates = [], []
+    for _, states, jumps, _, rate_integrals in trajectory_blocks(
+            program, layout, channels, range(2000), initial):
+        counts += map(len, jumps)
+        norm2 = (states.real**2 + states.imag**2).sum(axis=-1)
+        rates.append(rate_integrals - np.log(norm2))
+    return np.array(counts), np.concatenate(rates)
+
+
+def test_mean_integrated_rate_matches_mean_jump_count(four_ion_counts_and_rates):
+    """N - Lambda is a martingale, so E[Lambda] = E[N]: the paired means
+    agree within 4 standard errors of their difference."""
+    counts, rates = four_ion_counts_and_rates
+    gap = counts - rates
+    assert abs(gap.mean()) <= 4.0 * gap.std(ddof=1) / math.sqrt(gap.size)
+    assert 0.8 < counts.mean() < 1.2
+
+
+def test_integrated_rate_varies_less_than_the_jumps_after_the_first(
+        four_ion_counts_and_rates):
+    """Var (N - 1)+ / Var Lambda at four ions, the binding case, sizes
+    CALIBRATION_PILOT_SIZE (see ``calibrate_gamma``): 4.0 at the
+    calibrated gamma over 20,000 trajectories."""
+    counts, rates = four_ion_counts_and_rates
+    later = np.maximum(counts - 1, 0)
+    assert later.var(ddof=1) / rates.var(ddof=1) > 3.0
+
+
+@pytest.mark.parametrize("n_ions", [4, 5])
+def test_each_pilot_runs_as_one_block(monkeypatch, n_ions):
+    """Each pilot propagates the no-jump branch once: its seeds fit in
+    one block at four and five ions."""
+    layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
+    experiment = compile_experiment(layout, PulseParams())
+    blocks = []
+
+    def counting(*args):
+        pilot = list(trajectory_blocks(*args))
+        blocks.append(len(pilot))
+        return pilot
+
+    monkeypatch.setattr(dft, "trajectory_blocks", counting)
+    calibrate_gamma(experiment.program, layout, experiment.initial, t_ratio=1.0)
+    assert blocks == [1, 1]
 
 
 def test_calibration_reads_the_no_jump_probability_from_the_pilot_blocks(monkeypatch):

@@ -191,7 +191,7 @@ def test_block_ensemble_matches_one_row_runs(monkeypatch):
     n, rows = 150, evolve.BLOCK_AMPLITUDES // layout.dim
     assert n > rows and n % rows != 0
     blocks = trajectory_blocks(program, layout, channels, range(40, 40 + n), initial)
-    ensemble = [(seed, state, row) for block_seeds, states, jumps, _ in blocks
+    ensemble = [(seed, state, row) for block_seeds, states, jumps, *_ in blocks
                 for seed, state, row in zip(block_seeds, states, jumps, strict=True)]
     assert [seed for seed, _, _ in ensemble] == list(range(40, 40 + n))
     pulse_ends = np.cumsum([item.duration for item in program.pulses()])
@@ -251,7 +251,7 @@ def test_first_jump_leaves_the_no_jump_branch(monkeypatch):
     for block_seeds, *_ in blocks[1:]:
         assert sum(trajectory_rng(seed).random() > min_norm2 for seed in block_seeds) <= rows
     zero, repeats = 0, 0
-    for block_seeds, states, jumps, block_branch in blocks:
+    for block_seeds, states, jumps, block_branch, _ in blocks:
         # every block hands back the branch it carried as row 0
         assert np.array_equal(block_branch, branch)
         for seed, state, row in zip(block_seeds, states, jumps):
@@ -288,8 +288,8 @@ def test_results_do_not_depend_on_the_block_budget(monkeypatch):
 
     def run():
         blocks = list(trajectory_blocks(program, layout, channels, seeds, initial))
-        states = np.concatenate([block_states for _, block_states, _, _ in blocks])
-        return len(blocks), states, [row for _, _, jumps, _ in blocks for row in jumps]
+        states = np.concatenate([block_states for _, block_states, *_ in blocks])
+        return len(blocks), states, [row for _, _, jumps, *_ in blocks for row in jumps]
 
     assert layout.dim == 243 and len(seeds) <= BLOCK_AMPLITUDES // layout.dim
     n_blocks, states, jumps = run()
@@ -332,8 +332,8 @@ def test_channel_selection_follows_weights():
     initial = QuantumState.from_computational(layout, {3: 1.0})  # |11>
     program = _single_pulse_program(0.0, duration=0.3 / (g0 + g1))
     picks = np.array([row[0][1]
-                      for _, _, jumps, _ in trajectory_blocks(program, layout, channels,
-                                                              range(3000), initial)
+                      for _, _, jumps, *_ in trajectory_blocks(program, layout, channels,
+                                                               range(3000), initial)
                       for row in jumps if row])
     assert picks.size > 500
     fraction = float(np.mean(picks == 0))
@@ -362,8 +362,8 @@ def test_driven_ensemble_matches_damped_rabi_master_solution():
         populations = np.concatenate([
             (np.abs(evolve._level_view(states, layout, 0, 1)) ** 2).sum(axis=(-2, -1))
             / evolve._norm2(states)
-            for _, states, _, _ in trajectory_blocks(program, layout, channels,
-                                                     range(77, 77 + n), initial)])
+            for _, states, *_ in trajectory_blocks(program, layout, channels,
+                                                   range(77, 77 + n), initial)])
         means.append(populations.mean())
         errs.append(populations.std(ddof=1) / math.sqrt(n))
 
@@ -439,6 +439,37 @@ def test_jumps_past_the_stream_head_land_on_their_draws():
     for r, dt in zip(thresholds, gaps):
         before = vecs @ (np.exp(-1j * vals * dt) * (inv @ initial.amplitudes))
         assert abs(np.vdot(before, before).real - r) < 1e-10
+
+
+def test_rate_integral_is_the_integrated_jump_rate():
+    """The trajectory of the test above: its Lambda, the engine's sum of
+    -ln r over crossed thresholds minus ln ||psi(T)||^2, equals the
+    integral over [0, T] of sum_j <c_j^dag c_j> in the normalized state,
+    by Gauss-Legendre on each inter-jump segment of a dense
+    eigendecomposition.  Every jump of one ion resets it to |0>."""
+    layout = RegisterLayout(n_ions=1, phonon_cutoff=2)
+    gamma, rabi, duration, seed = 0.5, 1.0, 80.0, 11
+    channels = qubit_channels(layout, gamma)
+    h = build_carrier_hamiltonian(layout, 0, rabi=rabi)
+    initial = QuantumState.from_computational(layout, {0: 1.0})
+    (_, states, (jumps,), _, rate_integrals), = trajectory_blocks(
+        _single_pulse_program(rabi, duration), layout, channels, [seed], initial)
+    assert len(jumps) == 22
+    compensator = rate_integrals[0] - math.log(np.vdot(states[0], states[0]).real)
+
+    decay = decay_vector(layout, channels)
+    vals, vecs = np.linalg.eig(h.to_dense() - 1j * np.diag(decay))
+    coeffs = np.linalg.inv(vecs) @ initial.amplitudes
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    edges = [0.0] + [t for t, _ in jumps] + [duration]
+    integral = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (b - a)
+        phases = np.exp(-1j * np.outer(vals, half * (nodes + 1.0)))
+        psi = (vecs @ (phases * coeffs[:, None])).T
+        density = psi.real**2 + psi.imag**2
+        integral += half * weights @ (density @ (2.0 * decay) / density.sum(axis=-1))
+    assert abs(compensator - integral) < 1e-9
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128], ids=["-1", "2**128"])
