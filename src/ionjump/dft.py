@@ -39,13 +39,13 @@ from .evolve import (
     conditional_no_jump_branch,
     decay_vector,
     fidelities,
-    pulse_propagator,
     qubit_channels,
+    run_program,
     trajectory_blocks,
 )
 from .gates import ControlledPhase, Hadamard, PulseParams, compile_gate
 from .program import InstantGate, PulseProgram
-from .register import QuantumState, RegisterLayout, apply_internal_unitary
+from .register import QuantumState, RegisterLayout
 
 JUMP_CLASSES = ("zero", "one", "multi")
 
@@ -133,27 +133,24 @@ def integrated_upper_population(program: PulseProgram, layout: RegisterLayout,
 
     The expected emission count of a run is 2*gamma times this integral
     to first order in gamma, which gives ``calibrate_gamma`` its
-    starting value.  Each pulse contributes a Gauss-Legendre sum over
-    its exact propagator.
+    starting value.  ``run_program`` walks the program, and each pulse
+    adds a Gauss-Legendre sum over its exact propagator.
     """
     # number of ions in an upper level, per basis state
     excitation = decay_vector(layout, qubit_channels(
         layout, 1.0, gamma_aux=1.0 if include_aux else None))
     nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
-    psi = initial.amplitudes.copy()
     total = 0.0
-    for item in program.items:
-        if isinstance(item, InstantGate):
-            psi = apply_internal_unitary(psi, layout, item.ion, item.matrix)
-            continue
-        if item.duration == 0.0:
-            continue
-        propagator = pulse_propagator(item, layout, ())
-        half = 0.5 * item.duration
+
+    def node_sum(propagator, psi, t_start):
+        nonlocal total
+        half = 0.5 * propagator.duration
         rows = np.broadcast_to(psi, (nodes.size, psi.size))   # one row per node
         phi = propagator.at(half * (nodes + 1.0))(rows)
         total += half * float(weights @ ((phi.real**2 + phi.imag**2) @ excitation))
-        psi = propagator.end(psi)
+        return propagator.end(psi)
+
+    run_program(program, layout, (), initial.amplitudes, node_sum)
     return total
 
 
@@ -177,8 +174,8 @@ def _pilot_mean_jumps(program: PulseProgram, layout: RegisterLayout,
                               gamma_aux=gamma if include_aux else None)
     seeds = range(seed_base, seed_base + n_pilot)
     total = 0.0
-    for _, states, _, _, rate_integrals in trajectory_blocks(program, layout, channels,
-                                                             seeds, initial):
+    for _, states, _, rate_integrals in trajectory_blocks(program, layout, channels,
+                                                          seeds, initial):
         norm2 = (states.real**2 + states.imag**2).sum(axis=-1)
         total += float(rate_integrals.sum() - np.log(norm2).sum())
     return total / n_pilot

@@ -19,24 +19,26 @@ exp(-i H_eff t) of a pulse is exact: a closed-form 2x2 block formula for
 the pair-structured resonant drives, evaluated once per distinct rate
 and per group of equal pairs, dense diagonalization otherwise.
 Each pulse's propagator and end-of-pulse map are built once per (pulse,
-layout, channels) and reused.
+layout, channels) and reused.  ``run_program`` is the one walk through a
+program: it carries the engine's rows and every other propagation.
 
 One engine runs every ensemble, and a single trajectory is its
 one-seed case.  All trajectories run the same program, so they advance
 together as the rows of a block, pulse by pulse.  Until its first jump
 every trajectory follows the same no-jump branch, whose squared norm
 is the survival probability, so a trajectory has no amplitudes of its
-own until then: row 0 of a block is the branch, and one more row is
-made for each trajectory that has jumped.  A pulse takes every row's
-end state with one array operation.  Because the squared norm is
-non-increasing, a row whose end norm stays at or above its r holds no
-jump in that pulse; a trajectory still on the branch leaves it when
-the branch's end norm falls below its first r, and starts as a copy
-of the branch at the start of that pulse.  Only the rows that cross
-search for their jump times, all together, each by safeguarded Newton
-iteration on ||U(t) psi||^2 = r inside its own bracket; the jumps are
-applied at those times, and the jumped rows finish the pulse as a
-smaller batch, which repeats while any of them crosses again.
+own until then: row 0 of a block's rows is the branch, and one more
+row is made for each trajectory that has jumped; a block keeps their
+owners, draws and thresholds.  A pulse takes every row's end state
+with one array operation.  Because the squared norm is non-increasing,
+a row whose end norm stays at or above its r holds no jump in that
+pulse; a trajectory still on the branch leaves it when the branch's
+end norm falls below its first r, and starts as a copy of the branch
+at the start of that pulse.  Only the rows that cross search for their
+jump times, all together, each by safeguarded Newton iteration on
+||U(t) psi||^2 = r inside its own bracket; the jumps are applied at
+those times, and the jumped rows finish the pulse as a smaller batch,
+which repeats while any of them crosses again.
 
 A block records, per trajectory, its jumps as (time, channel index)
 and the sum of -ln r over the thresholds r it crossed.  Between jumps
@@ -59,7 +61,7 @@ at dim 243 and 729, and a 1000-trajectory five-ion ensemble ran in
 budget / pulses rows cross in a pulse, and the larger the crossing
 batch, the more rows share each Newton iteration's fixed numpy
 overhead.  A pulse step holds at most two block-sized arrays (start
-and end states, or end states before and after fresh rows are
+and end states; the end states grow in place when fresh rows are
 appended), 2 MiB each, plus one chunk-sized temporary of the pair map.
 The branch lives only as long as its block; nothing is kept across
 calls but the pulse propagators and, in ``dft``, each register's
@@ -83,7 +85,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -282,6 +284,28 @@ def pulse_propagator(pulse: Pulse, layout: RegisterLayout,
                                  pulse.duration)
 
 
+def run_program(program: PulseProgram, layout: RegisterLayout, channels: Sequence[JumpChannel],
+                states: np.ndarray, pulse: Callable | None = None) -> np.ndarray:
+    """Carry states (state axis last) through a pulse program: each
+    instant gate applies its unitary, a pulse of zero duration is
+    skipped, and every other pulse maps the states through its cached
+    ``pulse_propagator`` under ``channels``, by its end map or, given
+    ``pulse``, by ``pulse(propagator, states, t_start)``, which returns
+    them at the pulse's end (``t_start``: its start in the program).
+    """
+    key = tuple(channels)
+    t_start = 0.0
+    for item in program.items:
+        if isinstance(item, InstantGate):
+            states = apply_internal_unitary(states, layout, item.ion, item.matrix)
+        elif item.duration != 0.0:
+            propagator = pulse_propagator(item, layout, key)
+            states = (propagator.end(states) if pulse is None
+                      else pulse(propagator, states, t_start))
+            t_start += item.duration
+    return states
+
+
 def _norm2(amplitudes: np.ndarray) -> np.ndarray:
     """Squared norm of each state (state axis last)."""
     flat = np.ascontiguousarray(amplitudes).view(np.float64)
@@ -379,23 +403,22 @@ def _stream_draws(seeds: Sequence[int], first: int, blocks: int) -> np.ndarray:
 
 
 class _Block:
-    """The trajectories of one block and the rows that hold their states.
+    """The trajectories of one block and the owners of its rows.
 
-    Row 0 of ``phys`` is the no-jump branch; its threshold 0 never
-    jumps.  A trajectory that has not jumped has no row of its own:
-    ``src[k]`` is 0 and ``first[k]`` is its first threshold.  Once it
-    jumps it owns a row (``owner`` maps rows back to trajectories, -1
-    for the branch), ``first[k]`` is 0, and it draws its channel picks
-    and thresholds with ``jump_draws``.  ``heads`` holds the first 16
-    draws of every trajectory's stream (see ``_stream_draws``).
-    ``rate_integrals[k]`` sums -ln r over the thresholds r that
-    trajectory k has crossed: its jump rate integrated up to its last
-    jump.  ``min_norm2`` is the smallest end-of-pulse squared norm the
-    branch has reached.
+    ``run_program`` carries the block's rows; row 0 is the no-jump
+    branch, and its threshold 0 never jumps.  A trajectory that has not
+    jumped has no row of its own: ``src[k]`` is 0 and ``first[k]`` is
+    its first threshold.  Once it jumps it owns a row (``owner`` maps
+    rows back to trajectories, -1 for the branch), ``first[k]`` is 0,
+    and it draws its channel picks and thresholds with ``jump_draws``.
+    ``heads`` holds the first 16 draws of every trajectory's stream (see
+    ``_stream_draws``).  ``rate_integrals[k]`` sums -ln r over the
+    thresholds r that trajectory k has crossed: its jump rate integrated
+    up to its last jump.  ``min_norm2`` is the smallest end-of-pulse
+    squared norm the branch has reached.
     """
 
-    def __init__(self, seeds: Sequence[int], heads: np.ndarray,
-                 initial: np.ndarray) -> None:
+    def __init__(self, seeds: Sequence[int], heads: np.ndarray) -> None:
         self.seeds = seeds
         self.heads = heads
         self.drawn = [1] * len(seeds)       # draws taken from each stream
@@ -403,7 +426,6 @@ class _Block:
         self.jumps: list[list[tuple[float, int]]] = [[] for _ in seeds]
         self.rate_integrals = np.zeros(len(seeds))
         self.src = np.zeros(len(seeds), dtype=np.intp)
-        self.phys = np.array(initial, dtype=np.complex128)[None]
         self.thresholds = np.zeros(1)
         self.owner = np.full(1, -1)
         self.min_norm2 = math.inf
@@ -426,7 +448,7 @@ class _Block:
 
 
 def _sized_blocks(seeds: Sequence[int], channels: list[JumpChannel],
-                  initial: np.ndarray) -> Iterator[_Block]:
+                  dim: int) -> Iterator[_Block]:
     """Split ``seeds`` into blocks of trajectories, in seed order.
 
     The caller runs each block before it asks for the next.  The first
@@ -440,7 +462,7 @@ def _sized_blocks(seeds: Sequence[int], channels: list[JumpChannel],
     Without decay no trajectory draws and every threshold is 0, which
     never jumps.
     """
-    budget = max(1, BLOCK_AMPLITUDES // initial.size)
+    budget = max(1, BLOCK_AMPLITUDES // dim)
     seeds = list(seeds)
     if seeds and any(ch.gamma > 0.0 for ch in channels):
         check_seeds(min(seeds), max(seeds))
@@ -452,32 +474,34 @@ def _sized_blocks(seeds: Sequence[int], channels: list[JumpChannel],
     for k, r in enumerate(heads[:, 0].tolist()):
         jumpers += min_norm2 is None or r > min_norm2
         if jumpers == budget:
-            block = _Block(seeds[start:k + 1], heads[start:k + 1], initial)
+            block = _Block(seeds[start:k + 1], heads[start:k + 1])
             yield block
             if min_norm2 is None:
                 min_norm2 = block.min_norm2
             start, jumpers = k + 1, 0
     if start < len(seeds):
-        yield _Block(seeds[start:], heads[start:], initial)
+        yield _Block(seeds[start:], heads[start:])
 
 
-def _advance(propagator: ConditionalPropagator, block: _Block,
-             channels: tuple[JumpChannel, ...], t_start: float) -> None:
-    """Carry a block through the propagator's duration.
+def _advance(block: _Block, channels: tuple[JumpChannel, ...],
+             propagator: ConditionalPropagator, start: np.ndarray,
+             t_start: float) -> np.ndarray:
+    """Carry a block's rows, ``start``, through the propagator's
+    duration and return them at its end.
 
-    Its rows go through the pulse together.  A trajectory still on the
+    The rows go through the pulse together.  A trajectory still on the
     branch crosses when the branch's end norm falls below its first
     threshold; it then becomes a copy of the branch's start-of-pulse
-    state with a row of its own.  A row jumps whenever its squared norm
-    falls to its threshold: the channel pick and the next threshold are
-    the next two draws of its trajectory's stream, and the jump is
-    appended to that trajectory's list as (time, channel index), the
-    time offset by ``t_start``.  Rows that jump finish the duration as a
-    smaller batch, which repeats while any of them crosses again.
+    state with a row of its own, appended to the end rows.  A row jumps
+    whenever its squared norm falls to its threshold: the channel pick
+    and the next threshold are the next two draws of its trajectory's
+    stream, and the jump is appended to that trajectory's list as (time,
+    channel index), the time offset by ``t_start``.  Rows that jump
+    finish the duration as a smaller batch, which repeats while any of
+    them crosses again.
     """
     layout = propagator.layout
     duration = propagator.duration
-    start = block.phys
     out = propagator.end(start)
     start_norm2, end_norm2 = _norm2(start), _norm2(out)
     _check_norm(start_norm2, end_norm2)
@@ -492,17 +516,15 @@ def _advance(propagator: ConditionalPropagator, block: _Block,
         block.thresholds = np.concatenate([block.thresholds, block.first[fresh]])
         block.first[fresh] = 0.0
         rows = np.concatenate([rows, block.src[fresh]])
-    block.phys = out
     if not rows.size:
-        return
+        return out
     rows = rows[np.argsort(block.owner[rows], kind="stable")]     # in seed order
     origin = np.where(rows < n_rows, rows, 0)       # a fresh row starts from the branch
     psi, norm2, out_norm2 = start[origin], start_norm2[origin], end_norm2[origin]
-    # drop the start-of-pulse array before the block grows: at most two
-    # block-sized arrays are alive at once
-    del start
     if fresh.size:
-        block.phys = out = np.concatenate([out, out[np.zeros(fresh.size, dtype=np.intp)]])
+        # grown in place, as the caller holds ``start``: at most two block-sized
+        # arrays are alive at once.  Every fresh row crosses and is written below
+        out.resize((n_rows + fresh.size, out.shape[1]))
     elapsed = np.zeros(rows.size)
     while rows.size:
         dt, psi = propagator.crossing(psi, block.thresholds[rows], duration - elapsed, norm2,
@@ -537,30 +559,14 @@ def _advance(propagator: ConditionalPropagator, block: _Block,
         again = out_norm2 < block.thresholds[rows]
         rows, psi, norm2, out_norm2, elapsed = (
             rows[again], psi[again], norm2[again], out_norm2[again], elapsed[again])
-
-
-def _propagate_program(program: PulseProgram, layout: RegisterLayout,
-                       channels: list[JumpChannel], block: _Block) -> None:
-    """Carry a block through every item of a program, one cached
-    propagator per pulse (see ``_advance``)."""
-    key = tuple(channels)
-    t_start = 0.0
-    for item in program.items:
-        if isinstance(item, InstantGate):
-            block.phys = apply_internal_unitary(block.phys, layout, item.ion, item.matrix)
-            continue
-        if item.duration == 0.0:
-            continue
-        _advance(pulse_propagator(item, layout, key), block, key, t_start)
-        t_start += item.duration
+    return out
 
 
 def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
                       channels: list[JumpChannel], seeds: Sequence[int],
                       initial_state: QuantumState
                       ) -> Iterator[tuple[Sequence[int], np.ndarray,
-                                          list[list[tuple[float, int]]], np.ndarray,
-                                          np.ndarray]]:
+                                          list[list[tuple[float, int]]], np.ndarray]]:
     """Run one quantum-jump trajectory per seed through a pulse program.
 
     Threshold scheme: draw r uniform in [0, 1); propagate each pulse
@@ -570,22 +576,24 @@ def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
     redraw r and continue through the rest of the pulse.
 
     Trajectories run in blocks (see ``_sized_blocks``) whose rows share
-    the no-jump branch until they jump.  Yields, block by block in seed
-    order, (the block's seeds, their final states as a (rows, dim)
-    array, their jumps as lists of (time, channel index), the final
-    state of the no-jump branch, which every block shares, and each
-    trajectory's sum of -ln r over the thresholds r it crossed); a
-    caller keeps what it needs of each block.  That sum minus
-    ln ||final state||^2 is the trajectory's jump rate integrated over
-    the program, the compensator of its jump count.  Each trajectory
-    uses its own stream ``trajectory_rng(seed)``, so a seed gives the
-    same trajectory in any block.
+    the no-jump branch until they jump; ``run_program`` carries the rows
+    and ``_advance`` takes them through each pulse.  Yields, block by
+    block in seed order, (the block's seeds, their final states as a
+    (rows, dim) array, their jumps as lists of (time, channel index),
+    and each trajectory's sum of -ln r over the thresholds r it
+    crossed); a caller keeps what it needs of each block.  That sum
+    minus ln ||final state||^2 is the trajectory's jump rate integrated
+    over the program, the compensator of its jump count.  Each
+    trajectory uses its own stream ``trajectory_rng(seed)``, so a seed
+    gives the same trajectory in any block.
     """
-    for block in _sized_blocks(seeds, channels, initial_state.amplitudes):
-        _propagate_program(program, layout, channels, block)
-        # the branch is copied, so a caller that keeps it frees the block
-        yield (block.seeds, block.phys[block.src], block.jumps, block.phys[0].copy(),
-               block.rate_integrals)
+    key, initial = tuple(channels), initial_state.amplitudes[None]
+    for block in _sized_blocks(seeds, channels, layout.dim):
+        advance = functools.partial(_advance, block, key)
+        # no name here holds the block's rows or its final states, so a
+        # caller reducing the block holds neither the rows nor what it drops
+        yield (block.seeds, run_program(program, layout, key, initial, advance)[block.src],
+               block.jumps, block.rate_integrals)
 
 
 def fidelities(states: np.ndarray, ideal: np.ndarray) -> np.ndarray:
@@ -602,8 +610,8 @@ def run_trajectory(program: PulseProgram, layout: RegisterLayout,
     one-seed case of ``trajectory_blocks``; with ``ideal_final`` the
     record carries the fidelity of its renormalized final state with
     it.  Same seed, program and channels give a bit-identical record."""
-    (_, states, (jumps,), _, _), = trajectory_blocks(program, layout, channels, [seed],
-                                                     initial_state)
+    (_, states, (jumps,), _), = trajectory_blocks(program, layout, channels, [seed],
+                                                  initial_state)
     fidelity = None if ideal_final is None else float(fidelities(states, ideal_final)[0])
     return TrajectoryRecord(seed=seed, jumps=tuple(jumps),
                             final_state=QuantumState(layout=layout, amplitudes=states[0]),
@@ -618,10 +626,8 @@ def conditional_no_jump_branch(program: PulseProgram, layout: RegisterLayout,
     Every zero-jump trajectory ends in exactly this state (conditional
     evolution is deterministic; randomness only decides whether jumps
     happen), so the zero-class statistics of an ensemble can be checked
-    against a single propagation.  It is row 0 of a block that holds
-    no trajectories.
+    against a single propagation.  The state runs as a one-row batch,
+    the arithmetic of row 0 of a trajectory block.
     """
-    block = _Block([], np.zeros((0, 1)), initial_state.amplitudes)
-    _propagate_program(program, layout, channels, block)
-    return QuantumState(layout=layout, amplitudes=block.phys[0])
-
+    amplitudes = run_program(program, layout, channels, initial_state.amplitudes[None])
+    return QuantumState(layout=layout, amplitudes=amplitudes[0])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGateOperands
-from .evolve import pulse_propagator
+from .evolve import run_program
 from .program import (
     AUX_SIDEBAND,
     QUBIT_CARRIER,
@@ -33,7 +33,7 @@ from .program import (
     Pulse,
     PulseProgram,
 )
-from .register import RegisterLayout, apply_internal_unitary
+from .register import RegisterLayout
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -261,19 +261,14 @@ def run_program_exact(program: PulseProgram, layout: RegisterLayout,
                       psi: np.ndarray) -> np.ndarray:
     """Propagate states through a program with exact pulse unitaries.
 
-    Loss-free reference, state axis last, batched input allowed.  Each
-    pulse takes the end-of-pulse map of its gamma = 0 propagator from
+    Loss-free reference, state axis last, batched input allowed: one
+    ``evolve.run_program`` walk without jump channels, so each pulse
+    takes the end-of-pulse map of its gamma = 0 propagator from
     ``evolve.pulse_propagator``'s cache, the map the trajectory engine
-    uses without decay, so repeated calls on one program build no
+    uses without decay, and repeated calls on one program build no
     Hamiltonian again.
     """
-    out = np.asarray(psi, dtype=np.complex128).copy()
-    for item in program.items:
-        if isinstance(item, InstantGate):
-            out = apply_internal_unitary(out, layout, item.ion, item.matrix)
-        else:
-            out = pulse_propagator(item, layout, ()).end(out)
-    return out
+    return run_program(program, layout, (), np.array(psi, dtype=np.complex128))
 
 
 def program_computational_matrix(program: PulseProgram,

@@ -317,7 +317,7 @@ def four_ion_counts_and_rates():
     layout, program, initial = _four_ion_experiment()
     channels = qubit_channels(layout, 7e-4, gamma_aux=7e-4)
     counts, rates = [], []
-    for _, states, jumps, _, rate_integrals in trajectory_blocks(
+    for _, states, jumps, rate_integrals in trajectory_blocks(
             program, layout, channels, range(2000), initial):
         counts += map(len, jumps)
         norm2 = (states.real**2 + states.imag**2).sum(axis=-1)
