@@ -21,6 +21,7 @@ from .bounds import (
     RamanRegime,
     TransitionCase,
     beta_from_ion,
+    bound,
     bound_metastable,
     bound_qec_intensity,
     bound_qec_metastable,

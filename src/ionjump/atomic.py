@@ -180,22 +180,11 @@ class IonSpec:
         if self.gamma_out < 0.0:
             raise ValidationError(f"{self.name}: gamma_out must be >= 0")
 
-    def level(self, index: int) -> LevelRef:
-        for lv in self.levels:
-            if lv.index == index:
-                return lv
-        raise UnknownTransition(f"{self.name}: no level with index {index}")
-
     def transition(self, upper: int, lower: int) -> TransitionSpec:
         for tr in self.transitions:
             if tr.upper.index == upper and tr.lower.index == lower:
                 return tr
         raise UnknownTransition(f"{self.name}: no transition {upper}->{lower}")
-
-    def has_transition(self, upper: int, lower: int) -> bool:
-        return any(
-            tr.upper.index == upper and tr.lower.index == lower for tr in self.transitions
-        )
 
     def omega(self, upper: int, lower: int) -> float:
         return self.transition(upper, lower).omega

@@ -18,7 +18,8 @@ means the qubit transition is electric quadrupole (ion sits at the field
 antinode, so the dipole-coupled extraneous level sees the carrier);
 case "b" means electric octupole (ion at the node, extraneous level sees
 the sideband), which removes the Lamb-Dicke factor and the eta
-dependence from the bound.
+dependence from the bound.  ``bound`` is the one place that picks the
+family for a scenario.
 """
 
 from __future__ import annotations
@@ -134,12 +135,8 @@ class BoundScenario:
 
     def metastable_laser_detunings(self) -> tuple[float, float]:
         """Detunings of the qubit laser from the 0<->2 and 1<->2 lines."""
-        ion = self.ion
-        try:
-            omega01 = ion.omega(1, 0)
-            omega02 = ion.omega(2, 0)
-        except Exception as exc:
-            raise MissingTransitionData(str(exc)) from exc
+        omega01 = self.ion.omega(1, 0)
+        omega02 = self.ion.omega(2, 0)
         delta20 = self.delta2 if self.delta2 is not None else omega02 - omega01
         delta21 = abs(2.0 * omega01 - omega02)
         if delta20 == 0.0 or delta21 == 0.0:
@@ -148,37 +145,25 @@ class BoundScenario:
 
     def qec_detuning(self) -> float:
         """Laser detuning from the extraneous P line (alt dataset)."""
-        ion = self.ion
-        try:
-            value = self.delta2 if self.delta2 is not None else (
-                ion.omega(3, 0) - ion.omega(1, 0)
-            )
-        except Exception as exc:
-            raise MissingTransitionData(str(exc)) from exc
-        if value == 0.0:
-            raise ZeroDetuning("zero detuning from the extraneous level")
-        return value
+        return self._p_line_detuning(self.delta2, "zero detuning from the extraneous level")
 
     def raman_delta3(self) -> float:
         """One-photon detuning of the Raman lasers from the P level."""
-        ion = self.ion
-        try:
-            value = self.delta3 if self.delta3 is not None else (
-                ion.omega(3, 0) - ion.omega(1, 0)
-            )
-        except Exception as exc:
-            raise MissingTransitionData(str(exc)) from exc
+        return self._p_line_detuning(self.delta3, "zero one-photon detuning")
+
+    def _p_line_detuning(self, override: float | None, zero_message: str) -> float:
+        """omega(3,0) - omega(1,0) unless overridden; never zero."""
+        value = override if override is not None else (
+            self.ion.omega(3, 0) - self.ion.omega(1, 0)
+        )
         if value == 0.0:
-            raise ZeroDetuning("zero one-photon detuning")
+            raise ZeroDetuning(zero_message)
         return value
 
 
 def case_for_ion(ion: IonSpec) -> TransitionCase:
     """Pick case a/b from the stored multipole class of the 1->0 line."""
-    try:
-        multipole = ion.transition(1, 0).multipole
-    except Exception as exc:
-        raise MissingTransitionData(str(exc)) from exc
+    multipole = ion.transition(1, 0).multipole
     return TransitionCase.B_OCTUPOLE if multipole == "E3" else TransitionCase.A_QUADRUPOLE
 
 
@@ -337,13 +322,10 @@ def pop_extraneous_single(rabi02: float, delta2: float) -> float:
 
 def _metastable_inputs(scenario: BoundScenario):
     ion = scenario.ion
-    try:
-        omega01 = ion.omega(1, 0)
-        omega02 = ion.omega(2, 0)
-        gamma_20 = ion.partial_rate(2, 0)
-        gamma_21 = ion.partial_rate(2, 1)
-    except Exception as exc:
-        raise MissingTransitionData(str(exc)) from exc
+    omega01 = ion.omega(1, 0)
+    omega02 = ion.omega(2, 0)
+    gamma_20 = ion.partial_rate(2, 0)
+    gamma_21 = ion.partial_rate(2, 1)
     gamma_2 = gamma_20 + gamma_21
     omega21 = omega02 - omega01
     delta20, delta21 = scenario.metastable_laser_detunings()
@@ -396,13 +378,10 @@ def beta_from_ion(ion: IonSpec) -> float:
     the stored P level 3.  With the bundled data the metastable level
     decays only to ground, so beta reduces to total/partial of the P level.
     """
-    try:
-        gamma33 = ion.total_width(3)
-        gamma33_00 = ion.partial_rate(3, 0)
-        gamma22_00 = ion.partial_rate(1, 0)
-        gamma22 = ion.total_width(1)
-    except Exception as exc:
-        raise MissingTransitionData(str(exc)) from exc
+    gamma33 = ion.total_width(3)
+    gamma33_00 = ion.partial_rate(3, 0)
+    gamma22_00 = ion.partial_rate(1, 0)
+    gamma22 = ion.total_width(1)
     if gamma33_00 <= 0.0 or gamma22 <= 0.0:
         raise MissingTransitionData(f"{ion.name}: vanishing decay rate in beta")
     return gamma33 * gamma22_00 / (gamma22 * gamma33_00)
@@ -421,12 +400,9 @@ def bound_raman(scenario: BoundScenario, beta: float | None = None) -> float:
     if scenario.qec is not None:
         raise WrongEncoding("bound_raman is the no-correction estimate")
     ion = scenario.ion
-    try:
-        omega02 = ion.omega(1, 0)   # Raman two-photon line
-        omega13 = ion.omega(3, 0)   # dipole line to the extraneous level
-        gamma33 = ion.total_width(3)
-    except Exception as exc:
-        raise MissingTransitionData(str(exc)) from exc
+    omega02 = ion.omega(1, 0)   # Raman two-photon line
+    omega13 = ion.omega(3, 0)   # dipole line to the extraneous level
+    gamma33 = ion.total_width(3)
     if beta is None:
         beta = beta_from_ion(ion)
     delta3 = scenario.raman_delta3()
@@ -522,12 +498,9 @@ def bound_qec_intensity(scenario: BoundScenario, omega01_over_gamma11: float) ->
 
 def _qec_metastable_inputs(scenario: BoundScenario):
     ion = scenario.ion
-    try:
-        omega01 = ion.omega(1, 0)
-        omega02 = ion.omega(3, 0)       # alt P dataset drives the QEC rows
-        gamma_20 = ion.partial_rate(3, 0)
-    except Exception as exc:
-        raise MissingTransitionData(str(exc)) from exc
+    omega01 = ion.omega(1, 0)
+    omega02 = ion.omega(3, 0)       # alt P dataset drives the QEC rows
+    gamma_20 = ion.partial_rate(3, 0)
     gamma_out = ion.gamma_out
     if gamma_out <= 0.0:
         raise MissingTransitionData(f"{ion.name}: gamma_out missing or zero")
@@ -604,20 +577,14 @@ def bound_qec_raman(scenario: BoundScenario, beta: float | None = None,
     if scenario.qec is None:
         raise MissingQec("bound_qec_raman needs overheads")
     ion = scenario.ion
-    try:
-        omega02 = ion.omega(1, 0)
-        omega13 = ion.omega(3, 0)
-        branch = ion.partial_rate(3, 1) if use_to_qubit_branch else ion.partial_rate(3, 0)
-    except Exception as exc:
-        raise MissingTransitionData(str(exc)) from exc
+    omega02 = ion.omega(1, 0)
+    omega13 = ion.omega(3, 0)
+    branch = ion.partial_rate(3, 1) if use_to_qubit_branch else ion.partial_rate(3, 0)
     gamma_out = ion.gamma_out
     if gamma_out <= 0.0 or branch <= 0.0:
         raise MissingTransitionData(f"{ion.name}: vanishing decay rate in corrected bound")
     if beta is None:
-        try:
-            beta = ion.partial_rate(1, 0) / ion.total_width(1)
-        except Exception as exc:
-            raise MissingTransitionData(str(exc)) from exc
+        beta = ion.partial_rate(1, 0) / ion.total_width(1)
     delta3 = scenario.raman_delta3()
     q, c, k = scenario.qec.q, scenario.qec.c, scenario.qec.k
     eps = scenario.gate_model.epsilon
@@ -644,12 +611,9 @@ def bound_qec_raman_unsubstituted(scenario: BoundScenario, alpha: float,
     if alpha <= 0.0:
         raise NonPositiveInput("alpha must be > 0")
     ion = scenario.ion
-    try:
-        omega02 = ion.omega(1, 0)
-        omega13 = ion.omega(3, 0)
-        branch = ion.partial_rate(3, 1) if use_to_qubit_branch else ion.partial_rate(3, 0)
-    except Exception as exc:
-        raise MissingTransitionData(str(exc)) from exc
+    omega02 = ion.omega(1, 0)
+    omega13 = ion.omega(3, 0)
+    branch = ion.partial_rate(3, 1) if use_to_qubit_branch else ion.partial_rate(3, 0)
     gamma_out = ion.gamma_out
     if gamma_out <= 0.0 or branch <= 0.0:
         raise MissingTransitionData(f"{ion.name}: vanishing decay rate")
@@ -661,3 +625,23 @@ def bound_qec_raman_unsubstituted(scenario: BoundScenario, alpha: float,
               * (omega13 / omega02) ** 3 * budget
               / (16.0 * _PI**2 * c**2 * eps * gamma_out * branch))
     return inside ** (k / (3.0 * k + 3.0))
+
+
+# ---------------------------------------------------------------------------
+# Dispatch
+# ---------------------------------------------------------------------------
+
+def bound(scenario: BoundScenario, beta: float | None = None) -> float:
+    """Bitsize bound of a scenario, by the family its encoding and
+    overheads select.
+
+    ``beta`` goes unchanged to the Raman forms (``None`` derives it from
+    the ion as each form documents) and is ignored by the metastable ones.
+    """
+    if scenario.encoding is Encoding.METASTABLE:
+        if scenario.qec is None:
+            return bound_metastable(scenario)
+        return bound_qec_metastable(scenario)
+    if scenario.qec is None:
+        return bound_raman(scenario, beta=beta)
+    return bound_qec_raman(scenario, beta=beta)

@@ -6,6 +6,7 @@ Subcommands::
     ionjump ions show NAME [--db PATH]
     ionjump bound --ion NAME --encoding {metastable,raman} [options]
     ionjump bound --naive-raman --delta2 X --gamma22 Y [--epsilon E --p-em2 P]
+    ionjump bound --config FILE [flags]
     ionjump tables {T1,T2,T3,T4} [--db PATH] [--out FILE] [--format csv|json]
     ionjump simulate dft [--traj N] [--gamma auto|X] [--seed S] [--out DIR] ...
 
@@ -34,10 +35,7 @@ from .bounds import (
     QecOverheads,
     TransitionCase,
     beta_from_ion,
-    bound_metastable,
-    bound_qec_metastable,
-    bound_qec_raman,
-    bound_raman,
+    bound,
     bound_raman_naive,
     case_for_ion,
     floor_bitsize,
@@ -109,8 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--lenient", action="store_true",
                        help="downgrade unknown database keys to warnings")
     bound.add_argument("--config", default=None,
-                       help="JSON file with flag defaults, or {'sweep': [...]} "
-                            "for a batch of scenarios; flags win over the file")
+                       help="JSON object of flag values, with an optional 'sweep' "
+                            "list for a batch of scenarios; flags win over the file")
     bound.add_argument("--ion", help="ion name, e.g. Ca+ (Ca also accepted)")
     bound.add_argument("--encoding", choices=["metastable", "raman"],
                        default="metastable")
@@ -202,44 +200,48 @@ def _cmd_ions(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_BOUND_CONFIG_KEYS = frozenset({
-    "db", "ion", "encoding", "case", "eta", "epsilon", "qec", "q", "c", "k",
-    "p_em1", "p_em2", "p_em3", "p_fail", "p_out", "beta", "delta2", "delta3",
-    "naive_raman", "gamma22", "rabi_sq_over_gamma",
-})
-
-
-def _config_namespace(args: argparse.Namespace, argv: list[str],
-                      entry: dict) -> argparse.Namespace:
-    """Overlay config values onto the parsed args; explicit flags win."""
-    merged = argparse.Namespace(**vars(args))
+def _config_tokens(entry: dict) -> list[str]:
+    """The flag tokens a config entry stands for: ``"eta": 0.01`` is
+    ``--eta=0.01``, ``true`` the bare flag and ``false`` nothing."""
+    tokens = []
     for key, value in entry.items():
-        dest = key.replace("-", "_")
-        if dest not in _BOUND_CONFIG_KEYS:
-            raise IonjumpError(f"unknown config key {key!r}")
-        flag = "--" + dest.replace("_", "-")
-        if flag in argv:
-            continue   # precedence: flag > file > default
-        setattr(merged, dest, value)
-    return merged
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            tokens.append(flag)
+        elif value is not False:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
-def _cmd_bound(args: argparse.Namespace, argv: list[str]) -> int:
-    if args.config is not None:
-        try:
-            config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise IonjumpError(f"cannot read config {args.config}: {exc}") from exc
-        sweep = config.pop("sweep", None)
-        if sweep is None:
-            return _evaluate_bound(_config_namespace(args, argv, config))
-        code = EXIT_OK
-        for index, entry in enumerate(sweep):
-            merged = {**config, **entry}
-            print(f"# sweep[{index}]: " + ", ".join(f"{k}={v}" for k, v in merged.items()))
-            code = max(code, _evaluate_bound(_config_namespace(args, argv, merged)))
-        return code
-    return _evaluate_bound(args)
+def _cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace,
+               argv: list[str]) -> int:
+    """Evaluate one bound, or one per entry of a config file's sweep.
+
+    Config entries are parsed as flags placed before the command line's
+    own, so the last one wins (flag > file > default) and every value
+    meets its flag's type and choices; argparse exits 2 on a bad one.
+    """
+    if args.config is None:
+        return _evaluate_bound(args)
+    try:
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise IonjumpError(f"cannot read config {args.config}: {exc}") from exc
+    sweep = config.pop("sweep", None) if isinstance(config, dict) else None
+    entries = [{}] if sweep is None else sweep
+    if not (isinstance(config, dict) and isinstance(entries, list)
+            and all(isinstance(entry, dict) for entry in entries)):
+        raise IonjumpError(f"config {args.config}: expected a JSON object "
+                           "with an optional 'sweep' list of objects")
+    own = argv[argv.index("bound") + 1:]
+    merged = [{**config, **entry} for entry in entries]
+    parsed = [parser.parse_args(["bound", *_config_tokens(m), *own]) for m in merged]
+    code = EXIT_OK
+    for index, (entry, entry_args) in enumerate(zip(merged, parsed)):
+        if sweep is not None:
+            print(f"# sweep[{index}]: " + ", ".join(f"{k}={v}" for k, v in entry.items()))
+        code = max(code, _evaluate_bound(entry_args))
+    return code
 
 
 def _evaluate_bound(args: argparse.Namespace) -> int:
@@ -252,7 +254,7 @@ def _evaluate_bound(args: argparse.Namespace) -> int:
 
     if args.ion is None:
         raise IonjumpError("--ion is required unless --naive-raman is given")
-    db = _load_db(args.db, getattr(args, "lenient", False))
+    db = _load_db(args.db, args.lenient)
     ion = db.get(_resolve_ion_name(db, args.ion))
     case = (TransitionCase.A_QUADRUPOLE if args.case == "a"
             else TransitionCase.B_OCTUPOLE if args.case == "b"
@@ -274,11 +276,7 @@ def _evaluate_bound(args: argparse.Namespace) -> int:
     else:
         beta = float(args.beta)
 
-    if encoding is Encoding.METASTABLE:
-        value = bound_qec_metastable(scenario) if qec else bound_metastable(scenario)
-    else:
-        value = (bound_qec_raman(scenario, beta=beta) if qec
-                 else bound_raman(scenario, beta=beta))
+    value = bound(scenario, beta=beta)
     print(f"L = {_fmt(value)}  (floored: {floor_bitsize(value)})")
 
     bits = max(1, floor_bitsize(value))
@@ -390,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "ions":
             return _cmd_ions(args)
         if args.command == "bound":
-            return _cmd_bound(args, argv)
+            return _cmd_bound(parser, args, argv)
         if args.command == "tables":
             return _cmd_tables(args)
         if args.command == "simulate":

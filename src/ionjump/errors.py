@@ -21,10 +21,6 @@ class MissingFieldError(ValidationError):
     """A required key is absent from a database record."""
 
 
-class UnknownTransition(IonjumpError, ValueError):
-    """Transition does not belong to the given ion."""
-
-
 class MissingIon(IonjumpError, KeyError):
     """Requested ion is not present in the database."""
 
@@ -51,6 +47,14 @@ class MissingQec(IonjumpError, ValueError):
 
 class MissingTransitionData(IonjumpError, ValueError):
     """The ion record lacks a transition datum needed by a bound."""
+
+
+class UnknownTransition(MissingTransitionData):
+    """Transition does not belong to the given ion.
+
+    A missing-data error: a bound that looks the transition up reports
+    the lookup's own message.
+    """
 
 
 class WrongEncoding(IonjumpError, ValueError):

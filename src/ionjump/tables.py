@@ -27,18 +27,7 @@ import enum
 from dataclasses import dataclass
 
 from .atomic import IonDatabase, IonSpec
-from .bounds import (
-    BoundScenario,
-    Encoding,
-    EmissionBudgets,
-    QecOverheads,
-    beta_from_ion,
-    bound_metastable,
-    bound_qec_metastable,
-    bound_qec_raman,
-    bound_raman,
-    case_for_ion,
-)
+from .bounds import BoundScenario, Encoding, QecOverheads, bound, case_for_ion
 from .errors import MissingIon
 
 TABLE_IONS = ("Ca+", "Hg+", "Ba+", "Yb+")
@@ -97,6 +86,16 @@ TOLERANCE: dict[Table, float] = {
 
 _DEFAULT_QEC = QecOverheads(q=5.0, c=5.0, k=2)
 
+#: Per table: qubit encoding, error-correction overheads and the Raman beta
+#: (None derives it from the ion; T4 takes the p*beta = 1 preset).  Every
+#: budget stays at its default of 1.
+_TABLE_SCENARIOS: dict[Table, tuple[Encoding, QecOverheads | None, float | None]] = {
+    Table.T1: (Encoding.METASTABLE, None, None),
+    Table.T2: (Encoding.RAMAN, None, None),
+    Table.T3: (Encoding.METASTABLE, _DEFAULT_QEC, None),
+    Table.T4: (Encoding.RAMAN, _DEFAULT_QEC, 1.0),
+}
+
 
 @dataclass(frozen=True)
 class TableCell:
@@ -123,25 +122,10 @@ class TableResult:
 
 
 def _cell_value(table: Table, ion: IonSpec, eta: float) -> float:
-    case = case_for_ion(ion)
-    budgets = EmissionBudgets()
-    if table is Table.T1:
-        scenario = BoundScenario(ion=ion, encoding=Encoding.METASTABLE,
-                                 transition_case=case, eta=eta, budgets=budgets)
-        return bound_metastable(scenario)
-    if table is Table.T2:
-        scenario = BoundScenario(ion=ion, encoding=Encoding.RAMAN,
-                                 transition_case=case, eta=eta, budgets=budgets)
-        return bound_raman(scenario, beta=beta_from_ion(ion))
-    if table is Table.T3:
-        scenario = BoundScenario(ion=ion, encoding=Encoding.METASTABLE,
-                                 transition_case=case, eta=eta, budgets=budgets,
-                                 qec=_DEFAULT_QEC)
-        return bound_qec_metastable(scenario)
-    scenario = BoundScenario(ion=ion, encoding=Encoding.RAMAN,
-                             transition_case=case, eta=eta, budgets=budgets,
-                             qec=_DEFAULT_QEC)
-    return bound_qec_raman(scenario, beta=1.0)   # p*beta = 1 preset
+    encoding, qec, beta = _TABLE_SCENARIOS[table]
+    scenario = BoundScenario(ion=ion, encoding=encoding,
+                             transition_case=case_for_ion(ion), eta=eta, qec=qec)
+    return bound(scenario, beta=beta)
 
 
 def reproduce_table(table: Table | str, db: IonDatabase) -> TableResult:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from ionjump.bounds import (
     RamanRegime,
     TransitionCase,
     beta_from_ion,
+    bound,
     bound_metastable,
     bound_qec_intensity,
     bound_qec_metastable,
@@ -449,3 +451,74 @@ def test_missing_transition_data(db):
         bound_metastable(BoundScenario(ion=bare, encoding=Encoding.METASTABLE,
                                        transition_case=TransitionCase.A_QUADRUPOLE,
                                        eta=1.0))
+
+
+def _ca_without_level3(ca):
+    return replace(ca, levels=tuple(lv for lv in ca.levels if lv.index != 3),
+                   transitions=tuple(tr for tr in ca.transitions if tr.upper.index != 3))
+
+
+def _ca_without_qubit_line(ca):
+    return replace(ca, transitions=tuple(
+        tr for tr in ca.transitions if (tr.upper.index, tr.lower.index) != (1, 0)))
+
+
+def _bound_of(encoding, qec):
+    def call(ion):
+        return bound(BoundScenario(ion=ion, encoding=encoding,
+                                   transition_case=TransitionCase.A_QUADRUPOLE,
+                                   qec=QecOverheads() if qec else None))
+    return call
+
+
+def _unsubstituted(ion):
+    return bound_qec_raman_unsubstituted(
+        BoundScenario(ion=ion, encoding=Encoding.RAMAN,
+                      transition_case=TransitionCase.A_QUADRUPOLE, qec=QecOverheads()),
+        alpha=1.0)
+
+
+_LOOKUPS = {
+    "bound-metastable": _bound_of(Encoding.METASTABLE, False),
+    "bound-metastable-qec": _bound_of(Encoding.METASTABLE, True),
+    "bound-raman": _bound_of(Encoding.RAMAN, False),
+    "bound-raman-qec": _bound_of(Encoding.RAMAN, True),
+    "beta_from_ion": beta_from_ion,
+    "case_for_ion": case_for_ion,
+    "bound_qec_raman_unsubstituted": _unsubstituted,
+}
+
+
+_MISSING_DATA = [
+    # the plain metastable bound and the case never look at level 3
+    (_ca_without_level3, "bound-metastable", None),
+    (_ca_without_level3, "bound-metastable-qec", "no transition 3->0"),
+    (_ca_without_level3, "bound-raman", "no transition 3->0"),
+    (_ca_without_level3, "bound-raman-qec", "no transition 3->0"),
+    (_ca_without_level3, "beta_from_ion", "level 3 has no decay data"),
+    (_ca_without_level3, "case_for_ion", None),
+    (_ca_without_level3, "bound_qec_raman_unsubstituted", "no transition 3->0"),
+    (_ca_without_qubit_line, "bound-metastable", "no transition 1->0"),
+    (_ca_without_qubit_line, "bound-metastable-qec", "no transition 1->0"),
+    (_ca_without_qubit_line, "bound-raman", "no transition 1->0"),
+    (_ca_without_qubit_line, "bound-raman-qec", "no transition 1->0"),
+    (_ca_without_qubit_line, "beta_from_ion", "no partial rate 1->0"),
+    (_ca_without_qubit_line, "case_for_ion", "no transition 1->0"),
+    (_ca_without_qubit_line, "bound_qec_raman_unsubstituted", "no transition 1->0"),
+]
+
+
+@pytest.mark.parametrize("strip, call, message", [
+    pytest.param(*row, id=f"{row[0].__name__.removeprefix('_ca_')}-{row[1]}")
+    for row in _MISSING_DATA
+])
+def test_missing_ion_data_names_the_lookup(db, strip, call, message):
+    """A bound on an ion without the data it needs raises
+    MissingTransitionData with the failed lookup's own message."""
+    ion = strip(db.get("Ca+"))
+    if message is None:
+        _LOOKUPS[call](ion)
+        return
+    with pytest.raises(MissingTransitionData) as excinfo:
+        _LOOKUPS[call](ion)
+    assert str(excinfo.value) == f"Ca+: {message}"

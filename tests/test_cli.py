@@ -10,12 +10,25 @@ import pytest
 import ionjump
 from ionjump import dft
 from ionjump.atomic import DEFAULT_DATABASE
+from ionjump.bounds import (
+    BoundScenario,
+    Encoding,
+    QecOverheads,
+    beta_from_ion,
+    bound_qec_raman,
+    bound_raman,
+    case_for_ion,
+    floor_bitsize,
+)
 from ionjump.cli import EXIT_INPUT, EXIT_OK, EXIT_TOLERANCE, main
 from ionjump.dft import dft_input_function, ideal_dft_oracle
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:       # argparse's own exit on a bad flag value
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -219,14 +232,10 @@ def test_non_finite_or_negative_float_flags_exit_2(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(dft, "calibrate_gamma", never)
     if argv[0] == "simulate":
         argv = argv + ["--traj", "2", "--out", str(tmp_path)]
-    try:
-        code = main(argv)
-    except SystemExit as exc:       # argparse's own exit on a bad flag value
-        code = exc.code
-    captured = capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_INPUT
-    assert captured.out == ""
-    assert flag in captured.err and "Traceback" not in captured.err
+    assert out == ""
+    assert flag in err and "Traceback" not in err
     assert not any(tmp_path.iterdir())
 
 
@@ -235,7 +244,7 @@ def test_bound_config_non_finite_eta_exits_2(tmp_path, capsys):
     config.write_text('{"ion": "Ca+", "eta": Infinity}')
     code, out, err = run_cli(capsys, "bound", "--config", str(config))
     assert code == EXIT_INPUT
-    assert out == "" and "eta must be finite" in err
+    assert out == "" and "--eta: must be a finite number" in err
 
 
 def test_lenient_database_loading(tmp_path, capsys):
@@ -263,12 +272,16 @@ def test_bound_config_file_and_sweep(tmp_path, capsys):
     assert "L = 7.14243" in out and "L = 14.2012" in out
 
 
-def test_bound_config_flag_precedence(tmp_path, capsys):
+@pytest.mark.parametrize("flag", [
+    pytest.param(["--eta", "0.01"], id="space"),
+    pytest.param(["--eta=0.01"], id="equals"),
+    pytest.param(["--et", "0.01"], id="abbreviated"),
+])
+def test_bound_config_flag_precedence(tmp_path, capsys, flag):
     config = tmp_path / "one.json"
     config.write_text(json.dumps({"ion": "Ca+", "eta": 1.0}))
     _, base_out, _ = run_cli(capsys, "bound", "--config", str(config))
-    code, out, _ = run_cli(capsys, "bound", "--config", str(config),
-                           "--eta", "0.01")
+    code, out, _ = run_cli(capsys, "bound", "--config", str(config), *flag)
     assert code == EXIT_OK
     assert "L = 2.25864" in out       # the flag overrode the file's eta
     assert "L = 7.14243" in base_out
@@ -280,6 +293,55 @@ def test_bound_config_rejects_unknown_key(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bound", "--config", str(config))
     assert code == EXIT_INPUT
     assert "mystery" in err
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"ion": "Ca+", "eta": Infinity}', "--eta"),
+    ('{"ion": "Ca+", "eta": "abc"}', "--eta"),
+    ('{"ion": "Ca+", "k": 2.5}', "--k"),
+    ('{"ion": "Ca+", "mystery": 1}', "--mystery"),
+    ('["Ca+"]', "JSON object"),
+    ('{"ion": "Ca+", "sweep": [1]}', "JSON object"),
+], ids=["infinite", "not-a-number", "non-integer", "unknown-key", "not-an-object",
+        "sweep-of-non-objects"])
+def test_bound_config_values_are_checked_as_flags(tmp_path, capsys, text, named):
+    """A config value meets its flag's type: a bad one, an unknown key or
+    a file that is not an object of flag values exits 2 naming the
+    problem, before any output."""
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    code, out, err = run_cli(capsys, "bound", "--config", str(config))
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert named in err and "Traceback" not in err
+
+
+def _branching_fraction(ion):
+    return ion.partial_rate(1, 0) / ion.total_width(1)
+
+
+@pytest.mark.parametrize("beta, formula, expected_beta", [
+    pytest.param([], bound_raman, beta_from_ion, id="default"),
+    pytest.param(["--beta", "auto"], bound_raman, beta_from_ion, id="auto"),
+    pytest.param(["--beta", "0.5"], bound_raman, lambda ion: 0.5, id="0.5"),
+    pytest.param([], bound_qec_raman, lambda ion: 1.0, id="qec-default"),
+    pytest.param(["--beta", "auto"], bound_qec_raman, _branching_fraction,
+                 id="qec-auto"),
+    pytest.param(["--beta", "0.5"], bound_qec_raman, lambda ion: 0.5, id="qec-0.5"),
+])
+def test_bound_raman_beta_conventions(db, capsys, beta, formula, expected_beta):
+    """Without --beta the Raman bound takes the ion's beta, or the
+    p*beta = 1 preset with overheads; 'auto' lets each form derive it."""
+    ion = db.get("Ba+")
+    qec = formula is bound_qec_raman
+    scenario = BoundScenario(ion=ion, encoding=Encoding.RAMAN,
+                             transition_case=case_for_ion(ion),
+                             qec=QecOverheads() if qec else None)
+    value = formula(scenario, beta=expected_beta(ion))
+    code, out, _ = run_cli(capsys, "bound", "--ion", "Ba", "--encoding", "raman",
+                           *(["--qec"] if qec else []), *beta)
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == f"L = {value:.6g}  (floored: {floor_bitsize(value)})"
 
 
 def test_seed_env_var(tmp_path, capsys, monkeypatch):
