@@ -233,6 +233,11 @@ def _cmd_bound(parser: argparse.ArgumentParser, args: argparse.Namespace,
             and all(isinstance(entry, dict) for entry in entries)):
         raise IonjumpError(f"config {args.config}: expected a JSON object "
                            "with an optional 'sweep' list of objects")
+    for key in (key for part in (config, *entries) for key in part):
+        # --config and --help, spelled in full or abbreviated as argparse
+        # would expand them ("c" is the exact flag --c)
+        if key and ("help".startswith(key) or key != "c" and "config".startswith(key)):
+            raise IonjumpError(f"config {args.config}: {key!r} is not a bound flag value")
     own = argv[argv.index("bound") + 1:]
     merged = [{**config, **entry} for entry in entries]
     parsed = [parser.parse_args(["bound", *_config_tokens(m), *own]) for m in merged]
@@ -269,10 +274,11 @@ def _evaluate_bound(args: argparse.Namespace) -> int:
                              budgets=budgets, qec=qec, delta2=args.delta2,
                              delta3=args.delta3)
 
-    if args.beta is None:
-        beta = 1.0 if qec is not None else beta_from_ion(ion)
-    elif args.beta == "auto":
+    # only the Raman forms read beta, so only they resolve its default
+    if encoding is not Encoding.RAMAN or args.beta == "auto":
         beta = None
+    elif args.beta is None:
+        beta = 1.0 if qec is not None else beta_from_ion(ion)
     else:
         beta = float(args.beta)
 

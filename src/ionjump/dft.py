@@ -158,65 +158,87 @@ def integrated_upper_population(program: PulseProgram, layout: RegisterLayout,
 #: from the user's seed so the calibrated gamma is a deterministic
 #: property of the experiment configuration alone.
 CALIBRATION_SEED_BASE = 0x5EED_CA1B
-CALIBRATION_PILOT_SIZE = 46
+CALIBRATION_PILOT_SIZE = 31
 
 
 def _pilot_mean_jumps(program: PulseProgram, layout: RegisterLayout,
                       initial: QuantumState, gamma: float, include_aux: bool,
                       n_pilot: int, seed_base: int) -> float:
-    """E[N] at ``gamma`` as the pilot mean of each trajectory's
-    integrated jump rate Lambda_k = -sum_j ln r_kj - ln ||psi_k(T)||^2.
+    """E[N] at ``gamma`` from the integrated jump rates
+    Lambda_k = -sum_j ln r_kj - ln ||psi_k(T)||^2 of the pilot
+    trajectories, stratified on the no-jump event:
+
+        E[N] = E[Lambda] = -P0 ln P0 + (1 - P0) E[Lambda | N >= 1].
+
     The r_kj are the thresholds trajectory k crossed, summed by the
     engine, and psi_k(T) is its final state as the block returns it,
-    unnormalized since its last jump: the no-jump branch for a
-    trajectory that never jumped, whose Lambda is -ln P0."""
+    unnormalized since its last jump.  A trajectory that never jumped
+    ends in the no-jump branch, whose squared norm is P0 exactly, and
+    its Lambda is -ln P0; only the jumpers' mean is sampled.  When every
+    pilot jumps, P0 comes from the branch propagated alone (its maps are
+    cached by then); when none does, the estimate is -ln P0."""
     channels = qubit_channels(layout, gamma,
                               gamma_aux=gamma if include_aux else None)
     seeds = range(seed_base, seed_base + n_pilot)
-    total = 0.0
-    for _, states, _, rate_integrals in trajectory_blocks(program, layout, channels,
-                                                          seeds, initial):
+    p0, jumper_rates = None, []
+    for _, states, jumps, rate_integrals in trajectory_blocks(program, layout, channels,
+                                                              seeds, initial):
         norm2 = (states.real**2 + states.imag**2).sum(axis=-1)
-        total += float(rate_integrals.sum() - np.log(norm2).sum())
-    return total / n_pilot
+        jumped = np.array([bool(row) for row in jumps])
+        jumper_rates.append(rate_integrals[jumped] - np.log(norm2[jumped]))
+        if not jumped.all():
+            p0 = float(norm2[~jumped][0])
+    jumper_rates = np.concatenate(jumper_rates)
+    if p0 is None:
+        p0 = conditional_no_jump_branch(program, layout, channels, initial).squared_norm()
+    if not jumper_rates.size:
+        return -math.log(p0)
+    no_jump = -p0 * math.log(p0) if p0 > 0.0 else 0.0
+    return no_jump + (1.0 - p0) * float(jumper_rates.mean())
 
 
 def calibrate_gamma(program: PulseProgram, layout: RegisterLayout,
                     initial: QuantumState, t_ratio: float,
                     include_aux: bool = True,
                     n_pilot: int = CALIBRATION_PILOT_SIZE,
-                    seed_base: int = CALIBRATION_SEED_BASE) -> float:
+                    seed_base: int = CALIBRATION_SEED_BASE, *,
+                    integral: float | None = None) -> float:
     """Decay constant at which the expected emission count per run is
     ``t_ratio`` (operationally: register lifetime = T/t_ratio).
 
     Starts from the first-order value t_ratio/(2 * integrated gamma=0
-    excitation, a per-pulse Gauss-Legendre sum over the exact
-    propagator) and applies a proportional then a secant correction
-    using two fixed-seed pilot ensembles; the result is deterministic
-    for a given experiment configuration.  The corrections absorb the
-    back-action of the conditional no-click evolution and of the jumps
-    themselves, which suppress the mean excitation below its gamma=0
-    value (at t_ratio = 1 for the standard experiment, the first pilot
-    reads 0.641 at four ions and 0.810 at five: 36% and 19% below the
-    first-order target).
+    excitation, ``integrated_upper_population``; a caller that already
+    holds it passes it as ``integral``) and applies a proportional then
+    a secant correction using two fixed-seed pilot ensembles; the
+    result is deterministic for a given experiment configuration.  The
+    corrections absorb the back-action of the conditional no-click
+    evolution and of the jumps themselves, which suppress the mean
+    excitation below its gamma=0 value (at t_ratio = 1 for the standard
+    experiment, the first pilot reads 0.641 at four ions and 0.810 at
+    five: 36% and 19% below the first-order target).
 
-    Each pilot estimates E[N] as the mean of its trajectories'
-    integrated jump rates Lambda (``_pilot_mean_jumps``).  Lambda is
-    the compensator of a trajectory's counting process: N - Lambda is a
-    martingale, so E[Lambda] = E[N] exactly (Bremaud, *Point Processes
-    and Queues*, 1981), and the waiting-time unraveling gives Lambda
-    without extra work, since between jumps -d ln ||psi||^2 / dt is the
-    jump rate (Dalibard, Castin and Molmer, PRL 68, 580 (1992)).  The
-    pilots keep the spread of 182 samples of (N - 1)+, the sampled part
-    of E[N] = P(N >= 1) + E[(N - 1)+] with P(N >= 1) exact.  At the
-    calibrated gamma, Var((N - 1)+) / Var(Lambda) is 4.01 at four ions
-    (20,000 trajectories, bootstrap s.d. 0.05) and 14.6 at five
-    (100,000), so four ions bind and the ceil(182 / 4.01) = 46 pilots of
-    ``CALIBRATION_PILOT_SIZE`` give that spread: a standard error of
-    about 0.04 at four ions and 0.02 at five.
+    Each pilot estimates E[N] from its trajectories' integrated jump
+    rates Lambda (``_pilot_mean_jumps``).  Lambda is the compensator of
+    a trajectory's counting process: N - Lambda is a martingale, so
+    E[Lambda] = E[N] exactly (Bremaud, *Point Processes and Queues*,
+    1981), and the waiting-time unraveling gives Lambda without extra
+    work, since between jumps -d ln ||psi||^2 / dt is the jump rate
+    (Dalibard, Castin and Molmer, PRL 68, 580 (1992)).  A pilot that
+    did not jump has Lambda = -ln P0 with P0 exact, so the estimate
+    samples only the jumpers' mean and weights it by 1 - P0
+    (post-stratification on an event of known probability: Glasserman,
+    *Monte Carlo Methods in Financial Engineering*, 2003, 4.3).  That
+    drops the between-stratum part of Var Lambda: at the calibrated
+    gamma, Var Lambda / ((1 - P0) Var(Lambda | N >= 1)) is 1.71 at four
+    ions (20,000 trajectories) and 1.50 at five (10,000), so five ions
+    bind, and the ceil(46 / 1.50) = 31 pilots of
+    ``CALIBRATION_PILOT_SIZE`` keep the spread of the 46 plain samples
+    of Lambda they replaced: a standard error of about 0.035 at four
+    ions and 0.022 at five.
     """
-    integral = integrated_upper_population(program, layout, initial,
-                                           include_aux=include_aux)
+    if integral is None:
+        integral = integrated_upper_population(program, layout, initial,
+                                               include_aux=include_aux)
     gamma0 = t_ratio / (2.0 * integral)
     # Both pilots reuse the same seed block (common random numbers), so
     # the secant slope is estimated from correlated ensembles and is not
@@ -318,12 +340,24 @@ class CompiledExperiment:
     """The parts of the DFT experiment that depend only on the register
     and the pulse settings: the compiled Fourier network, the prepared
     input state, its loss-free (gamma = 0) output and the exact
-    spectrum of f.  Their arrays are read-only."""
+    spectrum of f.  Their arrays are read-only.  The gamma = 0
+    excitation integral is another such part, computed on first use
+    (``excitation_integral``), so fixed-gamma runs never pay for it."""
 
     program: PulseProgram
     initial: QuantumState
     ideal_final: np.ndarray = field(repr=False)
     oracle: np.ndarray = field(repr=False)
+    _integrals: dict[bool, float] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
+
+    def excitation_integral(self, include_aux: bool) -> float:
+        """``integrated_upper_population`` of the experiment, computed
+        once per ``include_aux`` and kept with the record."""
+        if include_aux not in self._integrals:
+            self._integrals[include_aux] = integrated_upper_population(
+                self.program, self.initial.layout, self.initial, include_aux=include_aux)
+        return self._integrals[include_aux]
 
 
 @functools.lru_cache(maxsize=8)
@@ -383,7 +417,8 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
     program, initial = experiment.program, experiment.initial
     if isinstance(gamma11, str):
         gamma = calibrate_gamma(program, layout, initial, t_ratio,
-                                include_aux=include_aux_channel)
+                                include_aux=include_aux_channel,
+                                integral=experiment.excitation_integral(include_aux_channel))
     else:
         gamma = float(gamma11)
     channels = qubit_channels(layout, gamma,

@@ -46,7 +46,8 @@ and the sum of -ln r over the thresholds r it crossed.  Between jumps
 ln ||final state||^2 is the trajectory's jump rate integrated over the
 program: the compensator Lambda of its jump count N, with
 E[Lambda] = E[N] and a far smaller variance, which ``dft`` calibrates
-from.
+from (a trajectory that never jumped has Lambda = -ln P0, from the
+branch).
 
 A trajectory whose first r is at most the branch's smallest
 end-of-pulse norm never jumps and never gets a row.  A block takes
@@ -55,7 +56,7 @@ block, before that norm is known, takes that many seeds), so while it
 runs it holds at most 1 + BLOCK_AMPLITUDES // dim rows of amplitudes
 however large the ensemble; only the final states it hands back have
 one row per seed.  The budget is 2**17 amplitudes (539 rows at dim
-243, 179 at dim 729).  A 46-seed calibration pilot runs as one block
+243, 179 at dim 729).  A 31-seed calibration pilot runs as one block
 at dim 243 and 729, and a 1000-trajectory five-ion ensemble ran in
 0.45 s against 0.52 s at 2**16 (best of 7, 2-core Xeon): about
 budget / pulses rows cross in a pulse, and the larger the crossing
@@ -107,7 +108,7 @@ _DENSE_MAX_DIM = 4096
 #: besides its no-jump branch: 539 rows at dim 243, 179 at dim 729.  A
 #: fixed budget keeps peak memory flat in the ensemble size (a pulse
 #: step holds two block-sized arrays, 2 MiB each, plus one chunk of the
-#: pair map).  2**17 runs a 46-seed calibration pilot as one block at
+#: pair map).  2**17 runs a 31-seed calibration pilot as one block at
 #: dim 243 and 729, and at dim 729 it makes crossing batches large
 #: enough that a 1000-trajectory ensemble ran in 0.45 s against 0.52 s
 #: at 2**16: the rows that cross in a pulse search their jump times as
@@ -523,8 +524,11 @@ def _advance(block: _Block, channels: tuple[JumpChannel, ...],
     psi, norm2, out_norm2 = start[origin], start_norm2[origin], end_norm2[origin]
     if fresh.size:
         # grown in place, as the caller holds ``start``: at most two block-sized
-        # arrays are alive at once.  Every fresh row crosses and is written below
-        out.resize((n_rows + fresh.size, out.shape[1]))
+        # arrays are alive at once.  Every fresh row crosses and is written below.
+        # ``out`` is the end map's fresh array and no view of it exists, so the
+        # reference check is skipped: a trace or profile hook holding this
+        # frame's locals adds a reference to it and would make the check fail
+        out.resize((n_rows + fresh.size, out.shape[1]), refcheck=False)
     elapsed = np.zeros(rows.size)
     while rows.size:
         dt, psi = propagator.crossing(psi, block.thresholds[rows], duration - elapsed, norm2,

@@ -302,10 +302,16 @@ def test_bound_config_rejects_unknown_key(tmp_path, capsys):
     ('{"ion": "Ca+", "mystery": 1}', "--mystery"),
     ('["Ca+"]', "JSON object"),
     ('{"ion": "Ca+", "sweep": [1]}', "JSON object"),
+    ('{"ion": "Ca+", "help": true}', "'help'"),
+    ('{"ion": "Ca+", "sweep": [{"he": true}]}', "'he'"),
+    ('{"ion": "Ca+", "config": "other.json"}', "'config'"),
+    ('{"ion": "Ca+", "conf": "other.json"}', "'conf'"),
 ], ids=["infinite", "not-a-number", "non-integer", "unknown-key", "not-an-object",
-        "sweep-of-non-objects"])
+        "sweep-of-non-objects", "help", "help-abbreviated", "config",
+        "config-abbreviated"])
 def test_bound_config_values_are_checked_as_flags(tmp_path, capsys, text, named):
-    """A config value meets its flag's type: a bad one, an unknown key or
+    """A config value meets its flag's type: a bad one, an unknown key,
+    a key that is not a bound value (the usage, another config file) or
     a file that is not an object of flag values exits 2 naming the
     problem, before any output."""
     config = tmp_path / "bad.json"
@@ -314,6 +320,25 @@ def test_bound_config_values_are_checked_as_flags(tmp_path, capsys, text, named)
     assert code == EXIT_INPUT
     assert out == ""
     assert named in err and "Traceback" not in err
+
+
+def test_bound_resolves_beta_only_for_the_raman_encoding(tmp_path, capsys):
+    """Only the Raman forms read beta: a database whose Ca+ has no
+    level 3, from which beta is derived, still gives the metastable
+    bound, and the same value as with --beta 1."""
+    raw = json.loads(DEFAULT_DATABASE.read_text())
+    ca = next(ion for ion in raw["ions"] if ion["name"] == "Ca+")
+    ca["levels"] = [level for level in ca["levels"] if level["index"] != 3]
+    ca["transitions"] = [tr for tr in ca["transitions"] if tr["from"] != 3]
+    db = tmp_path / "no-level-3.json"
+    db.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "bound", "--ion", "Ca", "--db", str(db))
+    assert code == EXIT_OK and err == ""
+    assert out.splitlines()[0] == "L = 7.14243  (floored: 7)"
+    assert run_cli(capsys, "bound", "--ion", "Ca", "--db", str(db), "--beta", "1")[1] == out
+    code, _, err = run_cli(capsys, "bound", "--ion", "Ca", "--db", str(db),
+                           "--encoding", "raman")
+    assert code == EXIT_INPUT and "level 3" in err
 
 
 def _branching_fraction(ion):

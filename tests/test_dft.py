@@ -238,6 +238,42 @@ def test_auto_gamma_starts_from_the_excitation_integral(monkeypatch):
     assert dft_experiment(n_trajectories=1, gamma11=1e-4, layout=layout).gamma11 == 1e-4
 
 
+def test_excitation_integral_is_computed_once_per_compiled_experiment(monkeypatch):
+    """The gamma = 0 excitation integral joins the compiled record: a
+    fixed-gamma run never computes it, and each ``include_aux`` setting
+    computes it once however many calibrated runs follow, with the same
+    calibrated gamma every time and as ``calibrate_gamma`` computing the
+    integral itself."""
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+    integrals = []
+    integrate = dft.integrated_upper_population
+
+    def spy(*args, **kwargs):
+        integrals.append(integrate(*args, **kwargs))
+        return integrals[-1]
+
+    monkeypatch.setattr(dft, "integrated_upper_population", spy)
+    compile_experiment.cache_clear()
+
+    def run(gamma11, include_aux=True):
+        return dft_experiment(n_trajectories=2, gamma11=gamma11, layout=layout,
+                              include_aux_channel=include_aux).gamma11
+
+    run(7e-4)
+    assert integrals == []
+    first = run("auto")
+    assert run("auto") == first and len(integrals) == 1
+    run("auto", include_aux=False)
+    run("auto", include_aux=False)
+    assert len(integrals) == 2
+    experiment = compile_experiment(layout, PulseParams())
+    assert first == calibrate_gamma(experiment.program, layout, experiment.initial, 1.0)
+    assert len(integrals) == 3
+    assert integrals[0] == integrate(experiment.program, layout, experiment.initial)
+    assert integrals[1] == integrate(experiment.program, layout, experiment.initial,
+                                     include_aux=False)
+
+
 def test_auxiliary_decay_switch():
     """Without the auxiliary-level channels no jump lands on a channel
     index >= n_ions, and the calibration needs a larger gamma for the
@@ -285,29 +321,76 @@ def _four_ion_experiment():
     return layout, experiment.program, experiment.initial
 
 
-def test_pilot_estimate_is_the_mean_integrated_jump_rate():
-    """On the pilot seeds, the estimate is the mean over trajectories of
-    -sum_j ln r_kj - ln ||psi_k(T)||^2, the r_kj being the first
-    N_k thresholds of trajectory_rng(seed) (draws 0, 2, 4, ...); a
-    trajectory that never jumps contributes -ln P0 of the separately
-    propagated no-jump branch."""
-    layout, program, initial = _four_ion_experiment()
-    gamma, n = 7e-4, CALIBRATION_PILOT_SIZE
-    estimate = _pilot_mean_jumps(program, layout, initial, gamma, True, n,
-                                 CALIBRATION_SEED_BASE)
+def _jumper_rates_and_p0(program, layout, initial, gamma, seeds):
+    """Oracle of a pilot: the integrated jump rate of each trajectory
+    that jumped, -sum_j ln r_kj - ln ||psi_k(T)||^2 with the r_kj the
+    first N_k thresholds of trajectory_rng(seed) (draws 0, 2, 4, ...),
+    and P0 from the separately propagated no-jump branch."""
     channels = qubit_channels(layout, gamma, gamma_aux=gamma)
-    seeds = range(CALIBRATION_SEED_BASE, CALIBRATION_SEED_BASE + n)
     p0 = conditional_no_jump_branch(program, layout, channels, initial).squared_norm()
-    terms, jumped = [], 0
+    rates = []
     for block_seeds, states, jumps, *_ in trajectory_blocks(program, layout, channels,
                                                             seeds, initial):
         for seed, state, row in zip(block_seeds, states, jumps, strict=True):
-            thresholds = evolve.trajectory_rng(seed).random(2 * len(row))[::2]
-            last = math.log(np.vdot(state, state).real) if row else math.log(p0)
-            terms.append(-np.log(thresholds).sum() - last)
-            jumped += bool(row)
-    assert len(terms) == n and 0 < jumped < n
-    assert estimate == pytest.approx(np.mean(terms), rel=1e-12)
+            if row:
+                thresholds = evolve.trajectory_rng(seed).random(2 * len(row))[::2]
+                rates.append(-np.log(thresholds).sum() - math.log(np.vdot(state, state).real))
+    return np.array(rates), p0
+
+
+def test_pilot_estimate_is_stratified_on_the_no_jump_event():
+    """On the pilot seeds, the estimate is -P0 ln P0 + (1 - P0) times
+    the mean integrated jump rate of the trajectories that jumped: a
+    trajectory that never jumps has Lambda = -ln P0 exactly."""
+    layout, program, initial = _four_ion_experiment()
+    gamma, n = 7e-4, CALIBRATION_PILOT_SIZE
+    seeds = range(CALIBRATION_SEED_BASE, CALIBRATION_SEED_BASE + n)
+    estimate = _pilot_mean_jumps(program, layout, initial, gamma, True, n,
+                                 CALIBRATION_SEED_BASE)
+    rates, p0 = _jumper_rates_and_p0(program, layout, initial, gamma, seeds)
+    assert 0 < rates.size < n
+    expected = -p0 * math.log(p0) + (1.0 - p0) * rates.mean()
+    assert estimate == pytest.approx(expected, rel=1e-12)
+
+
+def test_pilot_estimate_when_every_pilot_jumps(monkeypatch):
+    """At a decay large enough that every pilot jumps (five ions at 8
+    times the calibrated gamma: E[N] about 3, P0 about 0.006), no block
+    row holds P0: it comes from the no-jump branch propagated once at
+    that gamma.  (At four ions P0 stays above 1/8 at any gamma.)"""
+    layout = RegisterLayout(n_ions=5, phonon_cutoff=3)
+    experiment = compile_experiment(layout, PulseParams())
+    program, initial = experiment.program, experiment.initial
+    gamma, n = 1e-3, CALIBRATION_PILOT_SIZE
+    seeds = range(CALIBRATION_SEED_BASE, CALIBRATION_SEED_BASE + n)
+    rates, p0 = _jumper_rates_and_p0(program, layout, initial, gamma, seeds)
+    assert rates.size == n and p0 < 1e-2
+    branches = []
+    branch = dft.conditional_no_jump_branch
+
+    def spy(*args):
+        branches.append(args)
+        return branch(*args)
+
+    monkeypatch.setattr(dft, "conditional_no_jump_branch", spy)
+    estimate = _pilot_mean_jumps(program, layout, initial, gamma, True, n,
+                                 CALIBRATION_SEED_BASE)
+    assert len(branches) == 1
+    assert estimate == pytest.approx(-p0 * math.log(p0) + (1.0 - p0) * rates.mean(),
+                                     rel=1e-12)
+
+
+def test_pilot_estimate_when_no_pilot_jumps():
+    """At a decay so small that no pilot jumps, the estimate is -ln P0,
+    the mean of the pilots' integrated jump rates."""
+    layout, program, initial = _four_ion_experiment()
+    gamma, n = 1e-7, CALIBRATION_PILOT_SIZE
+    seeds = range(CALIBRATION_SEED_BASE, CALIBRATION_SEED_BASE + n)
+    rates, p0 = _jumper_rates_and_p0(program, layout, initial, gamma, seeds)
+    assert rates.size == 0 and 0.0 < -math.log(p0) < 1e-2
+    estimate = _pilot_mean_jumps(program, layout, initial, gamma, True, n,
+                                 CALIBRATION_SEED_BASE)
+    assert estimate == pytest.approx(-math.log(p0), rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -336,12 +419,30 @@ def test_mean_integrated_rate_matches_mean_jump_count(four_ion_counts_and_rates)
 
 def test_integrated_rate_varies_less_than_the_jumps_after_the_first(
         four_ion_counts_and_rates):
-    """Var (N - 1)+ / Var Lambda at four ions, the binding case, sizes
-    CALIBRATION_PILOT_SIZE (see ``calibrate_gamma``): 4.0 at the
-    calibrated gamma over 20,000 trajectories."""
+    """Var (N - 1)+ / Var Lambda at four ions: 4.0 at the calibrated
+    gamma over 20,000 trajectories, so the integrated rate needs far
+    fewer pilots than the jumps after the first."""
     counts, rates = four_ion_counts_and_rates
     later = np.maximum(counts - 1, 0)
     assert later.var(ddof=1) / rates.var(ddof=1) > 3.0
+
+
+def test_stratified_pilots_vary_no_more_than_the_plain_pilots(four_ion_counts_and_rates):
+    """Over disjoint seed groups of the 2000 four-ion trajectories, the
+    stratified mean of CALIBRATION_PILOT_SIZE = 31 pilots varies no more
+    than the plain mean Lambda of 46, the pilot size it replaced."""
+    counts, rates = four_ion_counts_and_rates
+    layout, program, initial = _four_ion_experiment()
+    channels = qubit_channels(layout, 7e-4, gamma_aux=7e-4)
+    p0 = conditional_no_jump_branch(program, layout, channels, initial).squared_norm()
+    plain = rates[:rates.size // 46 * 46].reshape(-1, 46).mean(axis=-1)
+    n = CALIBRATION_PILOT_SIZE
+    groups = zip(rates[:rates.size // n * n].reshape(-1, n),
+                 counts[:counts.size // n * n].reshape(-1, n))
+    stratified = [-p0 * math.log(p0) + (1.0 - p0) * group[jumps > 0].mean()
+                  for group, jumps in groups]
+    assert n == 31 and len(plain) == 43 and len(stratified) == 64
+    assert np.std(stratified, ddof=1) <= np.std(plain, ddof=1)
 
 
 @pytest.mark.parametrize("n_ions", [4, 5])

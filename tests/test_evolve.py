@@ -1,5 +1,7 @@
+import cProfile
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -303,6 +305,42 @@ def test_results_do_not_depend_on_the_block_budget(monkeypatch):
         times, expected = np.array([t for t, _ in row]), np.array([t for t, _ in small_row])
         assert np.all(np.abs(times - expected) <= 1e-12 * expected)
     assert np.max(np.abs(states - small_states)) < 1e-12
+
+
+@pytest.mark.parametrize("hook", ["settrace", "cProfile"])
+def test_blocks_run_the_same_under_a_trace_or_profile_hook(hook):
+    """A hook that holds the engine's frames (a debugger, coverage, a
+    profiler) changes nothing: 50 four-ion trajectories of the DFT at
+    gamma 7e-4, whose block grows its end rows when trajectories leave
+    the branch, give the same jumps and bit-identical final states as
+    an unhooked run."""
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+    experiment = compile_experiment(layout, PulseParams())
+    channels = qubit_channels(layout, 7e-4, gamma_aux=7e-4)
+
+    def run():
+        blocks = list(trajectory_blocks(experiment.program, layout, channels, range(50),
+                                        experiment.initial))
+        states = np.concatenate([block_states for _, block_states, *_ in blocks])
+        return states, [row for _, _, jumps, *_ in blocks for row in jumps]
+
+    states, jumps = run()
+    if hook == "settrace":
+        sys.settrace(lambda *args: None)
+        try:
+            hooked_states, hooked_jumps = run()
+        finally:
+            sys.settrace(None)
+    else:
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            hooked_states, hooked_jumps = run()
+        finally:
+            profile.disable()
+    assert any(jumps) and not all(jumps)
+    assert hooked_jumps == jumps
+    assert np.array_equal(hooked_states, states)
 
 
 @pytest.mark.parametrize("cut", [0.37, 0.0])
