@@ -35,16 +35,18 @@ import numpy as np
 
 from .errors import ValidationError, ZeroFunction
 from .evolve import (
+    SEED_LIMIT,
     check_seeds,
     conditional_no_jump_branch,
     decay_vector,
     fidelities,
     qubit_channels,
     run_program,
+    stream_keys,
     trajectory_blocks,
 )
 from .gates import ControlledPhase, Hadamard, PulseParams, compile_gate
-from .program import InstantGate, PulseProgram
+from .program import PulseProgram
 from .register import QuantumState, RegisterLayout
 
 JUMP_CLASSES = ("zero", "one", "multi")
@@ -136,14 +138,14 @@ def integrated_upper_population(program: PulseProgram, layout: RegisterLayout,
     starting value.  ``run_program`` walks the program, and each pulse
     adds a Gauss-Legendre sum over its exact propagator.
     """
-    # number of ions in an upper level, per basis state
-    excitation = decay_vector(layout, qubit_channels(
-        layout, 1.0, gamma_aux=1.0 if include_aux else None))
+    upper = qubit_channels(layout, 1.0, gamma_aux=1.0 if include_aux else None)
     nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
     total = 0.0
 
     def node_sum(propagator, psi, t_start):
         nonlocal total
+        # number of ions in an upper level, per state the walk carries
+        excitation = decay_vector(propagator.space, upper)
         half = 0.5 * propagator.duration
         rows = np.broadcast_to(psi, (nodes.size, psi.size))   # one row per node
         phi = propagator.at(half * (nodes + 1.0))(rows)
@@ -154,10 +156,11 @@ def integrated_upper_population(program: PulseProgram, layout: RegisterLayout,
     return total
 
 
-#: Fixed seed base of the calibration pilots; deliberately not derived
+#: Fixed base seed of the calibration pilots; deliberately not derived
 #: from the user's seed so the calibrated gamma is a deterministic
-#: property of the experiment configuration alone.
-CALIBRATION_SEED_BASE = 0x5EED_CA1B
+#: property of the experiment configuration alone.  It lies past every
+#: user seed, so no pilot shares a stream with any run.
+CALIBRATION_SEED_BASE = SEED_LIMIT
 CALIBRATION_PILOT_SIZE = 31
 
 
@@ -179,7 +182,7 @@ def _pilot_mean_jumps(program: PulseProgram, layout: RegisterLayout,
     cached by then); when none does, the estimate is -ln P0."""
     channels = qubit_channels(layout, gamma,
                               gamma_aux=gamma if include_aux else None)
-    seeds = range(seed_base, seed_base + n_pilot)
+    seeds = stream_keys(seed_base, n_pilot)
     p0, jumper_rates = None, []
     for _, states, jumps, rate_integrals in trajectory_blocks(program, layout, channels,
                                                               seeds, initial):
@@ -274,8 +277,9 @@ def _check_decay_inputs(gamma11: float | str, t_ratio: float) -> None:
 
 @dataclass(frozen=True)
 class EnsembleReport:
-    """Per-trajectory arrays in seed order (trajectory k ran with seed
-    seed0 + k) plus the derived ensemble statistics.
+    """Per-trajectory arrays in seed order (trajectory k has seed
+    seed0 + k and ran the stream ``stream_keys(seed0, ...)[k]``) plus
+    the derived ensemble statistics.
 
     ``jump_times`` and ``jump_channels`` hold every trajectory's jumps
     back to back: trajectory k's are the ``jump_counts[k]`` entries that
@@ -382,9 +386,9 @@ def compile_experiment(layout: RegisterLayout, params: PulseParams) -> CompiledE
     program = qft_program(layout, params)
     ideal_final = conditional_no_jump_branch(program, layout, [], initial).amplitudes
     oracle = ideal_dft_oracle(f)
-    # every caller shares these arrays
-    matrices = [item.matrix for item in program.items if isinstance(item, InstantGate)]
-    for array in (initial.amplitudes, ideal_final, oracle, *matrices):
+    # every caller shares these arrays (the program's gate matrices are
+    # read-only already)
+    for array in (initial.amplitudes, ideal_final, oracle):
         array.flags.writeable = False
     return CompiledExperiment(program, initial, ideal_final, oracle)
 
@@ -398,10 +402,11 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
     Takes the five-qubit Fourier network, the normalized superposition
     of the support of f and its ideal output from
     ``compile_experiment``, which builds them once per register and
-    process, and runs ``n_trajectories`` quantum-jump trajectories with
-    per-trajectory seeds seed0 + index, which must lie in [0, 2**128);
-    they, ``gamma11`` and ``t_ratio`` are checked before any work is
-    done, the compile included.
+    process, and runs ``n_trajectories`` quantum-jump trajectories:
+    trajectory k has seed seed0 + k, which must lie in [0, 2**63), and
+    draws from the stream keyed (seed0 << 64) | k (``stream_keys``).
+    The seeds, ``gamma11`` and ``t_ratio`` are checked before any work
+    is done, the compile included.
     ``gamma11="auto"`` calibrates the decay with ``calibrate_gamma`` so
     the expected emission count per run is ``t_ratio`` (register
     lifetime = T/t_ratio); a number is used as given.  With
@@ -429,7 +434,7 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
     # final states are dropped before the next block runs
     counts, jumps, fidelity_blocks, distribution_blocks = [], [], [], []
     for _, states, rows, *_ in trajectory_blocks(program, layout, channels,
-                                                 range(seed0, seed0 + n_trajectories),
+                                                 stream_keys(seed0, n_trajectories),
                                                  initial):
         counts += map(len, rows)
         jumps += itertools.chain.from_iterable(rows)

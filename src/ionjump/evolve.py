@@ -18,9 +18,21 @@ Every pulse Hamiltonian is constant in time, so the no-jump propagator
 exp(-i H_eff t) of a pulse is exact: a closed-form 2x2 block formula for
 the pair-structured resonant drives, evaluated once per distinct rate
 and per group of equal pairs, dense diagonalization otherwise.
-Each pulse's propagator and end-of-pulse map are built once per (pulse,
-layout, channels) and reused.  ``run_program`` is the one walk through a
-program: it carries the engine's rows and every other propagation.
+
+The pulses, the instant gates and the jumps map each basis state only
+to the states its couplings reach, so an evolution never leaves the
+closure of its input's support (``reachable``): 16 of the 243 states
+of the four-ion DFT experiment, 272 of 729 at five ions.  The engine
+runs on the closure's amplitudes alone, and every operator is built on
+its index array (a ``register.Subspace``): the pair maps keep the pairs
+whose two ends are both kept, the decay and the jump rates take one
+entry per kept state, a jump is one gather and an instant gate at most
+three.  The whole register is the closure that holds every state.  The
+closure is computed once per (program, register, support, kinds of
+channel), and each pulse's propagator and end-of-pulse map once per
+(pulse, closure, channels).  ``_walk`` is the one walk through a
+program: it carries the engine's rows and every other propagation, and
+``run_program`` runs it on register states.
 
 One engine runs every ensemble, and a single trajectory is its
 one-seed case.  All trajectories run the same program, so they advance
@@ -54,28 +66,33 @@ end-of-pulse norm never jumps and never gets a row.  A block takes
 seeds until BLOCK_AMPLITUDES // dim of them will jump (the first
 block, before that norm is known, takes that many seeds), so while it
 runs it holds at most 1 + BLOCK_AMPLITUDES // dim rows of amplitudes
-however large the ensemble; only the final states it hands back have
-one row per seed.  The budget is 2**17 amplitudes (539 rows at dim
-243, 179 at dim 729).  A 31-seed calibration pilot runs as one block
-at dim 243 and 729, and a 1000-trajectory five-ion ensemble ran in
-0.45 s against 0.52 s at 2**16 (best of 7, 2-core Xeon): about
-budget / pulses rows cross in a pulse, and the larger the crossing
-batch, the more rows share each Newton iteration's fixed numpy
-overhead.  A pulse step holds at most two block-sized arrays (start
-and end states; the end states grow in place when fresh rows are
-appended), 2 MiB each, plus one chunk-sized temporary of the pair map.
-The branch lives only as long as its block; nothing is kept across
-calls but the pulse propagators and, in ``dft``, each register's
-compiled experiment (``dft.compile_experiment``).
+(dim: the closure's size) however large the ensemble; only the final
+states it hands back have one row per seed, over the whole register.
+The budget is 2**17 amplitudes: 8192 rows on the 16-state four-ion
+closure, 481 on the 272-state five-ion one.  A 31-seed calibration
+pilot runs as one block at four and five ions, and about budget /
+pulses rows cross in a pulse: the larger the crossing batch, the more
+rows share each Newton iteration's fixed numpy overhead.  A pulse step
+holds at most two block-sized arrays (start and end states; the end
+states grow in place when fresh rows are appended), 2 MiB each, plus
+one chunk-sized temporary of the pair map.  The branch lives only as
+long as its block; nothing is kept across calls but the closures, the
+pulse propagators and, in ``dft``, each register's compiled experiment
+(``dft.compile_experiment``).
 
-Randomness comes from a counter-based generator (Philox4x64-10) keyed
-by the trajectory's seed, an integer in [0, 2**128); ensemble members
-use seed0 + trajectory index.  ``trajectory_rng(seed)`` defines each
-stream; the engine never builds one but evaluates Philox4x64-10 in
-numpy.  The first 16 draws of every stream (its first four counter
-blocks: the first threshold and seven jumps' channel picks and next
-thresholds) come from one evaluation over all seeds, and a later pair
-from one over that trajectory's seed, so no run imports numpy.random.
+Randomness comes from a counter-based generator (Philox4x64-10), one
+stream per trajectory, keyed by an integer in [0, 2**128) that the
+engine calls the trajectory's seed.  Trajectory k of a run with base
+seed seed0 takes the key (seed0 << 64) | k (``stream_keys``), so runs
+with different base seeds share no stream; user base seeds lie in
+[0, 2**63) (``check_seeds``), and the larger ones are reserved for the
+calibration pilots, whose keys alone have the top bit set.
+``trajectory_rng(seed)`` defines each stream; the engine never builds
+one but evaluates Philox4x64-10 in numpy.  The first 16 draws of every
+stream (its first four counter blocks: the first threshold and seven
+jumps' channel picks and next thresholds) come from one evaluation over
+all seeds, and a later pair from one over that trajectory's seed, so no
+run imports numpy.random.
 Each trajectory draws its thresholds and channel picks in the order a
 lone trajectory would, so results are reproducible and independent of
 the block a trajectory runs in, of the rows it shares and of execution
@@ -94,7 +111,13 @@ import numpy as np
 from .errors import ValidationError
 from .hamiltonians import Hamiltonian, build_pulse_hamiltonian
 from .program import InstantGate, Pulse, PulseProgram
-from .register import QuantumState, RegisterLayout, apply_internal_unitary
+from .register import (
+    QuantumState,
+    RegisterLayout,
+    Subspace,
+    apply_internal_unitary,
+    as_subspace,
+)
 
 #: Largest tolerated *increase* of the squared norm over one propagation.
 _NORM_SLACK = 1e-12
@@ -104,26 +127,16 @@ _ROOT_RTOL = 1e-13
 _ROOT_MAX_EVALUATIONS = 100
 #: Largest register for the dense (non-pair-structured) propagator.
 _DENSE_MAX_DIM = 4096
-#: Amplitudes of the jumped trajectories one block holds (rows x dim),
-#: besides its no-jump branch: 539 rows at dim 243, 179 at dim 729.  A
+#: Amplitudes of the jumped trajectories one block holds (rows x the
+#: closure's size), besides its no-jump branch: 8192 rows on the
+#: 16-state four-ion DFT closure, 481 on the 272-state five-ion one.  A
 #: fixed budget keeps peak memory flat in the ensemble size (a pulse
 #: step holds two block-sized arrays, 2 MiB each, plus one chunk of the
 #: pair map).  2**17 runs a 31-seed calibration pilot as one block at
-#: dim 243 and 729, and at dim 729 it makes crossing batches large
-#: enough that a 1000-trajectory ensemble ran in 0.45 s against 0.52 s
-#: at 2**16: the rows that cross in a pulse search their jump times as
-#: one batch and share each Newton iteration's fixed per-call overhead.
+#: four and five ions, and makes crossing batches large: the rows that
+#: cross in a pulse search their jump times as one batch and share each
+#: Newton iteration's fixed per-call overhead.
 BLOCK_AMPLITUDES = 131072
-
-
-def _level_view(array: np.ndarray, layout: RegisterLayout, ion: int,
-                level: int) -> np.ndarray:
-    """View of the entries of ``array`` (state axis last) whose ion
-    ``ion`` is in internal level ``level``."""
-    lead = layout.internal_dim**ion
-    rest = layout.dim // (lead * layout.internal_dim)
-    return array.reshape(array.shape[:-1] + (lead, layout.internal_dim, rest))[
-        ..., level, :]
 
 
 @dataclass(frozen=True)
@@ -145,19 +158,23 @@ class JumpChannel:
         if self.upper_level not in (1, 2):
             raise ValidationError("upper_level must be 1 or 2")
 
-    def weight(self, amplitudes: np.ndarray, layout: RegisterLayout) -> float:
-        """<psi| c^dag c |psi> = 2*gamma * population of the upper level."""
-        layout.check_ion(self.ion)
-        upper = _level_view(amplitudes, layout, self.ion, self.upper_level)
+    def weight(self, amplitudes: np.ndarray, space: Subspace | RegisterLayout) -> float:
+        """<psi| c^dag c |psi> = 2*gamma * population of the upper level,
+        for a state of ``space`` (a layout stands for the whole register)."""
+        space = as_subspace(space)
+        upper = np.compress(space.levels(self.ion) == self.upper_level, amplitudes, axis=-1)
         return 2.0 * self.gamma * float(np.vdot(upper, upper).real)
 
-    def apply(self, amplitudes: np.ndarray, layout: RegisterLayout) -> np.ndarray:
-        """c |psi> (unnormalized)."""
-        layout.check_ion(self.ion)
-        out = np.zeros_like(amplitudes)
-        upper = _level_view(amplitudes, layout, self.ion, self.upper_level)
-        _level_view(out, layout, self.ion, 0)[...] = math.sqrt(2.0 * self.gamma) * upper
-        return out
+    def apply(self, amplitudes: np.ndarray, space: Subspace | RegisterLayout) -> np.ndarray:
+        """c |psi> (unnormalized) for states of ``space`` (a layout stands
+        for the whole register), state axis last: one gather of each
+        state's copy with the ion in the upper level, weighted
+        sqrt(2*gamma) where the ion is in |0> and 0 elsewhere."""
+        space = as_subspace(space)
+        _, sources, kept = space.level_shifts(self.ion)     # shift = upper - 0
+        scale = np.where((space.levels(self.ion) == 0) & kept[self.upper_level],
+                         math.sqrt(2.0 * self.gamma), 0.0)
+        return np.take(amplitudes, sources[self.upper_level], axis=-1) * scale
 
 
 def qubit_channels(layout: RegisterLayout, gamma11: float,
@@ -173,26 +190,30 @@ def qubit_channels(layout: RegisterLayout, gamma11: float,
     return channels
 
 
-def decay_vector(layout: RegisterLayout, channels: list[JumpChannel]) -> np.ndarray:
-    """Diagonal of sum_j gamma_j P_upper(j) over the register basis."""
-    d = np.zeros(layout.dim)
+def decay_vector(space: Subspace | RegisterLayout,
+                 channels: Sequence[JumpChannel]) -> np.ndarray:
+    """Diagonal of sum_j gamma_j P_upper(j) over the states of ``space``
+    (a layout stands for the whole register)."""
+    space = as_subspace(space)
+    d = np.zeros(space.dim)
     for ch in channels:
-        _level_view(d, layout, ch.ion, ch.upper_level)[...] += ch.gamma
+        d[space.levels(ch.ion) == ch.upper_level] += ch.gamma
     return d
 
 
 @functools.lru_cache(maxsize=16)
-def _jump_rates(layout: RegisterLayout, channels: tuple[JumpChannel, ...]) -> np.ndarray:
+def _jump_rates(space: Subspace, channels: tuple[JumpChannel, ...]) -> np.ndarray:
     """(dim, n_channels) matrix whose column j is the diagonal of
     c_j^dag c_j = 2 gamma_j P_upper(j): |psi|^2 times it gives every
     channel's ``weight`` for every row of a batch at once."""
-    return 2.0 * np.stack([decay_vector(layout, [ch]) for ch in channels], axis=-1)
+    return 2.0 * np.stack([decay_vector(space, [ch]) for ch in channels], axis=-1)
 
 
 class ConditionalPropagator:
     """Exact no-jump propagator exp(-i H_eff t), H_eff = H - i*decay,
     of one constant Hamiltonian and set of jump channels.
 
+    It acts on the states of the Hamiltonian's subspace, ``space``.
     Pair-structured operators use the closed-form 2x2 block formula
     (``Hamiltonian.pair_propagator``); any other operator is
     diagonalized densely, which is limited to dim <= 4096.  ``at(t)``
@@ -208,14 +229,13 @@ class ConditionalPropagator:
                  duration: float) -> None:
         if duration < 0.0:
             raise ValidationError("duration must be >= 0")
-        layout = hamiltonian.layout
-        self.layout = layout
+        self.space = hamiltonian.space
         self.duration = duration
-        self.decay = decay_vector(layout, channels)
+        self.decay = decay_vector(self.space, channels)
         if hamiltonian.is_pair_structured:
             self.at = hamiltonian.pair_propagator(self.decay)
         else:
-            if layout.dim > _DENSE_MAX_DIM:
+            if self.space.dim > _DENSE_MAX_DIM:
                 raise ValidationError(
                     "dense propagator limited to dim <= 4096; "
                     "non-pair-structured drives are meant for small registers"
@@ -277,34 +297,99 @@ def _dense_map(vecs: np.ndarray, vals: np.ndarray, inv: np.ndarray, t):
 
 
 @functools.lru_cache(maxsize=128)
-def pulse_propagator(pulse: Pulse, layout: RegisterLayout,
+def pulse_propagator(pulse: Pulse, space: Subspace | RegisterLayout,
                      channels: tuple[JumpChannel, ...]) -> ConditionalPropagator:
-    """The propagator of one program pulse, built once per (pulse,
-    layout, channels) and shared by every trajectory."""
-    return ConditionalPropagator(build_pulse_hamiltonian(pulse, layout), channels,
-                                 pulse.duration)
+    """The propagator of one program pulse on the states of ``space``
+    (a layout stands for the whole register), built once per (pulse,
+    space, channels) and shared by every trajectory."""
+    space = as_subspace(space)
+    return ConditionalPropagator(build_pulse_hamiltonian(pulse, space.layout).restricted(space),
+                                 channels, pulse.duration)
 
 
-def run_program(program: PulseProgram, layout: RegisterLayout, channels: Sequence[JumpChannel],
-                states: np.ndarray, pulse: Callable | None = None) -> np.ndarray:
-    """Carry states (state axis last) through a pulse program: each
-    instant gate applies its unitary, a pulse of zero duration is
-    skipped, and every other pulse maps the states through its cached
-    ``pulse_propagator`` under ``channels``, by its end map or, given
-    ``pulse``, by ``pulse(propagator, states, t_start)``, which returns
-    them at the pulse's end (``t_start``: its start in the program).
+def reachable(program: PulseProgram, layout: RegisterLayout,
+              channels: Sequence[JumpChannel], states: np.ndarray) -> Subspace:
+    """The closure of the support of ``states`` (register states, state
+    axis last) under ``program`` and ``channels``: every basis state
+    their evolution can give a nonzero amplitude.
+
+    It grows in program order from the support: an instant gate adds
+    the states its matrix's nonzero entries reach, and a pulse of
+    nonzero duration adds, until nothing new comes, the partners of its
+    nonzero pair couplings and the states every channel's jump reaches
+    (a jump can come at any time of a pulse).  It over-approximates
+    what is reached, so the engine run on it is exact.  The closure
+    depends only on the program, the register, the support and the
+    channels' (ion, upper level) pairs, and is computed once per
+    process for each (``_closure``).
     """
-    key = tuple(channels)
+    support = np.flatnonzero(np.any(np.reshape(states, (-1, layout.dim)) != 0.0, axis=0))
+    kinds = tuple(sorted({(ch.ion, ch.upper_level) for ch in channels}))
+    return _closure(program, layout, kinds, support.tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _closure(program: PulseProgram, layout: RegisterLayout,
+             kinds: tuple[tuple[int, int], ...], support: bytes) -> Subspace:
+    kept = np.zeros(layout.dim, dtype=bool)
+    kept[np.frombuffer(support, dtype=np.intp)] = True
+
+    def levels(ion):        # (lead, level, rest) view of ``kept``
+        return kept.reshape(layout.internal_dim**ion, layout.internal_dim, -1)
+
+    couplings = {}          # the coupled pairs of each distinct pulse
+    for item in program.items:
+        if isinstance(item, InstantGate):
+            before = levels(item.ion).copy()
+            for a, b in zip(*np.nonzero(item.matrix)):
+                levels(item.ion)[:, a] |= before[:, b]
+        elif item.duration != 0.0:
+            if item not in couplings:
+                h = build_pulse_hamiltonian(item, layout)
+                coupled = h.pair_g != 0.0
+                couplings[item] = h.pair_i[coupled], h.pair_j[coupled]
+            i, j = couplings[item]
+            while True:
+                size = np.count_nonzero(kept)
+                kept[j[kept[i]]] = True
+                kept[i[kept[j]]] = True
+                for ion, upper in kinds:
+                    levels(ion)[:, 0] |= levels(ion)[:, upper]
+                if np.count_nonzero(kept) == size:
+                    break
+    return Subspace(layout, np.flatnonzero(kept))
+
+
+def _walk(program: PulseProgram, space: Subspace, channels: tuple[JumpChannel, ...],
+          states: np.ndarray, pulse: Callable | None = None) -> np.ndarray:
+    """Carry states of ``space`` (state axis last) through a pulse
+    program: each instant gate applies its unitary, a pulse of zero
+    duration is skipped, and every other pulse maps the states through
+    its cached ``pulse_propagator`` under ``channels``, by its end map
+    or, given ``pulse``, by ``pulse(propagator, states, t_start)``,
+    which returns them at the pulse's end (``t_start``: its start in
+    the program)."""
     t_start = 0.0
     for item in program.items:
         if isinstance(item, InstantGate):
-            states = apply_internal_unitary(states, layout, item.ion, item.matrix)
+            states = apply_internal_unitary(states, space, item.ion, item.matrix)
         elif item.duration != 0.0:
-            propagator = pulse_propagator(item, layout, key)
+            propagator = pulse_propagator(item, space, channels)
             states = (propagator.end(states) if pulse is None
                       else pulse(propagator, states, t_start))
             t_start += item.duration
     return states
+
+
+def run_program(program: PulseProgram, layout: RegisterLayout, channels: Sequence[JumpChannel],
+                states: np.ndarray, pulse: Callable | None = None) -> np.ndarray:
+    """Carry register states (state axis last) through a pulse program
+    under ``channels`` and return them at its end: the walk (see
+    ``_walk``, whose ``pulse`` hook this takes) runs on the amplitudes
+    of their ``reachable`` closure, and ``pulse`` sees states and
+    propagators of that subspace (``propagator.space``)."""
+    space = reachable(program, layout, channels, states)
+    return space.embed(_walk(program, space, tuple(channels), space.restrict(states), pulse))
 
 
 def _norm2(amplitudes: np.ndarray) -> np.ndarray:
@@ -323,7 +408,7 @@ def rk4_reference_step(hamiltonian: Hamiltonian, channels: list[JumpChannel],
                        dt: float, psi: np.ndarray) -> np.ndarray:
     """Textbook four-stage RK4 step; the tests' integrator-independent
     reference for ConditionalPropagator."""
-    decay = decay_vector(hamiltonian.layout, channels)
+    decay = decay_vector(hamiltonian.space, channels)
 
     def gen(v):
         return -1j * hamiltonian.apply(v) - decay * v
@@ -355,12 +440,26 @@ def trajectory_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+#: User seeds (a run's seed0 and every seed0 + index) lie in
+#: [0, SEED_LIMIT).  Base seeds from SEED_LIMIT up are reserved for the
+#: calibration pilots: their stream keys have the top key bit, 2**127,
+#: set, and no user seed's keys do.
+SEED_LIMIT = 2**63
+
+
+def stream_keys(seed0: int, count: int) -> list[int]:
+    """The Philox keys of trajectories 0 to count - 1 of a run with base
+    seed ``seed0``: (seed0 << 64) | index, so runs with different base
+    seeds share no stream, however many trajectories they run."""
+    return [(seed0 << 64) | index for index in range(count)]
+
+
 def check_seeds(first: int, last: int) -> None:
-    """Reject seeds outside [0, 2**128), the range of Philox's 128-bit
-    key, given the smallest and the largest."""
-    if first < 0 or last >> 128:
+    """Reject user seeds outside [0, 2**63), given the smallest and the
+    largest."""
+    if first < 0 or last >= SEED_LIMIT:
         raise ValidationError(
-            f"trajectory seeds must lie in [0, 2**128); got {first} to {last}")
+            f"trajectory seeds must lie in [0, 2**63); got {first} to {last}")
 
 
 def _stream_draws(seeds: Sequence[int], first: int, blocks: int) -> np.ndarray:
@@ -374,7 +473,7 @@ def _stream_draws(seeds: Sequence[int], first: int, blocks: int) -> np.ndarray:
     top 53 bits times 2**-53, as in ``Generator.random``.  The state's
     two multiplied words and its two others advance as (2, blocks*n)
     arrays, so the cost is about 200 small array operations whatever
-    the number of seeds.  Seeds must pass ``check_seeds``.
+    the number of seeds.  Seeds must lie in [0, 2**128).
     """
     n = len(seeds)
     counters = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)
@@ -450,7 +549,8 @@ class _Block:
 
 def _sized_blocks(seeds: Sequence[int], channels: list[JumpChannel],
                   dim: int) -> Iterator[_Block]:
-    """Split ``seeds`` into blocks of trajectories, in seed order.
+    """Split ``seeds`` into blocks of trajectories, in seed order, for
+    rows of ``dim`` amplitudes.
 
     The caller runs each block before it asks for the next.  The first
     block takes BLOCK_AMPLITUDES // dim seeds; its branch then gives the
@@ -466,7 +566,9 @@ def _sized_blocks(seeds: Sequence[int], channels: list[JumpChannel],
     budget = max(1, BLOCK_AMPLITUDES // dim)
     seeds = list(seeds)
     if seeds and any(ch.gamma > 0.0 for ch in channels):
-        check_seeds(min(seeds), max(seeds))
+        if min(seeds) < 0 or max(seeds) >> 128:
+            raise ValidationError(f"stream keys must lie in [0, 2**128), the range of "
+                                  f"Philox's key; got {min(seeds)} to {max(seeds)}")
         heads = _stream_draws(seeds, 0, 4)
     else:
         heads = np.zeros((len(seeds), 1))       # thresholds 0: no draws
@@ -501,7 +603,7 @@ def _advance(block: _Block, channels: tuple[JumpChannel, ...],
     finish the duration as a smaller batch, which repeats while any of
     them crosses again.
     """
-    layout = propagator.layout
+    space = propagator.space
     duration = propagator.duration
     out = propagator.end(start)
     start_norm2, end_norm2 = _norm2(start), _norm2(out)
@@ -534,7 +636,7 @@ def _advance(block: _Block, channels: tuple[JumpChannel, ...],
         dt, psi = propagator.crossing(psi, block.thresholds[rows], duration - elapsed, norm2,
                                       out_norm2)
         elapsed += dt
-        weights = (psi.real**2 + psi.imag**2) @ _jump_rates(layout, channels)
+        weights = (psi.real**2 + psi.imag**2) @ _jump_rates(space, channels)
         total = weights.sum(axis=-1)
         if np.any(total <= 0.0):
             raise ValidationError("jump triggered with no channel weight")
@@ -553,7 +655,7 @@ def _advance(block: _Block, channels: tuple[JumpChannel, ...],
         # not np.unique, which imports numpy.ma on first use
         for pick in set(pick_list):
             chosen = picks == pick
-            jumped[chosen] = channels[pick].apply(psi[chosen], layout)
+            jumped[chosen] = channels[pick].apply(psi[chosen], space)
         psi = jumped / np.sqrt(_norm2(jumped))[:, None]
         norm2 = np.ones(rows.size)
         end = propagator.at(duration - elapsed)(psi)
@@ -580,23 +682,29 @@ def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
     redraw r and continue through the rest of the pulse.
 
     Trajectories run in blocks (see ``_sized_blocks``) whose rows share
-    the no-jump branch until they jump; ``run_program`` carries the rows
-    and ``_advance`` takes them through each pulse.  Yields, block by
-    block in seed order, (the block's seeds, their final states as a
-    (rows, dim) array, their jumps as lists of (time, channel index),
+    the no-jump branch until they jump; the rows hold the amplitudes of
+    the ``reachable`` closure of the initial state, ``_walk`` carries
+    them and ``_advance`` takes them through each pulse.  Yields, block
+    by block in seed order, (the block's seeds, their final register
+    states as a (rows, dim) array, their jumps as lists of (time,
+    channel index),
     and each trajectory's sum of -ln r over the thresholds r it
     crossed); a caller keeps what it needs of each block.  That sum
     minus ln ||final state||^2 is the trajectory's jump rate integrated
     over the program, the compensator of its jump count.  Each
     trajectory uses its own stream ``trajectory_rng(seed)``, so a seed
-    gives the same trajectory in any block.
+    gives the same trajectory in any block; a run's seeds are its
+    ``stream_keys``.
     """
-    key, initial = tuple(channels), initial_state.amplitudes[None]
-    for block in _sized_blocks(seeds, channels, layout.dim):
+    key = tuple(channels)
+    space = reachable(program, layout, key, initial_state.amplitudes)
+    initial = space.restrict(initial_state.amplitudes)[None]
+    for block in _sized_blocks(seeds, channels, space.dim):
         advance = functools.partial(_advance, block, key)
         # no name here holds the block's rows or its final states, so a
         # caller reducing the block holds neither the rows nor what it drops
-        yield (block.seeds, run_program(program, layout, key, initial, advance)[block.src],
+        yield (block.seeds,
+               space.embed(_walk(program, space, key, initial, advance)[block.src]),
                block.jumps, block.rate_integrals)
 
 

@@ -262,11 +262,11 @@ def run_program_exact(program: PulseProgram, layout: RegisterLayout,
     """Propagate states through a program with exact pulse unitaries.
 
     Loss-free reference, state axis last, batched input allowed: one
-    ``evolve.run_program`` walk without jump channels, so each pulse
-    takes the end-of-pulse map of its gamma = 0 propagator from
-    ``evolve.pulse_propagator``'s cache, the map the trajectory engine
-    uses without decay, and repeated calls on one program build no
-    Hamiltonian again.
+    ``evolve.run_program`` walk without jump channels on the closure of
+    the input's support, so each pulse takes the end-of-pulse map of
+    its gamma = 0 propagator from ``evolve.pulse_propagator``'s cache,
+    the map the trajectory engine uses without decay, and repeated
+    calls on one program build no Hamiltonian again.
     """
     return run_program(program, layout, (), np.array(psi, dtype=np.complex128))
 

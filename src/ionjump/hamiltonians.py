@@ -10,21 +10,24 @@ where N_eff is the effective ion count of the bus mode.  The auxiliary
 sideband is identical with level 2 in place of level 1.  Carrier drives
 couple |0, n> <-> |1, n> at Omega/2 without the Lamb-Dicke factor.
 
-Every drive is stored as a sparse pair list plus a real diagonal.  The
-resonant pulse operators are *pair-structured* (each basis state couples
-to at most one partner), so their propagators have a closed form; the
-Raman three-level operator is not, and falls back to a dense path.
+Every drive is stored as a sparse pair list plus a real diagonal over
+the states of a ``Subspace``: the builders give the whole register, and
+``Hamiltonian.restricted`` the operator on a subspace it maps into
+itself.  The resonant pulse operators are *pair-structured* (each basis
+state couples to at most one partner), so their propagators have a
+closed form; the Raman three-level operator is not, and falls back to a
+dense path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError, ZeroDetuning
 from .program import QUBIT_CARRIER, RED_SIDEBAND, Pulse
-from .register import AUX_LEVEL, RegisterLayout
+from .register import AUX_LEVEL, RegisterLayout, Subspace, whole_register
 
 #: Amplitudes per row chunk of the diagonal term of a pair map: the
 #: map holds its input, its output and one temporary of this size.
@@ -35,22 +38,33 @@ _CHUNK_AMPLITUDES = 16384
 class Hamiltonian:
     """Hermitian operator: real diagonal + symmetric pair couplings.
 
+    Indices are positions in ``space``, one diagonal entry per state.
     ``pair_g[m]`` is the matrix element <pair_j[m]| H |pair_i[m]>; the
     conjugate element is implied.
     """
 
-    layout: RegisterLayout
+    space: Subspace
     diag: np.ndarray
     pair_i: np.ndarray
     pair_j: np.ndarray
     pair_g: np.ndarray
 
     def __post_init__(self) -> None:
-        dim = self.layout.dim
-        if self.diag.shape != (dim,):
+        if self.diag.shape != (self.space.dim,):
             raise ValidationError("diagonal has wrong shape")
         if not (self.pair_i.shape == self.pair_j.shape == self.pair_g.shape):
             raise ValidationError("pair arrays must have matching shapes")
+
+    def restricted(self, space: Subspace) -> "Hamiltonian":
+        """The operator on a subspace of its register that it maps into
+        itself: the diagonal of the kept states and the pairs whose two
+        ends are both kept.  A pair with one end kept must have g = 0,
+        so dropping it leaves the kept state's diagonal evolution."""
+        i = space.positions(self.space.states[self.pair_i])
+        j = space.positions(self.space.states[self.pair_j])
+        both = (i >= 0) & (j >= 0)
+        return Hamiltonian(space, self.diag[self.space.positions(space.states)],
+                           i[both], j[both], self.pair_g[both])
 
     @property
     def is_pair_structured(self) -> bool:
@@ -60,7 +74,7 @@ class Hamiltonian:
         return not np.any(indices[1:] == indices[:-1])
 
     def to_dense(self) -> np.ndarray:
-        dim = self.layout.dim
+        dim = self.space.dim
         h = np.zeros((dim, dim), dtype=np.complex128)
         h[np.arange(dim), np.arange(dim)] = self.diag
         # accumulate; repeated (i, j) entries add, matching the pair list
@@ -109,7 +123,7 @@ class Hamiltonian:
         """
         diag = self.diag if decay is None else self.diag - 1j * decay
         i, j, g = self.pair_i, self.pair_j, self.pair_g
-        dim = self.layout.dim
+        dim = self.space.dim
         perm = np.arange(dim)
         perm[i], perm[j] = j, i
         rate_first, state_rate, first, group = _pair_groups(diag, i, j, g)
@@ -214,7 +228,7 @@ def build_carrier_hamiltonian(layout: RegisterLayout, ion: int, rabi: float,
     """Resonant qubit carrier on one ion: couples |0,n> <-> |1,n>."""
     idx0, idx1, _ = _pair_indices(layout, ion, 0, 1, 0)
     g = np.full(idx0.shape, 0.5 * rabi * np.exp(1j * phase), dtype=np.complex128)
-    return Hamiltonian(layout=layout, diag=np.zeros(layout.dim),
+    return Hamiltonian(space=whole_register(layout), diag=np.zeros(layout.dim),
                        pair_i=idx0, pair_j=idx1, pair_g=g)
 
 
@@ -232,7 +246,7 @@ def build_sideband_hamiltonian(layout: RegisterLayout, ion: int, rabi: float,
     idx0, idx_up, n = _pair_indices(layout, ion, 0, upper_level, 1)
     base = eta * rabi / (2.0 * np.sqrt(5.0 * layout.effective_ions))
     g = base * np.sqrt(n + 1.0) * np.exp(1j * phase)
-    return Hamiltonian(layout=layout, diag=np.zeros(layout.dim),
+    return Hamiltonian(space=whole_register(layout), diag=np.zeros(layout.dim),
                        pair_i=idx0, pair_j=idx_up, pair_g=g.astype(np.complex128))
 
 
@@ -263,7 +277,7 @@ def build_raman_hamiltonian(layout: RegisterLayout, ion: int, rabi02: float,
             * np.sqrt(n + 1.0)).astype(np.complex128)
 
     return Hamiltonian(
-        layout=layout,
+        space=whole_register(layout),
         diag=diag.reshape(layout.dim),
         pair_i=np.concatenate([idx0, idx1]),
         pair_j=np.concatenate([idx2_car, idx2_sb]),

@@ -8,6 +8,7 @@ default; a pulse-level compilation mode exists for the rotation parts).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,22 +41,35 @@ class Pulse:
             raise ValidationError("pulse Rabi frequency must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstantGate:
     """Instantaneous internal unitary on one ion (3x3, identity on aux
-    unless stated otherwise)."""
+    unless stated otherwise).
+
+    The gate keeps a read-only copy of its matrix, so gates, and the
+    programs holding them, compare and hash by value."""
 
     ion: int
     matrix: np.ndarray
     label: str = ""
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128)
+        m = np.array(self.matrix, dtype=np.complex128)
         if m.shape != (3, 3):
             raise ValidationError("instantaneous gate must be 3x3")
         if not np.allclose(m @ m.conj().T, np.eye(3), atol=1e-12):
             raise ValidationError(f"instantaneous gate {self.label!r} is not unitary")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InstantGate):
+            return NotImplemented
+        return ((self.ion, self.label) == (other.ion, other.label)
+                and np.array_equal(self.matrix, other.matrix))
+
+    def __hash__(self) -> int:
+        return hash((self.ion, self.label, self.matrix.tobytes()))
 
 
 ProgramItem = Pulse | InstantGate
@@ -66,6 +80,14 @@ class PulseProgram:
     """Ordered pulse/instant-gate sequence."""
 
     items: tuple[ProgramItem, ...] = field(default_factory=tuple)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # computed once: the engine's caches hash a program on every run
+        return hash(self.items)
 
     def __add__(self, other: "PulseProgram") -> "PulseProgram":
         return PulseProgram(items=self.items + other.items)

@@ -7,10 +7,16 @@ states.  Basis ordering: ion 0 is the most significant internal digit
 and the phonon number is the fastest index, i.e.
 
     flat = (digit_0 * 3^(n-1) + ... + digit_{n-1}) * cutoff + n_phonon.
+
+An evolution usually reaches only a few of these states: a ``Subspace``
+is such a set, and the engine's operators act on the amplitudes of its
+states alone (see ``evolve.reachable``).  The whole register is the
+subspace of every state.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,29 +168,122 @@ class QuantumState:
         return 1.0 - float(self.computational_probabilities().sum())
 
 
-def apply_internal_unitary(amplitudes: np.ndarray, layout: RegisterLayout,
+@dataclass(frozen=True, eq=False)
+class Subspace:
+    """A set of basis states of a register: ``states`` holds their flat
+    indices in increasing order, and an amplitude array over the
+    subspace holds one entry per state, in that order (state axis
+    last).
+
+    An operator that maps the subspace into itself acts exactly on
+    those amplitudes, since every other amplitude stays zero:
+    ``restrict`` drops the others and ``embed`` puts the zeros back.
+    A subspace compares and hashes by identity: each is built once and
+    cached (``whole_register``, ``evolve.reachable``), and so are the
+    index tables its operators gather through.
+    """
+
+    layout: RegisterLayout
+    states: np.ndarray = field(repr=False)
+    _tables: dict = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        states = np.array(self.states, dtype=np.intp)
+        states.flags.writeable = False
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "_tables", {})
+
+    @property
+    def dim(self) -> int:
+        return self.states.size
+
+    def _table(self, key, build):
+        if key not in self._tables:
+            self._tables[key] = build()
+        return self._tables[key]
+
+    def restrict(self, amplitudes: np.ndarray) -> np.ndarray:
+        """The subspace's amplitudes of register states (state axis last)."""
+        return np.take(amplitudes, self.states, axis=-1)
+
+    def embed(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Register states from the subspace's amplitudes (state axis
+        last): zero outside the subspace."""
+        out = np.zeros(amplitudes.shape[:-1] + (self.layout.dim,), dtype=np.complex128)
+        out[..., self.states] = amplitudes
+        return out
+
+    def positions(self, flat: np.ndarray) -> np.ndarray:
+        """Position in the subspace of each flat register index, -1 for
+        a state outside it."""
+        def build():
+            lookup = np.full(self.layout.dim, -1, dtype=np.intp)
+            lookup[self.states] = np.arange(self.dim)
+            return lookup
+
+        return self._table("positions", build)[flat]
+
+    def levels(self, ion: int) -> np.ndarray:
+        """Internal level of ``ion`` in each state of the subspace."""
+        return self._table(("levels", ion), lambda: (self.states // self._stride(ion))
+                           % self.layout.internal_dim)
+
+    def level_shifts(self, ion: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row k of each array concerns each state's copy with ``ion``'s
+        level raised by k (mod 3): that level, the copy's position, and
+        whether the copy is in the subspace (where it is not, the
+        position is 0).  Row 0 is each state itself."""
+        def build():
+            levels = self.levels(ion)
+            shifted = (levels + np.arange(self.layout.internal_dim)[:, None]) % \
+                self.layout.internal_dim
+            positions = self.positions(self.states + (shifted - levels) * self._stride(ion))
+            kept = positions >= 0
+            return shifted, np.where(kept, positions, 0), kept
+
+        return self._table(("shifts", ion), build)
+
+    def _stride(self, ion: int) -> int:
+        self.layout.check_ion(ion)
+        return (self.layout.internal_dim ** (self.layout.n_ions - ion - 1)
+                * self.layout.phonon_cutoff)
+
+
+@functools.lru_cache(maxsize=16)
+def whole_register(layout: RegisterLayout) -> Subspace:
+    """The subspace of every state of the register."""
+    return Subspace(layout, np.arange(layout.dim))
+
+
+def as_subspace(space: Subspace | RegisterLayout) -> Subspace:
+    """``space`` itself, or the whole register for a layout."""
+    return space if isinstance(space, Subspace) else whole_register(space)
+
+
+def apply_internal_unitary(amplitudes: np.ndarray, space: Subspace | RegisterLayout,
                            ion: int, matrix: np.ndarray) -> np.ndarray:
     """Apply a 3x3 internal unitary to one ion (new array returned).
 
-    Accepts batches with the state axis last, shape (..., dim).  The
-    sum over the three input levels skips zero matrix entries, of which
-    the programs' phase and Hadamard-like gates have four to six.
+    ``amplitudes`` are states of ``space`` (a layout stands for the
+    whole register), batches allowed with the state axis last; the
+    subspace must hold every state the unitary reaches from their
+    support.  The output of a state with the ion in level a sums
+    matrix[a, b] times the amplitude of its copy with the ion in level
+    b: one weighted term per shift b - a (mod 3), of which shift 0 is
+    the state itself and the others are gathers.  A shift whose weights
+    are all zero is skipped, so a phase gate is one product and a
+    Hadamard-like gate two gathers.
     """
-    layout.check_ion(ion)
-    lead = layout.internal_dim**ion
-    rest = layout.dim // (lead * layout.internal_dim)
-    shape = amplitudes.shape
-    block = amplitudes.reshape(-1, lead, layout.internal_dim, rest)
-    out = np.empty(block.shape, dtype=np.result_type(matrix, amplitudes))
-    for a in range(layout.internal_dim):
-        target = out[:, :, a, :]
-        terms = [(matrix[a, b], block[:, :, b, :])
-                 for b in range(layout.internal_dim) if matrix[a, b] != 0.0]
-        if not terms:
-            target[...] = 0.0
-        for k, (entry, level) in enumerate(terms):
-            if k == 0:
-                np.multiply(level, entry, out=target)
-            else:
-                target += entry * level
-    return out.reshape(shape)
+    space = as_subspace(space)
+    shifted, sources, kept = space.level_shifts(ion)
+    weights = np.where(kept, np.asarray(matrix)[space.levels(ion), shifted], 0.0)
+    out = None
+    for shift, (source, weight) in enumerate(zip(sources, weights)):
+        if not weight.any():
+            continue
+        term = weight * (amplitudes if shift == 0 else np.take(amplitudes, source, axis=-1))
+        if out is None:
+            out = term
+        else:
+            out += term
+    return np.zeros(np.shape(amplitudes), dtype=np.complex128) if out is None else out

@@ -188,8 +188,8 @@ def test_simulate_dft_too_few_ions_exits_2(tmp_path, capsys, ions):
         assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("seed, traj", [(-5, 1), (2**128 - 2, 3)],
-                         ids=["negative", "past-2**128"])
+@pytest.mark.parametrize("seed, traj", [(-5, 1), (2**128 - 2, 3), (2**63 - 2, 3)],
+                         ids=["negative", "past-2**128", "past-2**63"])
 def test_simulate_dft_out_of_range_seed_exits_2_before_any_work(tmp_path, capsys,
                                                                 monkeypatch, seed, traj):
     def never(*args, **kwargs):
@@ -202,7 +202,7 @@ def test_simulate_dft_out_of_range_seed_exits_2_before_any_work(tmp_path, capsys
                              "--out", str(tmp_path))
     assert code == EXIT_INPUT
     assert out == ""
-    assert "[0, 2**128)" in err and str(seed) in err
+    assert "[0, 2**63)" in err and str(seed) in err
     assert not any(tmp_path.iterdir())
 
 

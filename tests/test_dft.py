@@ -344,7 +344,7 @@ def test_pilot_estimate_is_stratified_on_the_no_jump_event():
     trajectory that never jumps has Lambda = -ln P0 exactly."""
     layout, program, initial = _four_ion_experiment()
     gamma, n = 7e-4, CALIBRATION_PILOT_SIZE
-    seeds = range(CALIBRATION_SEED_BASE, CALIBRATION_SEED_BASE + n)
+    seeds = evolve.stream_keys(CALIBRATION_SEED_BASE, n)
     estimate = _pilot_mean_jumps(program, layout, initial, gamma, True, n,
                                  CALIBRATION_SEED_BASE)
     rates, p0 = _jumper_rates_and_p0(program, layout, initial, gamma, seeds)
@@ -362,7 +362,7 @@ def test_pilot_estimate_when_every_pilot_jumps(monkeypatch):
     experiment = compile_experiment(layout, PulseParams())
     program, initial = experiment.program, experiment.initial
     gamma, n = 1e-3, CALIBRATION_PILOT_SIZE
-    seeds = range(CALIBRATION_SEED_BASE, CALIBRATION_SEED_BASE + n)
+    seeds = evolve.stream_keys(CALIBRATION_SEED_BASE, n)
     rates, p0 = _jumper_rates_and_p0(program, layout, initial, gamma, seeds)
     assert rates.size == n and p0 < 1e-2
     branches = []
@@ -385,7 +385,7 @@ def test_pilot_estimate_when_no_pilot_jumps():
     the mean of the pilots' integrated jump rates."""
     layout, program, initial = _four_ion_experiment()
     gamma, n = 1e-7, CALIBRATION_PILOT_SIZE
-    seeds = range(CALIBRATION_SEED_BASE, CALIBRATION_SEED_BASE + n)
+    seeds = evolve.stream_keys(CALIBRATION_SEED_BASE, n)
     rates, p0 = _jumper_rates_and_p0(program, layout, initial, gamma, seeds)
     assert rates.size == 0 and 0.0 < -math.log(p0) < 1e-2
     estimate = _pilot_mean_jumps(program, layout, initial, gamma, True, n,
@@ -539,9 +539,13 @@ def test_experiment_statistics_and_artifacts(tmp_path):
 
 def test_report_does_not_depend_on_the_block_budget(monkeypatch):
     """The report is reduced block by block: 150 four-ion trajectories
-    give the same arrays at the default budget (one block) and at 16384
-    amplitudes (several blocks)."""
+    give the same arrays at the default budget (one block) and at 67
+    rows of the experiment's closure (several blocks)."""
     layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+    experiment = compile_experiment(layout, PulseParams())
+    closure = evolve.reachable(experiment.program, layout,
+                               qubit_channels(layout, 7e-4, gamma_aux=7e-4),
+                               experiment.initial.amplitudes)
     readout = dft.frequency_distribution
     block_sizes = []
 
@@ -557,7 +561,7 @@ def test_report_does_not_depend_on_the_block_budget(monkeypatch):
         return report, len(block_sizes)
 
     default, n_default = run()
-    monkeypatch.setattr(evolve, "BLOCK_AMPLITUDES", 16384)
+    monkeypatch.setattr(evolve, "BLOCK_AMPLITUDES", 67 * closure.dim)
     small, n_small = run()
     assert n_default == 1 and n_small >= 2
     assert default.class_counts()["zero"] > 0 and default.class_counts()["multi"] > 0
@@ -566,9 +570,9 @@ def test_report_does_not_depend_on_the_block_budget(monkeypatch):
 
 
 def test_largest_seeds_reach_trajectories_csv(tmp_path):
-    """Seeds stay exact Python integers up to the top of the Philox key
+    """Seeds stay exact Python integers up to the top of the user seed
     range."""
-    seed0 = 2**128 - 3
+    seed0 = 2**63 - 3
     report = dft_experiment(n_trajectories=3, gamma11=7e-4, seed0=seed0,
                             layout=RegisterLayout(n_ions=4, phonon_cutoff=3))
     write_trajectories_csv(report, tmp_path / "trajectories.csv")
@@ -590,3 +594,81 @@ def test_experiment_deterministic_artifacts(tmp_path):
 def test_experiment_rejects_bad_trajectory_count():
     with pytest.raises(ValidationError):
         dft_experiment(n_trajectories=0, gamma11=0.0)
+
+
+def test_runs_with_different_seeds_share_no_stream():
+    """A stream's key is (seed0 << 64) | index: its top 64 bits are the
+    run's base seed and its low 64 bits the trajectory index, so base
+    seeds 7 and 8 share no key at any index (before, seed 8's
+    trajectory k was seed 7's trajectory k + 1).  The calibration
+    pilots' base seed lies past every user seed, so each pilot key is
+    larger than the largest key an accepted user seed gives."""
+    n = 100_000
+    keys7, keys8 = evolve.stream_keys(7, n), evolve.stream_keys(8, n)
+    assert not set(keys7) & set(keys8)
+    for seed0, keys in ((7, keys7), (8, keys8)):
+        assert [key >> 64 for key in keys] == [seed0] * n
+        assert [key & (2**64 - 1) for key in keys] == list(range(n))
+
+    largest_user_key = ((evolve.SEED_LIMIT - 1) << 64) | (2**64 - 1)
+    evolve.check_seeds(0, evolve.SEED_LIMIT - 1)
+    with pytest.raises(ValidationError):
+        evolve.check_seeds(CALIBRATION_SEED_BASE, CALIBRATION_SEED_BASE)
+    pilot_keys = evolve.stream_keys(CALIBRATION_SEED_BASE, CALIBRATION_PILOT_SIZE)
+    assert min(pilot_keys) > largest_user_key
+    assert all(key >> 127 == 1 for key in pilot_keys)
+
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+    run7, run8 = (dft_experiment(n_trajectories=50, gamma11=7e-4, layout=layout, seed0=seed0)
+                  for seed0 in (7, 8))
+    times7 = np.split(run7.jump_times, np.cumsum(run7.jump_counts)[:-1])
+    times8 = np.split(run8.jump_times, np.cumsum(run8.jump_counts)[:-1])
+    assert not any(a.size and np.array_equal(a, b) for a, b in zip(times7[1:], times8))
+
+
+def test_aux_and_no_aux_calls_share_no_closure_or_propagator(monkeypatch):
+    """One process runs a five-ion call without auxiliary-level decay,
+    then one with it: the second finds its own closure and builds its
+    own propagators, whose decay includes the auxiliary channels, and
+    its report equals one computed after every engine cache is
+    cleared."""
+    layout = RegisterLayout(n_ions=5, phonon_cutoff=3)
+    closures, propagators = {False: [], True: []}, {False: [], True: []}
+    reach, build = evolve.reachable, evolve.pulse_propagator
+    aux_now = []
+
+    def spy_reach(*args):
+        closures[aux_now[0]].append(reach(*args))
+        return closures[aux_now[0]][-1]
+
+    def spy_build(*args):
+        propagators[aux_now[0]].append(build(*args))
+        return propagators[aux_now[0]][-1]
+
+    def run(aux):
+        aux_now[:] = [aux]
+        return dft_experiment(n_trajectories=40, gamma11=6e-4, layout=layout, seed0=9,
+                              include_aux_channel=aux)
+
+    def clear_caches():
+        for cache in (compile_experiment, evolve._closure, build, evolve._jump_rates):
+            cache.cache_clear()
+
+    clear_caches()
+    monkeypatch.setattr(evolve, "reachable", spy_reach)
+    monkeypatch.setattr(evolve, "pulse_propagator", spy_build)
+    run(False)
+    after = run(True)
+    assert closures[False] and closures[True] and propagators[False] and propagators[True]
+    assert not {id(c) for c in closures[False]} & {id(c) for c in closures[True]}
+    assert not {id(p) for p in propagators[False]} & {id(p) for p in propagators[True]}
+    for aux, built in propagators.items():
+        for propagator in built:
+            space = propagator.space
+            aux_only = np.all([space.levels(k) != 1 for k in range(5)], axis=0) & np.any(
+                [space.levels(k) == 2 for k in range(5)], axis=0)
+            assert aux_only.any() and np.all(propagator.decay[aux_only] > 0.0) == aux
+    clear_caches()
+    fresh = run(True)
+    for name in REPORT_ARRAYS:
+        assert np.array_equal(getattr(after, name), getattr(fresh, name)), name

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import first_jump_times
-from ionjump import evolve
+from ionjump import dft, evolve
 from ionjump.dft import compile_experiment
 from ionjump.evolve import (
     BLOCK_AMPLITUDES,
@@ -23,14 +23,19 @@ from ionjump.evolve import (
     trajectory_rng,
 )
 from ionjump.errors import ValidationError
-from ionjump.gates import CNOT, PulseParams, compile_gate
+from ionjump.gates import CNOT, Hadamard, PulseParams, compile_gate
 from ionjump.hamiltonians import (
     build_carrier_hamiltonian,
     build_raman_hamiltonian,
     build_sideband_hamiltonian,
 )
-from ionjump.program import InstantGate, Pulse, PulseProgram, QUBIT_CARRIER
-from ionjump.register import QuantumState, RegisterLayout, apply_internal_unitary
+from ionjump.program import AUX_SIDEBAND, InstantGate, Pulse, PulseProgram, QUBIT_CARRIER
+from ionjump.register import (
+    QuantumState,
+    RegisterLayout,
+    apply_internal_unitary,
+    whole_register,
+)
 
 KS_CRITICAL_1PCT = 1.628  # asymptotic Kolmogorov-Smirnov quantile at alpha = 0.01
 
@@ -179,20 +184,33 @@ def test_jump_applied_at_root_found_time():
                          - expected / np.linalg.norm(expected))) < 1e-9
 
 
+#: Rows of jumped trajectories a block holds in the tests that lower the
+#: block budget so that an ensemble spans several blocks.
+SMALL_BLOCK_ROWS = 67
+
+
+def _budget_rows(monkeypatch, program, layout, channels, initial):
+    """Lower the block budget to SMALL_BLOCK_ROWS rows of the states the
+    engine carries (the program's closure); returns their number."""
+    dim = evolve.reachable(program, layout, channels, initial.amplitudes).dim
+    monkeypatch.setattr(evolve, "BLOCK_AMPLITUDES", SMALL_BLOCK_ROWS * dim)
+    return dim
+
+
 def test_block_ensemble_matches_one_row_runs(monkeypatch):
     """An ensemble over several blocks, its size no multiple of the block
     rows, against one run_trajectory per seed: same seeds in order, same
     jumps and channels, same jump times and final states.  Long decaying
     carrier pulses make rows jump again inside a pulse.  The budget is
     lowered so that 150 seeds span several blocks."""
-    monkeypatch.setattr(evolve, "BLOCK_AMPLITUDES", 16384)
     layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
     carriers = PulseProgram(tuple(Pulse(ion=k, transition=QUBIT_CARRIER, rabi=1.0,
                                         duration=20.0) for k in range(4)))
     program = compile_gate(CNOT(0, 1), layout) + carriers
     channels = qubit_channels(layout, 0.02, gamma_aux=0.02)
     initial = QuantumState.from_computational(layout, {0b1010: 1.0, 0b0111: 1.0})
-    n, rows = 150, evolve.BLOCK_AMPLITUDES // layout.dim
+    dim = _budget_rows(monkeypatch, program, layout, channels, initial)
+    n, rows = 150, evolve.BLOCK_AMPLITUDES // dim
     assert n > rows and n % rows != 0
     blocks = trajectory_blocks(program, layout, channels, range(40, 40 + n), initial)
     ensemble = [(seed, state, row) for block_seeds, states, jumps, *_ in blocks
@@ -222,13 +240,13 @@ def test_first_jump_leaves_the_no_jump_branch(monkeypatch):
     ensemble spans several blocks (the budget is lowered for that),
     later ones sized by the rows that jump, with zero-jump rows and rows
     that jump twice in one pulse."""
-    monkeypatch.setattr(evolve, "BLOCK_AMPLITUDES", 16384)
     layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
     carriers = PulseProgram(tuple(Pulse(ion=k, transition=QUBIT_CARRIER, rabi=1.0,
                                         duration=20.0) for k in range(4)))
     program = compile_gate(CNOT(0, 1), layout) + carriers
     channels = qubit_channels(layout, 5e-4, gamma_aux=5e-4)
     initial = QuantumState.from_computational(layout, {0b1010: 1.0, 0b0111: 1.0})
+    dim = _budget_rows(monkeypatch, program, layout, channels, initial)
 
     pulses, end_norm2 = [], []     # (start time, start state, propagator) per pulse
     psi, t = initial.amplitudes, 0.0
@@ -248,7 +266,7 @@ def test_first_jump_leaves_the_no_jump_branch(monkeypatch):
 
     seeds = range(40, 340)
     blocks = list(trajectory_blocks(program, layout, channels, seeds, initial))
-    rows = evolve.BLOCK_AMPLITUDES // layout.dim
+    rows = evolve.BLOCK_AMPLITUDES // dim
     assert [seed for block_seeds, *_ in blocks for seed in block_seeds] == list(seeds)
     assert len(blocks) >= 3 and len(blocks[0][0]) == rows
     assert any(len(block_seeds) > rows for block_seeds, *_ in blocks[1:])
@@ -277,9 +295,9 @@ def test_first_jump_leaves_the_no_jump_branch(monkeypatch):
 
 def test_results_do_not_depend_on_the_block_budget(monkeypatch):
     """The block budget only decides how trajectories are grouped: 400
-    seeds at dim 243 run as one block at the default budget and as at
-    least three at 16384 amplitudes, with the same jumps and final
-    states."""
+    seeds on the program's 40-state closure run as one block at the
+    default budget and as at least three at SMALL_BLOCK_ROWS rows, with
+    the same jumps and final states."""
     layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
     carriers = PulseProgram(tuple(Pulse(ion=k, transition=QUBIT_CARRIER, rabi=1.0,
                                         duration=20.0) for k in range(4)))
@@ -293,10 +311,11 @@ def test_results_do_not_depend_on_the_block_budget(monkeypatch):
         states = np.concatenate([block_states for _, block_states, *_ in blocks])
         return len(blocks), states, [row for _, _, jumps, *_ in blocks for row in jumps]
 
-    assert layout.dim == 243 and len(seeds) <= BLOCK_AMPLITUDES // layout.dim
+    dim = evolve.reachable(program, layout, channels, initial.amplitudes).dim
+    assert dim == 40 and len(seeds) <= BLOCK_AMPLITUDES // dim
     n_blocks, states, jumps = run()
     assert n_blocks == 1
-    monkeypatch.setattr(evolve, "BLOCK_AMPLITUDES", 16384)
+    _budget_rows(monkeypatch, program, layout, channels, initial)
     n_small, small_states, small_jumps = run()
     assert n_small >= 3
     assert any(len(row) > 1 for row in jumps) and any(not row for row in jumps)
@@ -434,7 +453,7 @@ def test_driven_ensemble_matches_damped_rabi_master_solution():
         program = _single_pulse_program(omega, duration=2.0, n_pulses=k)
         # renormalized population of the upper qubit level of ion 0
         populations = np.concatenate([
-            (np.abs(evolve._level_view(states, layout, 0, 1)) ** 2).sum(axis=(-2, -1))
+            (np.abs(states.reshape(-1, 3, layout.phonon_cutoff)[:, 1]) ** 2).sum(axis=-1)
             / evolve._norm2(states)
             for _, states, *_ in trajectory_blocks(program, layout, channels,
                                                    range(77, 77 + n), initial)])
@@ -554,3 +573,93 @@ def test_seeds_outside_the_philox_key_range_are_rejected(seed):
     with pytest.raises(ValidationError, match=r"\[0, 2\*\*128\)"):
         list(trajectory_blocks(program, layout, qubit_channels(layout, 0.1), [3, seed],
                                initial))
+
+
+def test_closure_follows_couplings_gates_and_jumps():
+    """One ion on an auxiliary sideband pulse from |0, n=1>: the pulse
+    reaches |2, n=0>, whose auxiliary-level jump reaches |0, n=0>, which
+    the pulse does not couple; a Hadamard then adds level 1 of each
+    state in level 0."""
+    layout = RegisterLayout(n_ions=1, phonon_cutoff=3)
+    sideband = Pulse(ion=0, transition=AUX_SIDEBAND, rabi=1.0, duration=1.0, eta=0.2)
+    start = np.zeros(layout.dim)
+    start[layout.basis_index((0,), 1)] = 1.0
+
+    def states(program, channels):
+        space = evolve.reachable(program, layout, channels, start)
+        return {(int(k) // 3, int(k) % 3) for k in space.states}   # (level, phonon)
+
+    pulse = PulseProgram((sideband,))
+    aux = [JumpChannel(ion=0, gamma=0.1, upper_level=2)]
+    assert states(pulse, []) == {(0, 1), (2, 0)}
+    assert states(pulse, qubit_channels(layout, 0.1)) == {(0, 1), (2, 0)}
+    assert states(pulse, aux) == {(0, 1), (2, 0), (0, 0)}
+    hadamard = pulse + compile_gate(Hadamard(0), layout)
+    assert states(hadamard, aux) == {(0, 1), (2, 0), (0, 0), (1, 1), (1, 0)}
+
+
+def _whole_register_oracle(monkeypatch):
+    """Run the engine on the whole register: every closure is every state."""
+    monkeypatch.setattr(evolve, "reachable",
+                        lambda program, layout, channels, states: whole_register(layout))
+
+
+@pytest.mark.parametrize("aux", [True, False], ids=["aux", "no-aux"])
+@pytest.mark.parametrize("n_ions, gamma", [(4, 7e-4), (5, 1.2e-4)])
+def test_no_amplitude_leaves_the_closure(monkeypatch, n_ions, gamma, aux):
+    """On the whole register, 300 DFT trajectories never give a state
+    outside the engine's closure a nonzero amplitude: not at any pulse
+    end, not at any jump (before or after it) and not at the end."""
+    layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
+    experiment = compile_experiment(layout, PulseParams())
+    channels = qubit_channels(layout, gamma, gamma_aux=gamma if aux else None)
+    closure = evolve.reachable(experiment.program, layout, channels,
+                               experiment.initial.amplitudes)
+    outside = np.ones(layout.dim, dtype=bool)
+    outside[closure.states] = False
+    advance, apply = evolve._advance, JumpChannel.apply
+    pulses, picks = [0], []
+
+    def checked_advance(block, key, propagator, start, t_start):
+        out = advance(block, key, propagator, start, t_start)
+        assert not np.any(start[:, outside]) and not np.any(out[:, outside])
+        pulses[0] += 1
+        return out
+
+    def checked_apply(channel, amplitudes, space):
+        out = apply(channel, amplitudes, space)
+        assert not np.any(amplitudes[..., outside]) and not np.any(out[..., outside])
+        picks.append(channel.upper_level)
+        return out
+
+    _whole_register_oracle(monkeypatch)
+    monkeypatch.setattr(evolve, "_advance", checked_advance)
+    monkeypatch.setattr(JumpChannel, "apply", checked_apply)
+    for _, states, *_ in trajectory_blocks(experiment.program, layout, channels, range(300),
+                                           experiment.initial):
+        assert states.shape[-1] == layout.dim and not np.any(states[:, outside])
+    assert closure.dim < layout.dim and pulses[0] and picks
+    assert (2 in picks) == (aux and n_ions == 5)    # four ions never reach level 2
+
+
+def test_restricted_engine_matches_the_whole_register_on_the_c7_seeds(monkeypatch):
+    """The C7 ensemble (five ions, calibrated gamma, 1000 trajectories,
+    seed 7) on the closure and on the whole register: the same
+    calibrated gamma, jump counts and channels, jump times to rel 1e-12,
+    and fidelities and DFT distributions to 1e-12."""
+    def run():
+        compile_experiment.cache_clear()
+        return dft.dft_experiment(n_trajectories=1000, gamma11="auto", seed0=7)
+
+    restricted = run()
+    _whole_register_oracle(monkeypatch)
+    whole = run()
+    monkeypatch.undo()
+    compile_experiment.cache_clear()
+    assert whole.gamma11 == pytest.approx(restricted.gamma11, rel=1e-12)
+    assert np.array_equal(whole.jump_counts, restricted.jump_counts)
+    assert np.array_equal(whole.jump_channels, restricted.jump_channels)
+    assert np.all(np.abs(whole.jump_times - restricted.jump_times)
+                  <= 1e-12 * restricted.jump_times)
+    assert np.max(np.abs(whole.fidelities - restricted.fidelities)) <= 1e-12
+    assert np.max(np.abs(whole.distributions - restricted.distributions)) <= 1e-12

@@ -79,7 +79,7 @@ def per_pair_propagator(h, decay=None):
     pair: the oracle of the grouped ``Hamiltonian.pair_propagator``."""
     diag = h.diag if decay is None else h.diag - 1j * decay
     i, j, g = h.pair_i, h.pair_j, h.pair_g
-    perm = np.arange(h.layout.dim)
+    perm = np.arange(h.space.dim)
     perm[i], perm[j] = j, i
     rate = -1j * diag
     avg_rate = 0.5 * (rate[i] + rate[j])
@@ -115,7 +115,7 @@ def _diagonal_pairs(layout):
     diag = np.random.default_rng(2).choice([0.0, 0.3, -1.1], size=layout.dim)
     free = np.setdiff1d(np.arange(layout.dim), np.concatenate([h.pair_i, h.pair_j]))
     a, b = free[0], free[np.flatnonzero(diag[free] == diag[free[0]])[1]]
-    return Hamiltonian(layout=layout, diag=diag,
+    return Hamiltonian(space=h.space, diag=diag,
                        pair_i=np.append(h.pair_i, a), pair_j=np.append(h.pair_j, b),
                        pair_g=np.append(h.pair_g, 0.0))
 
