@@ -11,9 +11,10 @@ Trajectories run in row blocks of one batched engine, propagate each
 pulse exactly and place every jump at its root-found time (see
 ``evolve.trajectory_blocks``).  ``dft_experiment`` reduces each block
 as it arrives to the arrays of ``EnsembleReport`` (jump counts, jump
-times and channels, fidelities and DFT distributions) and drops its
-final states, so an ensemble holds about one block of states however
-many trajectories it runs.  The exact spectrum comes from
+times and channels, fidelities and DFT distributions), reading the
+final states out on the amplitudes of their closure, and drops them,
+so an ensemble holds about one block of closure states however many
+trajectories it runs.  The exact spectrum comes from
 ``ideal_dft_oracle``, a direct O(N^2) summation independent of the
 circuit and of the propagator.  The compiled network, its input state,
 its loss-free output and the exact spectrum depend only on the register
@@ -47,7 +48,7 @@ from .evolve import (
 )
 from .gates import ControlledPhase, Hadamard, PulseParams, compile_gate
 from .program import PulseProgram
-from .register import QuantumState, RegisterLayout
+from .register import AUX_LEVEL, QuantumState, RegisterLayout, Subspace
 
 JUMP_CLASSES = ("zero", "one", "multi")
 
@@ -103,24 +104,27 @@ def qft_program(layout: RegisterLayout, params: PulseParams | None = None) -> Pu
     return program
 
 
-def frequency_distribution(states: np.ndarray, layout: RegisterLayout) -> np.ndarray:
-    """Map register bit-pattern probabilities to DFT bins, one row per
-    state of an (n, dim) batch.
+def frequency_distribution(states: np.ndarray, space: Subspace) -> np.ndarray:
+    """Map bit-pattern probabilities to DFT bins, one row per state of
+    an (n, space.dim) batch of states of ``space``.
 
     Each row holds the renormalized probabilities of the 2^n bit
     patterns with the phonon traced out; auxiliary-level population is
     excluded, so a row sums to one minus the state's leakage.  The
     Fourier network leaves its output bit-reversed; readout applies the
     reversal so bin k of the result is directly comparable with the
-    oracle spectrum.
+    oracle spectrum: a state whose ion j is in level b_j (ion 0 the
+    most significant bit of the pattern) goes to bin sum_j b_j 2^j.
     """
-    n = layout.n_ions
+    n = space.layout.n_ions
+    levels = np.stack([space.levels(ion) for ion in range(n)])
+    kept = np.flatnonzero(np.all(levels < AUX_LEVEL, axis=0))
+    bins = levels[:, kept].T @ (1 << np.arange(n))
     density = np.abs(states) ** 2
-    grid = density.reshape((-1,) + layout.internal_shape()).sum(axis=-1)
-    probs = grid[(slice(None),) + (slice(0, 2),) * n].reshape(-1, 2**n)
-    # bin k reads pattern reverse(k): the pattern index with its n bits reversed
-    reversal = np.arange(2**n).reshape((2,) * n).transpose().ravel()
-    return probs[:, reversal] / density.sum(axis=-1)[:, None]
+    rows = np.arange(len(density))[:, None] * 2**n
+    probs = np.bincount((rows + bins).ravel(), weights=density[:, kept].ravel(),
+                        minlength=len(density) * 2**n)
+    return probs.reshape(-1, 2**n) / density.sum(axis=-1)[:, None]
 
 
 #: Gauss-Legendre nodes per pulse of the excitation integral.  Bus
@@ -175,18 +179,19 @@ def _pilot_mean_jumps(program: PulseProgram, layout: RegisterLayout,
 
     The r_kj are the thresholds trajectory k crossed, summed by the
     engine, and psi_k(T) is its final state as the block returns it,
-    unnormalized since its last jump.  A trajectory that never jumped
-    ends in the no-jump branch, whose squared norm is P0 exactly, and
-    its Lambda is -ln P0; only the jumpers' mean is sampled.  When every
+    unnormalized since its last jump; its squared norm is summed over
+    the closure's amplitudes.  A trajectory that never jumped ends in
+    the no-jump branch, whose squared norm is P0 exactly, and its
+    Lambda is -ln P0; only the jumpers' mean is sampled.  When every
     pilot jumps, P0 comes from the branch propagated alone (its maps are
     cached by then); when none does, the estimate is -ln P0."""
     channels = qubit_channels(layout, gamma,
                               gamma_aux=gamma if include_aux else None)
     seeds = stream_keys(seed_base, n_pilot)
     p0, jumper_rates = None, []
-    for _, states, jumps, rate_integrals in trajectory_blocks(program, layout, channels,
-                                                              seeds, initial):
-        norm2 = (states.real**2 + states.imag**2).sum(axis=-1)
+    for _, states, jumps, rate_integrals, _ in trajectory_blocks(program, layout, channels,
+                                                                 seeds, initial):
+        norm2 = (np.abs(states) ** 2).sum(axis=-1)
         jumped = np.array([bool(row) for row in jumps])
         jumper_rates.append(rate_integrals[jumped] - np.log(norm2[jumped]))
         if not jumped.all():
@@ -430,16 +435,16 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
                               gamma_aux=gamma if include_aux_channel else None)
     channels = [ch for ch in channels if ch.gamma > 0.0]
 
-    # each block is reduced to the report's values as it arrives, and its
-    # final states are dropped before the next block runs
+    # each block is reduced to the report's values on its closure as it
+    # arrives, and its final states are dropped before the next block runs
     counts, jumps, fidelity_blocks, distribution_blocks = [], [], [], []
-    for _, states, rows, *_ in trajectory_blocks(program, layout, channels,
-                                                 stream_keys(seed0, n_trajectories),
-                                                 initial):
+    for _, states, rows, _, space in trajectory_blocks(program, layout, channels,
+                                                       stream_keys(seed0, n_trajectories),
+                                                       initial):
         counts += map(len, rows)
         jumps += itertools.chain.from_iterable(rows)
-        fidelity_blocks.append(fidelities(states, experiment.ideal_final))
-        distribution_blocks.append(frequency_distribution(states, layout))
+        fidelity_blocks.append(fidelities(states, space.restrict(experiment.ideal_final)))
+        distribution_blocks.append(frequency_distribution(states, space))
         del states
     counts = np.array(counts)
     distributions = np.concatenate(distribution_blocks)

@@ -31,8 +31,11 @@ three.  The whole register is the closure that holds every state.  The
 closure is computed once per (program, register, support, kinds of
 channel), and each pulse's propagator and end-of-pulse map once per
 (pulse, closure, channels).  ``_walk`` is the one walk through a
-program: it carries the engine's rows and every other propagation, and
-``run_program`` runs it on register states.
+program: it carries the engine's rows and every other propagation.
+States stay on the closure from the engine to the readout
+(``trajectory_blocks`` hands back closure amplitudes and the closure);
+register states appear only at the edges, in ``run_program`` and
+``run_trajectory``.
 
 One engine runs every ensemble, and a single trajectory is its
 one-seed case.  All trajectories run the same program, so they advance
@@ -67,7 +70,7 @@ seeds until BLOCK_AMPLITUDES // dim of them will jump (the first
 block, before that norm is known, takes that many seeds), so while it
 runs it holds at most 1 + BLOCK_AMPLITUDES // dim rows of amplitudes
 (dim: the closure's size) however large the ensemble; only the final
-states it hands back have one row per seed, over the whole register.
+states it hands back have one row per seed, on the closure too.
 The budget is 2**17 amplitudes: 8192 rows on the 16-state four-ion
 closure, 481 on the 272-state five-ion one.  A 31-seed calibration
 pilot runs as one block at four and five ions, and about budget /
@@ -111,13 +114,7 @@ import numpy as np
 from .errors import ValidationError
 from .hamiltonians import Hamiltonian, build_pulse_hamiltonian
 from .program import InstantGate, Pulse, PulseProgram
-from .register import (
-    QuantumState,
-    RegisterLayout,
-    Subspace,
-    apply_internal_unitary,
-    as_subspace,
-)
+from .register import QuantumState, RegisterLayout, Subspace, apply_internal_unitary
 
 #: Largest tolerated *increase* of the squared norm over one propagation.
 _NORM_SLACK = 1e-12
@@ -158,19 +155,17 @@ class JumpChannel:
         if self.upper_level not in (1, 2):
             raise ValidationError("upper_level must be 1 or 2")
 
-    def weight(self, amplitudes: np.ndarray, space: Subspace | RegisterLayout) -> float:
+    def weight(self, amplitudes: np.ndarray, space: Subspace) -> float:
         """<psi| c^dag c |psi> = 2*gamma * population of the upper level,
-        for a state of ``space`` (a layout stands for the whole register)."""
-        space = as_subspace(space)
+        for a state of ``space``."""
         upper = np.compress(space.levels(self.ion) == self.upper_level, amplitudes, axis=-1)
         return 2.0 * self.gamma * float(np.vdot(upper, upper).real)
 
-    def apply(self, amplitudes: np.ndarray, space: Subspace | RegisterLayout) -> np.ndarray:
-        """c |psi> (unnormalized) for states of ``space`` (a layout stands
-        for the whole register), state axis last: one gather of each
-        state's copy with the ion in the upper level, weighted
-        sqrt(2*gamma) where the ion is in |0> and 0 elsewhere."""
-        space = as_subspace(space)
+    def apply(self, amplitudes: np.ndarray, space: Subspace) -> np.ndarray:
+        """c |psi> (unnormalized) for states of ``space``, state axis
+        last: one gather of each state's copy with the ion in the upper
+        level, weighted sqrt(2*gamma) where the ion is in |0> and 0
+        elsewhere."""
         _, sources, kept = space.level_shifts(self.ion)     # shift = upper - 0
         scale = np.where((space.levels(self.ion) == 0) & kept[self.upper_level],
                          math.sqrt(2.0 * self.gamma), 0.0)
@@ -190,11 +185,8 @@ def qubit_channels(layout: RegisterLayout, gamma11: float,
     return channels
 
 
-def decay_vector(space: Subspace | RegisterLayout,
-                 channels: Sequence[JumpChannel]) -> np.ndarray:
-    """Diagonal of sum_j gamma_j P_upper(j) over the states of ``space``
-    (a layout stands for the whole register)."""
-    space = as_subspace(space)
+def decay_vector(space: Subspace, channels: Sequence[JumpChannel]) -> np.ndarray:
+    """Diagonal of sum_j gamma_j P_upper(j) over the states of ``space``."""
     d = np.zeros(space.dim)
     for ch in channels:
         d[space.levels(ch.ion) == ch.upper_level] += ch.gamma
@@ -297,12 +289,11 @@ def _dense_map(vecs: np.ndarray, vals: np.ndarray, inv: np.ndarray, t):
 
 
 @functools.lru_cache(maxsize=128)
-def pulse_propagator(pulse: Pulse, space: Subspace | RegisterLayout,
+def pulse_propagator(pulse: Pulse, space: Subspace,
                      channels: tuple[JumpChannel, ...]) -> ConditionalPropagator:
-    """The propagator of one program pulse on the states of ``space``
-    (a layout stands for the whole register), built once per (pulse,
-    space, channels) and shared by every trajectory."""
-    space = as_subspace(space)
+    """The propagator of one program pulse on the states of ``space``,
+    built once per (pulse, space, channels) and shared by every
+    trajectory."""
     return ConditionalPropagator(build_pulse_hamiltonian(pulse, space.layout).restricted(space),
                                  channels, pulse.duration)
 
@@ -672,7 +663,8 @@ def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
                       channels: list[JumpChannel], seeds: Sequence[int],
                       initial_state: QuantumState
                       ) -> Iterator[tuple[Sequence[int], np.ndarray,
-                                          list[list[tuple[float, int]]], np.ndarray]]:
+                                          list[list[tuple[float, int]]], np.ndarray,
+                                          Subspace]]:
     """Run one quantum-jump trajectory per seed through a pulse program.
 
     Threshold scheme: draw r uniform in [0, 1); propagate each pulse
@@ -685,16 +677,16 @@ def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
     the no-jump branch until they jump; the rows hold the amplitudes of
     the ``reachable`` closure of the initial state, ``_walk`` carries
     them and ``_advance`` takes them through each pulse.  Yields, block
-    by block in seed order, (the block's seeds, their final register
-    states as a (rows, dim) array, their jumps as lists of (time,
-    channel index),
-    and each trajectory's sum of -ln r over the thresholds r it
-    crossed); a caller keeps what it needs of each block.  That sum
-    minus ln ||final state||^2 is the trajectory's jump rate integrated
-    over the program, the compensator of its jump count.  Each
-    trajectory uses its own stream ``trajectory_rng(seed)``, so a seed
-    gives the same trajectory in any block; a run's seeds are its
-    ``stream_keys``.
+    by block in seed order, (the block's seeds, their final states as
+    a (seeds, space.dim) array of the closure's amplitudes, their jumps
+    as lists of (time, channel index), each trajectory's sum of -ln r
+    over the thresholds r it crossed, and the closure ``space``); a
+    caller keeps what it needs of each block, and ``space.embed`` gives
+    register states.  That sum minus ln ||final state||^2 is the
+    trajectory's jump rate integrated over the program, the compensator
+    of its jump count.  Each trajectory uses its own stream
+    ``trajectory_rng(seed)``, so a seed gives the same trajectory in
+    any block; a run's seeds are its ``stream_keys``.
     """
     key = tuple(channels)
     space = reachable(program, layout, key, initial_state.amplitudes)
@@ -703,9 +695,8 @@ def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
         advance = functools.partial(_advance, block, key)
         # no name here holds the block's rows or its final states, so a
         # caller reducing the block holds neither the rows nor what it drops
-        yield (block.seeds,
-               space.embed(_walk(program, space, key, initial, advance)[block.src]),
-               block.jumps, block.rate_integrals)
+        yield (block.seeds, _walk(program, space, key, initial, advance)[block.src],
+               block.jumps, block.rate_integrals, space)
 
 
 def fidelities(states: np.ndarray, ideal: np.ndarray) -> np.ndarray:
@@ -722,8 +713,9 @@ def run_trajectory(program: PulseProgram, layout: RegisterLayout,
     one-seed case of ``trajectory_blocks``; with ``ideal_final`` the
     record carries the fidelity of its renormalized final state with
     it.  Same seed, program and channels give a bit-identical record."""
-    (_, states, (jumps,), _), = trajectory_blocks(program, layout, channels, [seed],
-                                                  initial_state)
+    (_, states, (jumps,), _, space), = trajectory_blocks(program, layout, channels, [seed],
+                                                         initial_state)
+    states = space.embed(states)
     fidelity = None if ideal_final is None else float(fidelities(states, ideal_final)[0])
     return TrajectoryRecord(seed=seed, jumps=tuple(jumps),
                             final_state=QuantumState(layout=layout, amplitudes=states[0]),

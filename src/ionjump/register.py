@@ -255,26 +255,19 @@ def whole_register(layout: RegisterLayout) -> Subspace:
     return Subspace(layout, np.arange(layout.dim))
 
 
-def as_subspace(space: Subspace | RegisterLayout) -> Subspace:
-    """``space`` itself, or the whole register for a layout."""
-    return space if isinstance(space, Subspace) else whole_register(space)
-
-
-def apply_internal_unitary(amplitudes: np.ndarray, space: Subspace | RegisterLayout,
+def apply_internal_unitary(amplitudes: np.ndarray, space: Subspace,
                            ion: int, matrix: np.ndarray) -> np.ndarray:
     """Apply a 3x3 internal unitary to one ion (new array returned).
 
-    ``amplitudes`` are states of ``space`` (a layout stands for the
-    whole register), batches allowed with the state axis last; the
-    subspace must hold every state the unitary reaches from their
-    support.  The output of a state with the ion in level a sums
-    matrix[a, b] times the amplitude of its copy with the ion in level
-    b: one weighted term per shift b - a (mod 3), of which shift 0 is
-    the state itself and the others are gathers.  A shift whose weights
-    are all zero is skipped, so a phase gate is one product and a
-    Hadamard-like gate two gathers.
+    ``amplitudes`` are states of ``space``, batches allowed with the
+    state axis last; the subspace must hold every state the unitary
+    reaches from their support.  The output of a state with the ion in
+    level a sums matrix[a, b] times the amplitude of its copy with the
+    ion in level b: one weighted term per shift b - a (mod 3), of which
+    shift 0 is the state itself and the others are gathers.  A shift
+    whose weights are all zero is skipped, so a phase gate is one
+    product and a Hadamard-like gate two gathers.
     """
-    space = as_subspace(space)
     shifted, sources, kept = space.level_shifts(ion)
     weights = np.where(kept, np.asarray(matrix)[space.levels(ion), shifted], 0.0)
     out = None

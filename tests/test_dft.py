@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from ionjump.errors import ValidationError, ZeroFunction
 from ionjump.evolve import conditional_no_jump_branch, qubit_channels, trajectory_blocks
 from ionjump.gates import PulseParams, run_program_exact
 from ionjump.program import InstantGate
-from ionjump.register import QuantumState, RegisterLayout
+from ionjump.register import AUX_LEVEL, QuantumState, RegisterLayout, whole_register
 from test_acceptance import CALIBRATED_GAMMA
 
 # 32-point spectrum of f(n) = [n = 8 mod 10], frozen from the direct
@@ -103,7 +104,7 @@ def test_batched_readout_matches_per_state_path(n_ions):
     rng = np.random.default_rng(n_ions)
     states = rng.normal(size=(6, layout.dim)) + 1j * rng.normal(size=(6, layout.dim))
     states *= rng.uniform(0.1, 1.0, size=(6, 1)) / np.linalg.norm(states, axis=-1)[:, None]
-    distributions = frequency_distribution(states, layout)
+    distributions = frequency_distribution(states, whole_register(layout))
     assert distributions.shape == (6, 2**n_ions)
     for amplitudes, row in zip(states, distributions):
         state = QuantumState(layout=layout, amplitudes=amplitudes)
@@ -115,6 +116,46 @@ def test_batched_readout_matches_per_state_path(n_ions):
         assert abs(1.0 - row.sum() - state.leakage()) < 1e-15
 
 
+@pytest.mark.parametrize("aux", [True, False], ids=["aux", "no-aux"])
+def test_closure_readout_matches_the_register_readout(aux):
+    """The readout on the five-ion DFT closure, for random rows and a
+    hand-built state with population in the auxiliary level and in
+    phonon level 1, equals the readout of the same states on the whole
+    register and each state's computational probabilities moved bin by
+    bin with ``bit_reverse``, to 1e-15; one minus a row's sum is the
+    state's leakage."""
+    layout = RegisterLayout(n_ions=5, phonon_cutoff=3)
+    experiment = compile_experiment(layout, PulseParams())
+    channels = qubit_channels(layout, 1.2e-4, gamma_aux=1.2e-4 if aux else None)
+    space = evolve.reachable(experiment.program, layout, channels,
+                             experiment.initial.amplitudes)
+    rng = np.random.default_rng(22)
+    states = rng.normal(size=(6, space.dim)) + 1j * rng.normal(size=(6, space.dim))
+    in_aux = np.any([space.levels(k) == AUX_LEVEL for k in range(layout.n_ions)], axis=0)
+    phonon = space.states % layout.phonon_cutoff
+    hand = np.zeros(space.dim, dtype=np.complex128)
+    hand[np.flatnonzero(in_aux)[0]] = 0.5
+    hand[np.flatnonzero(~in_aux & (phonon == 1))[0]] = 0.6j
+    hand[np.flatnonzero(~in_aux & (phonon == 0))[-1]] = 0.4
+    states = np.vstack([states, hand])
+    states /= np.linalg.norm(states, axis=-1)[:, None]
+    assert space.dim < layout.dim and in_aux.any()
+
+    distributions = frequency_distribution(states, space)
+    register = space.embed(states)
+    assert np.max(np.abs(distributions
+                         - frequency_distribution(register, whole_register(layout)))) <= 1e-15
+    for amplitudes, row in zip(register, distributions):
+        state = QuantumState(layout=layout, amplitudes=amplitudes)
+        probs = state.computational_probabilities()
+        expected = probs[[bit_reverse(k, layout.n_ions) for k in range(probs.size)]]
+        assert np.max(np.abs(row - expected)) <= 1e-15
+        assert abs(1.0 - row.sum() - state.leakage()) <= 1e-15
+    # the hand-built state, the last row
+    assert state.leakage() == pytest.approx(0.25 / 0.77)
+    assert state.phonon_excited_population() == pytest.approx(0.36 / 0.77)
+
+
 def test_circuit_matches_oracle_exactly():
     layout = RegisterLayout(n_ions=3, phonon_cutoff=3)
     f = np.zeros(8)
@@ -122,7 +163,7 @@ def test_circuit_matches_oracle_exactly():
     initial = QuantumState.from_computational(layout, {3: 1.0, 5: 0.5})
     out = run_program_exact(qft_program(layout), layout, initial.amplitudes)
     state = QuantumState(layout=layout, amplitudes=out)
-    assert np.max(np.abs(frequency_distribution(out[None], layout)[0]
+    assert np.max(np.abs(frequency_distribution(out[None], whole_register(layout))[0]
                          - ideal_dft_oracle(f))) < 1e-12
     assert state.leakage() < 1e-12
     assert state.phonon_excited_population() < 1e-12
@@ -400,7 +441,7 @@ def four_ion_counts_and_rates():
     layout, program, initial = _four_ion_experiment()
     channels = qubit_channels(layout, 7e-4, gamma_aux=7e-4)
     counts, rates = [], []
-    for _, states, jumps, rate_integrals in trajectory_blocks(
+    for _, states, jumps, rate_integrals, _ in trajectory_blocks(
             program, layout, channels, range(2000), initial):
         counts += map(len, jumps)
         norm2 = (states.real**2 + states.imag**2).sum(axis=-1)
@@ -567,6 +608,23 @@ def test_report_does_not_depend_on_the_block_budget(monkeypatch):
     assert default.class_counts()["zero"] > 0 and default.class_counts()["multi"] > 0
     for name in REPORT_ARRAYS:
         assert np.array_equal(getattr(default, name), getattr(small, name)), name
+
+
+def test_ensemble_memory_stays_on_the_closure():
+    """A 5000-trajectory four-ion ensemble runs as one block; its
+    traced allocations peak under 16 MiB, since its final states come
+    back as 16 closure amplitudes per seed, not 243 register amplitudes
+    (about 6 MiB against 35 before).  A one-trajectory call first builds
+    the compiled experiment, the closure and the propagators."""
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+    dft_experiment(n_trajectories=1, gamma11=7e-4, layout=layout)
+    tracemalloc.start()
+    try:
+        dft_experiment(n_trajectories=5000, gamma11=7e-4, layout=layout)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_largest_seeds_reach_trajectories_csv(tmp_path):

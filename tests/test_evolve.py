@@ -74,7 +74,7 @@ def test_exact_propagator_matches_fine_rk4():
 def test_decay_vector():
     layout = RegisterLayout(n_ions=2, phonon_cutoff=2)
     channels = [JumpChannel(ion=0, gamma=0.5), JumpChannel(ion=1, gamma=0.25, upper_level=2)]
-    d = decay_vector(layout, channels)
+    d = decay_vector(whole_register(layout), channels)
     assert d[layout.basis_index((1, 2), 0)] == pytest.approx(0.75)
     assert d[layout.basis_index((0, 0), 1)] == 0.0
 
@@ -168,7 +168,8 @@ def test_jump_applied_at_root_found_time():
     assert record.emitted_count == 1
     (t1, pick), = record.jumps
 
-    vals, vecs = np.linalg.eig(h.to_dense() - 1j * np.diag(decay_vector(layout, channels)))
+    vals, vecs = np.linalg.eig(h.to_dense()
+                               - 1j * np.diag(decay_vector(whole_register(layout), channels)))
     inv = np.linalg.inv(vecs)
 
     def propagate(psi, t):
@@ -177,7 +178,7 @@ def test_jump_applied_at_root_found_time():
     r = trajectory_rng(seed).random()
     before = propagate(initial.amplitudes, t1)
     assert abs(np.vdot(before, before).real - r) < 1e-10
-    jumped = channels[pick].apply(before, layout)
+    jumped = channels[pick].apply(before, whole_register(layout))
     expected = propagate(jumped / np.linalg.norm(jumped), duration - t1)
     final = record.final_state.amplitudes
     assert np.max(np.abs(final / np.linalg.norm(final)
@@ -213,8 +214,9 @@ def test_block_ensemble_matches_one_row_runs(monkeypatch):
     n, rows = 150, evolve.BLOCK_AMPLITUDES // dim
     assert n > rows and n % rows != 0
     blocks = trajectory_blocks(program, layout, channels, range(40, 40 + n), initial)
-    ensemble = [(seed, state, row) for block_seeds, states, jumps, *_ in blocks
-                for seed, state, row in zip(block_seeds, states, jumps, strict=True)]
+    ensemble = [(seed, state, row) for block_seeds, states, jumps, _, space in blocks
+                for seed, state, row in zip(block_seeds, space.embed(states), jumps,
+                                            strict=True)]
     assert [seed for seed, _, _ in ensemble] == list(range(40, 40 + n))
     pulse_ends = np.cumsum([item.duration for item in program.pulses()])
     repeats = 0
@@ -249,12 +251,12 @@ def test_first_jump_leaves_the_no_jump_branch(monkeypatch):
     dim = _budget_rows(monkeypatch, program, layout, channels, initial)
 
     pulses, end_norm2 = [], []     # (start time, start state, propagator) per pulse
-    psi, t = initial.amplitudes, 0.0
+    psi, t, space = initial.amplitudes, 0.0, whole_register(layout)
     for item in program.items:
         if isinstance(item, InstantGate):
-            psi = apply_internal_unitary(psi, layout, item.ion, item.matrix)
+            psi = apply_internal_unitary(psi, space, item.ion, item.matrix)
         elif item.duration > 0.0:
-            propagator = pulse_propagator(item, layout, tuple(channels))
+            propagator = pulse_propagator(item, space, tuple(channels))
             pulses.append((t, psi, propagator))
             psi = propagator.at(item.duration)(psi)
             end_norm2.append(np.vdot(psi, psi).real)
@@ -273,8 +275,8 @@ def test_first_jump_leaves_the_no_jump_branch(monkeypatch):
     for block_seeds, *_ in blocks[1:]:
         assert sum(trajectory_rng(seed).random() > min_norm2 for seed in block_seeds) <= rows
     zero, repeats = 0, 0
-    for block_seeds, states, jumps, _ in blocks:
-        for seed, state, row in zip(block_seeds, states, jumps):
+    for block_seeds, states, jumps, _, closure in blocks:
+        for seed, state, row in zip(block_seeds, closure.embed(states), jumps):
             r = trajectory_rng(seed).random()
             if r <= min_norm2:
                 assert row == []
@@ -385,8 +387,9 @@ def test_cutting_every_pulse_in_two_changes_no_trajectory(cut):
     def run(program):
         blocks = list(trajectory_blocks(program, layout, channels, range(1000),
                                         experiment.initial))
-        states = np.concatenate([block_states for _, block_states, *_ in blocks])
-        return states, [row for _, _, jumps, _ in blocks for row in jumps]
+        states = np.concatenate([space.embed(block_states)
+                                 for _, block_states, _, _, space in blocks])
+        return states, [row for _, _, jumps, *_ in blocks for row in jumps]
 
     states, jumps = run(experiment.program)
     split_states, split_jumps = run(PulseProgram(tuple(pieces)))
@@ -453,10 +456,10 @@ def test_driven_ensemble_matches_damped_rabi_master_solution():
         program = _single_pulse_program(omega, duration=2.0, n_pulses=k)
         # renormalized population of the upper qubit level of ion 0
         populations = np.concatenate([
-            (np.abs(states.reshape(-1, 3, layout.phonon_cutoff)[:, 1]) ** 2).sum(axis=-1)
+            (np.abs(states[:, space.levels(0) == 1]) ** 2).sum(axis=-1)
             / evolve._norm2(states)
-            for _, states, *_ in trajectory_blocks(program, layout, channels,
-                                                   range(77, 77 + n), initial)])
+            for _, states, _, _, space in trajectory_blocks(program, layout, channels,
+                                                            range(77, 77 + n), initial)])
         means.append(populations.mean())
         errs.append(populations.std(ddof=1) / math.sqrt(n))
 
@@ -525,7 +528,8 @@ def test_jumps_past_the_stream_head_land_on_their_draws():
                             seed, initial)
     assert record.emitted_count == 22
 
-    vals, vecs = np.linalg.eig(h.to_dense() - 1j * np.diag(decay_vector(layout, channels)))
+    vals, vecs = np.linalg.eig(h.to_dense()
+                               - 1j * np.diag(decay_vector(whole_register(layout), channels)))
     inv = np.linalg.inv(vecs)
     thresholds = trajectory_rng(seed).random(2 * record.emitted_count)[::2]
     gaps = np.diff(record.jump_times(), prepend=0.0)
@@ -545,12 +549,12 @@ def test_rate_integral_is_the_integrated_jump_rate():
     channels = qubit_channels(layout, gamma)
     h = build_carrier_hamiltonian(layout, 0, rabi=rabi)
     initial = QuantumState.from_computational(layout, {0: 1.0})
-    (_, states, (jumps,), rate_integrals), = trajectory_blocks(
+    (_, states, (jumps,), rate_integrals, _), = trajectory_blocks(
         _single_pulse_program(rabi, duration), layout, channels, [seed], initial)
     assert len(jumps) == 22
     compensator = rate_integrals[0] - math.log(np.vdot(states[0], states[0]).real)
 
-    decay = decay_vector(layout, channels)
+    decay = decay_vector(whole_register(layout), channels)
     vals, vecs = np.linalg.eig(h.to_dense() - 1j * np.diag(decay))
     coeffs = np.linalg.inv(vecs) @ initial.amplitudes
     nodes, weights = np.polynomial.legendre.leggauss(64)

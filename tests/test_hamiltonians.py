@@ -15,7 +15,7 @@ from ionjump.hamiltonians import (
     build_sideband_hamiltonian,
 )
 from ionjump.program import AUX_SIDEBAND, QUBIT_CARRIER, RED_SIDEBAND, Pulse
-from ionjump.register import RegisterLayout
+from ionjump.register import RegisterLayout, whole_register
 
 
 @pytest.fixture
@@ -131,7 +131,7 @@ def _diagonal_pairs(layout):
 def test_grouped_pair_map_matches_per_pair_oracle(layout, builder, t):
     h = builder(layout)
     assert h.is_pair_structured
-    decay = decay_vector(layout, qubit_channels(layout, 0.05, gamma_aux=0.02))
+    decay = decay_vector(whole_register(layout), qubit_channels(layout, 0.05, gamma_aux=0.02))
     psi = (random_state(layout) if np.ndim(t) == 0
            else np.stack([random_state(layout, seed) for seed in range(len(t))]))
     for d in (None, decay):
@@ -154,7 +154,7 @@ def test_qft_pulses_have_few_rates_and_groups():
     excited ions (at most n_ions + 1 rates), and its sideband pairs
     group by the other ions' excitation count and the phonon number."""
     layout = RegisterLayout(n_ions=5, phonon_cutoff=3)
-    decay = decay_vector(layout, qubit_channels(layout, 1e-4, gamma_aux=1e-4))
+    decay = decay_vector(whole_register(layout), qubit_channels(layout, 1e-4, gamma_aux=1e-4))
     pulses = {item for item in qft_program(layout).items if isinstance(item, Pulse)}
     for pulse in pulses:
         h = build_pulse_hamiltonian(pulse, layout)

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from ionjump.errors import IndexOutOfRange, ValidationError
-from ionjump.register import QuantumState, RegisterLayout, apply_internal_unitary
+from ionjump.register import (
+    QuantumState,
+    RegisterLayout,
+    apply_internal_unitary,
+    whole_register,
+)
 
 
 def test_layout_dimensions():
@@ -63,11 +68,12 @@ def test_apply_internal_unitary_batched():
     rng = np.random.default_rng(0)
     batch = rng.normal(size=(4, layout.dim)) + 1j * rng.normal(size=(4, layout.dim))
     swap01 = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-    out = apply_internal_unitary(batch, layout, 1, swap01)
-    single = apply_internal_unitary(batch[2], layout, 1, swap01)
+    space = whole_register(layout)
+    out = apply_internal_unitary(batch, space, 1, swap01)
+    single = apply_internal_unitary(batch[2], space, 1, swap01)
     assert np.allclose(out[2], single)
     # applying the swap twice restores the batch
-    assert np.allclose(apply_internal_unitary(out, layout, 1, swap01), batch)
+    assert np.allclose(apply_internal_unitary(out, space, 1, swap01), batch)
 
 
 def test_apply_internal_unitary_matches_dense_kron():
@@ -80,11 +86,12 @@ def test_apply_internal_unitary_matches_dense_kron():
     hadamard = np.array([[1, 1, 0], [1, -1, 0], [0, 0, np.sqrt(2)]]) / np.sqrt(2)
     phase = np.diag([1.0, np.exp(0.7j), 1.0])
     batch = rng.normal(size=(5, layout.dim)) + 1j * rng.normal(size=(5, layout.dim))
+    space = whole_register(layout)
     for ion in range(layout.n_ions):
         rest = layout.dim // 3 ** (ion + 1)
         for matrix in (dense, hadamard.astype(complex), phase):
             full = np.kron(np.kron(np.eye(3**ion), matrix), np.eye(rest))
-            assert np.max(np.abs(apply_internal_unitary(batch, layout, ion, matrix)
+            assert np.max(np.abs(apply_internal_unitary(batch, space, ion, matrix)
                                  - batch @ full.T)) < 1e-15
-            assert np.max(np.abs(apply_internal_unitary(batch[3], layout, ion, matrix)
+            assert np.max(np.abs(apply_internal_unitary(batch[3], space, ion, matrix)
                                  - full @ batch[3])) < 1e-15
