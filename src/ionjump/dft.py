@@ -127,7 +127,7 @@ def frequency_distribution(states: np.ndarray, space: Subspace) -> np.ndarray:
     return probs.reshape(-1, 2**n) / density.sum(axis=-1)[:, None]
 
 
-#: Gauss-Legendre nodes per pulse of the excitation integral.  Bus
+#: Gauss-Legendre nodes per walk step of the excitation integral.  Bus
 #: pulses rotate each block by a few radians at most, and 8 nodes
 #: already agree with 64 to 5e-15 on the standard experiment.
 QUADRATURE_NODES = 16
@@ -139,8 +139,10 @@ def integrated_upper_population(program: PulseProgram, layout: RegisterLayout,
 
     The expected emission count of a run is 2*gamma times this integral
     to first order in gamma, which gives ``calibrate_gamma`` its
-    starting value.  ``run_program`` walks the program, and each pulse
-    adds a Gauss-Legendre sum over its exact propagator.
+    starting value.  ``run_program`` walks the program, and each step
+    adds a Gauss-Legendre sum over its exact propagator: one pulse, or
+    a run of pulses that couple no pair of the closure, over which the
+    populations do not change at gamma = 0, so the sum stays exact.
     """
     upper = qubit_channels(layout, 1.0, gamma_aux=1.0 if include_aux else None)
     nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_NODES)

@@ -31,28 +31,38 @@ three.  The whole register is the closure that holds every state.  The
 closure is computed once per (program, register, support, kinds of
 channel), and each pulse's propagator and end-of-pulse map once per
 (pulse, closure, channels).  ``_walk`` is the one walk through a
-program: it carries the engine's rows and every other propagation.
-States stay on the closure from the engine to the readout
-(``trajectory_blocks`` hands back closure amplitudes and the closure);
-register states appear only at the edges, in ``run_program`` and
-``run_trajectory``.
+program: it carries the engine's rows and every other propagation,
+through the steps of the program's ``_plan``, built once per
+(program, closure, channels).  A step is an instant gate or a pulse,
+except that a run of pulses that couple no pair of the closure is one
+step: on the closure each of them is exp(-i diag t - decay t) with the
+same diagonals, so the run is that map over its summed duration.  The
+24 pulses of the four-ion DFT make 6 steps; all 40 five-ion pulses
+couple pairs and stay 40 steps.  A walk's ``pulse`` hook
+(``run_program``) sees each step once, a merged run as one propagator;
+the excitation integral's quadrature over such a step stays exact, as
+at gamma = 0 the step changes phases only and every population is
+constant over it.  States stay on the closure from the engine to the
+readout (``trajectory_blocks`` hands back closure amplitudes and the
+closure); register states appear only at the edges, in ``run_program``
+and ``run_trajectory``.
 
 One engine runs every ensemble, and a single trajectory is its
 one-seed case.  All trajectories run the same program, so they advance
-together as the rows of a block, pulse by pulse.  Until its first jump
+together as the rows of a block, step by step.  Until its first jump
 every trajectory follows the same no-jump branch, whose squared norm
 is the survival probability, so a trajectory has no amplitudes of its
 own until then: row 0 of a block's rows is the branch, and one more
 row is made for each trajectory that has jumped; a block keeps their
-owners, draws and thresholds.  A pulse takes every row's end state
+owners, draws and thresholds.  A step takes every row's end state
 with one array operation.  Because the squared norm is non-increasing,
 a row whose end norm stays at or above its r holds no jump in that
-pulse; a trajectory still on the branch leaves it when the branch's
+step; a trajectory still on the branch leaves it when the branch's
 end norm falls below its first r, and starts as a copy of the branch
-at the start of that pulse.  Only the rows that cross search for their
+at the start of that step.  Only the rows that cross search for their
 jump times, all together, each by safeguarded Newton iteration on
 ||U(t) psi||^2 = r inside its own bracket; the jumps are applied at
-those times, and the jumped rows finish the pulse as a smaller batch,
+those times, and the jumped rows finish the step as a smaller batch,
 which repeats while any of them crosses again.
 
 A block records, per trajectory, its jumps as (time, channel index)
@@ -65,7 +75,7 @@ from (a trajectory that never jumped has Lambda = -ln P0, from the
 branch).
 
 A trajectory whose first r is at most the branch's smallest
-end-of-pulse norm never jumps and never gets a row.  A block takes
+end-of-step norm never jumps and never gets a row.  A block takes
 seeds until BLOCK_AMPLITUDES // dim of them will jump (the first
 block, before that norm is known, takes that many seeds), so while it
 runs it holds at most 1 + BLOCK_AMPLITUDES // dim rows of amplitudes
@@ -74,14 +84,14 @@ states it hands back have one row per seed, on the closure too.
 The budget is 2**17 amplitudes: 8192 rows on the 16-state four-ion
 closure, 481 on the 272-state five-ion one.  A 31-seed calibration
 pilot runs as one block at four and five ions, and about budget /
-pulses rows cross in a pulse: the larger the crossing batch, the more
-rows share each Newton iteration's fixed numpy overhead.  A pulse step
+steps rows cross in a step: the larger the crossing batch, the more
+rows share each Newton iteration's fixed numpy overhead.  A step
 holds at most two block-sized arrays (start and end states; the end
 states grow in place when fresh rows are appended), 2 MiB each, plus
 one chunk-sized temporary of the pair map.  The branch lives only as
 long as its block; nothing is kept across calls but the closures, the
-pulse propagators and, in ``dft``, each register's compiled experiment
-(``dft.compile_experiment``).
+pulse propagators, the plans and, in ``dft``, each register's compiled
+experiment (``dft.compile_experiment``).
 
 Randomness comes from a counter-based generator (Philox4x64-10), one
 stream per trajectory, keyed by an integer in [0, 2**128) that the
@@ -94,8 +104,9 @@ calibration pilots, whose keys alone have the top bit set.
 one but evaluates Philox4x64-10 in numpy.  The first 16 draws of every
 stream (its first four counter blocks: the first threshold and seven
 jumps' channel picks and next thresholds) come from one evaluation over
-all seeds, and a later pair from one over that trajectory's seed, so no
-run imports numpy.random.
+BLOCK_AMPLITUDES // dim seeds at a time, as the blocks reach them, and
+a later pair from one over that trajectory's seed, so no run imports
+numpy.random.
 Each trajectory draws its thresholds and channel picks in the order a
 lone trajectory would, so results are reproducible and independent of
 the block a trajectory runs in, of the rows it shares and of execution
@@ -127,11 +138,11 @@ _DENSE_MAX_DIM = 4096
 #: Amplitudes of the jumped trajectories one block holds (rows x the
 #: closure's size), besides its no-jump branch: 8192 rows on the
 #: 16-state four-ion DFT closure, 481 on the 272-state five-ion one.  A
-#: fixed budget keeps peak memory flat in the ensemble size (a pulse
-#: step holds two block-sized arrays, 2 MiB each, plus one chunk of the
+#: fixed budget keeps peak memory flat in the ensemble size (a step
+#: holds two block-sized arrays, 2 MiB each, plus one chunk of the
 #: pair map).  2**17 runs a 31-seed calibration pilot as one block at
 #: four and five ions, and makes crossing batches large: the rows that
-#: cross in a pulse search their jump times as one batch and share each
+#: cross in a step search their jump times as one batch and share each
 #: Newton iteration's fixed per-call overhead.
 BLOCK_AMPLITUDES = 131072
 
@@ -213,7 +224,7 @@ class ConditionalPropagator:
     n times the map of an (n, dim) batch whose row k evolves over t[k];
     ``end`` is the precomputed map over ``duration``.  Maps act on
     states with the state axis last, so they take (n, dim) batches as
-    well.
+    well.  ``hamiltonian`` is the operator it was built from.
     """
 
     def __init__(self, hamiltonian: Hamiltonian,
@@ -221,6 +232,7 @@ class ConditionalPropagator:
                  duration: float) -> None:
         if duration < 0.0:
             raise ValidationError("duration must be >= 0")
+        self.hamiltonian = hamiltonian
         self.space = hamiltonian.space
         self.duration = duration
         self.decay = decay_vector(self.space, channels)
@@ -351,24 +363,68 @@ def _closure(program: PulseProgram, layout: RegisterLayout,
     return Subspace(layout, np.flatnonzero(kept))
 
 
-def _walk(program: PulseProgram, space: Subspace, channels: tuple[JumpChannel, ...],
-          states: np.ndarray, pulse: Callable | None = None) -> np.ndarray:
-    """Carry states of ``space`` (state axis last) through a pulse
-    program: each instant gate applies its unitary, a pulse of zero
-    duration is skipped, and every other pulse maps the states through
-    its cached ``pulse_propagator`` under ``channels``, by its end map
-    or, given ``pulse``, by ``pulse(propagator, states, t_start)``,
-    which returns them at the pulse's end (``t_start``: its start in
-    the program)."""
-    t_start = 0.0
+@functools.lru_cache(maxsize=32)
+def _plan(program: PulseProgram, space: Subspace,
+          channels: tuple[JumpChannel, ...]) -> tuple:
+    """The steps of a walk through ``program`` on ``space`` under
+    ``channels``, built once per (program, closure, channels): each
+    instant gate, and a (propagator, t_start) pair per pulse of nonzero
+    duration, ``t_start`` being its start in the program.
+
+    A pulse whose Hamiltonian couples no pair of ``space`` generates
+    -i diag - decay, diagonal on the closure.  A run of such pulses with
+    equal diagonals, between two instant gates or coupled pulses, has
+    one generator, so it is one step: a propagator over the run's summed
+    duration, built on its first pulse's Hamiltonian.  Every pulse of a
+    QFT at four ions is such a pulse on its 16-state closure (24 pulses
+    make 6 steps); none is at five ions (40 steps)."""
+    steps, chain, t_start = [], [], 0.0     # chain: the open run of decay-only steps
+
+    def close_chain():
+        if len(chain) > 1:
+            (first, start), *_ = chain
+            duration = sum(propagator.duration for propagator, _ in chain)
+            steps.append((ConditionalPropagator(first.hamiltonian, channels, duration), start))
+        else:
+            steps.extend(chain)
+        chain.clear()
+
     for item in program.items:
         if isinstance(item, InstantGate):
-            states = apply_internal_unitary(states, space, item.ion, item.matrix)
+            close_chain()
+            steps.append(item)
         elif item.duration != 0.0:
             propagator = pulse_propagator(item, space, channels)
+            h = propagator.hamiltonian
+            decay_only = not np.any(h.pair_g)
+            if not (decay_only and chain
+                    and np.array_equal(chain[0][0].hamiltonian.diag, h.diag)):
+                close_chain()
+            (chain if decay_only else steps).append((propagator, t_start))
+            t_start += item.duration
+    close_chain()
+    return tuple(steps)
+
+
+def _walk(program: PulseProgram, space: Subspace, channels: tuple[JumpChannel, ...],
+          states: np.ndarray, pulse: Callable | None = None) -> np.ndarray:
+    """Carry states of ``space`` (state axis last) through the steps of
+    a pulse program's ``_plan`` under ``channels``: each instant gate
+    applies its unitary, and each pulse step (one pulse, or a merged
+    run of decay-only pulses) maps the states by its propagator's end
+    map or, given ``pulse``, by ``pulse(propagator, states, t_start)``,
+    which returns them at the step's end (``t_start``: its start in the
+    program).  ``pulse`` thus sees a merged run once, as one propagator
+    over the run's duration; a quadrature of populations over it, such
+    as ``dft.integrated_upper_population``'s, stays exact, since at
+    gamma = 0 such a step changes phases only."""
+    for step in _plan(program, space, channels):
+        if isinstance(step, InstantGate):
+            states = apply_internal_unitary(states, space, step.ion, step.matrix)
+        else:
+            propagator, t_start = step
             states = (propagator.end(states) if pulse is None
                       else pulse(propagator, states, t_start))
-            t_start += item.duration
     return states
 
 
@@ -378,7 +434,8 @@ def run_program(program: PulseProgram, layout: RegisterLayout, channels: Sequenc
     under ``channels`` and return them at its end: the walk (see
     ``_walk``, whose ``pulse`` hook this takes) runs on the amplitudes
     of their ``reachable`` closure, and ``pulse`` sees states and
-    propagators of that subspace (``propagator.space``)."""
+    propagators of that subspace (``propagator.space``), one call per
+    step of the walk's plan."""
     space = reachable(program, layout, channels, states)
     return space.embed(_walk(program, space, tuple(channels), space.restrict(states), pulse))
 
@@ -505,7 +562,7 @@ class _Block:
     ``heads`` holds the first 16 draws of every trajectory's stream (see
     ``_stream_draws``).  ``rate_integrals[k]`` sums -ln r over the
     thresholds r that trajectory k has crossed: its jump rate integrated
-    up to its last jump.  ``min_norm2`` is the smallest end-of-pulse
+    up to its last jump.  ``min_norm2`` is the smallest end-of-step
     squared norm the branch has reached.
     """
 
@@ -545,36 +602,42 @@ def _sized_blocks(seeds: Sequence[int], channels: list[JumpChannel],
 
     The caller runs each block before it asks for the next.  The first
     block takes BLOCK_AMPLITUDES // dim seeds; its branch then gives the
-    smallest end-of-pulse squared norm N_min of the no-jump evolution,
+    smallest end-of-step squared norm N_min of the no-jump evolution,
     which every block shares.  A trajectory whose first threshold r is
     at most N_min never leaves the branch, so each later block takes
     seeds until BLOCK_AMPLITUDES // dim of them have r > N_min: no block
     holds more than 1 + BLOCK_AMPLITUDES // dim rows.  The first 16
-    draws of every seed's stream come from one ``_stream_draws`` call.
+    draws of the seeds' streams come from one ``_stream_draws`` call per
+    BLOCK_AMPLITUDES // dim seeds, made when the blocks reach them, so
+    no more than a block's heads are alive however many seeds run.
     Without decay no trajectory draws and every threshold is 0, which
     never jumps.
     """
     budget = max(1, BLOCK_AMPLITUDES // dim)
     seeds = list(seeds)
-    if seeds and any(ch.gamma > 0.0 for ch in channels):
-        if min(seeds) < 0 or max(seeds) >> 128:
-            raise ValidationError(f"stream keys must lie in [0, 2**128), the range of "
-                                  f"Philox's key; got {min(seeds)} to {max(seeds)}")
-        heads = _stream_draws(seeds, 0, 4)
-    else:
-        heads = np.zeros((len(seeds), 1))       # thresholds 0: no draws
+    decays = any(ch.gamma > 0.0 for ch in channels)
+    if seeds and decays and (min(seeds) < 0 or max(seeds) >> 128):
+        raise ValidationError(f"stream keys must lie in [0, 2**128), the range of "
+                              f"Philox's key; got {min(seeds)} to {max(seeds)}")
     min_norm2 = None            # known once the first block has run
     start, jumpers = 0, 0
-    for k, r in enumerate(heads[:, 0].tolist()):
-        jumpers += min_norm2 is None or r > min_norm2
-        if jumpers == budget:
-            block = _Block(seeds[start:k + 1], heads[start:k + 1])
-            yield block
-            if min_norm2 is None:
-                min_norm2 = block.min_norm2
-            start, jumpers = k + 1, 0
+    heads = np.zeros((0, 16 if decays else 1))      # of the seeds evaluated from ``start`` on
+    for lo in range(0, len(seeds), budget):
+        chunk = seeds[lo:lo + budget]
+        # thresholds 0 without decay: no draws
+        heads = np.concatenate([heads, _stream_draws(chunk, 0, 4) if decays
+                                else np.zeros((len(chunk), 1))])
+        for k, r in enumerate(heads[lo - start:, 0].tolist(), lo):
+            jumpers += min_norm2 is None or r > min_norm2
+            if jumpers == budget:
+                block = _Block(seeds[start:k + 1], heads[:k + 1 - start])
+                heads = heads[k + 1 - start:].copy()
+                yield block
+                if min_norm2 is None:
+                    min_norm2 = block.min_norm2
+                start, jumpers = k + 1, 0
     if start < len(seeds):
-        yield _Block(seeds[start:], heads[start:])
+        yield _Block(seeds[start:], heads)
 
 
 def _advance(block: _Block, channels: tuple[JumpChannel, ...],
@@ -583,9 +646,9 @@ def _advance(block: _Block, channels: tuple[JumpChannel, ...],
     """Carry a block's rows, ``start``, through the propagator's
     duration and return them at its end.
 
-    The rows go through the pulse together.  A trajectory still on the
+    The rows go through the step together.  A trajectory still on the
     branch crosses when the branch's end norm falls below its first
-    threshold; it then becomes a copy of the branch's start-of-pulse
+    threshold; it then becomes a copy of the branch's start-of-step
     state with a row of its own, appended to the end rows.  A row jumps
     whenever its squared norm falls to its threshold: the channel pick
     and the next threshold are the next two draws of its trajectory's
@@ -676,7 +739,7 @@ def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
     Trajectories run in blocks (see ``_sized_blocks``) whose rows share
     the no-jump branch until they jump; the rows hold the amplitudes of
     the ``reachable`` closure of the initial state, ``_walk`` carries
-    them and ``_advance`` takes them through each pulse.  Yields, block
+    them and ``_advance`` takes them through each step.  Yields, block
     by block in seed order, (the block's seeds, their final states as
     a (seeds, space.dim) array of the closure's amplitudes, their jumps
     as lists of (time, channel index), each trajectory's sum of -ln r

@@ -627,6 +627,48 @@ def test_ensemble_memory_stays_on_the_closure():
     assert peak < 16 * 2**20
 
 
+def _count_head_evaluations(monkeypatch):
+    """Record the number of seeds of every ``_stream_draws`` call that
+    evaluates the first 16 draws of streams."""
+    sizes, draws = [], evolve._stream_draws
+
+    def counting(seeds, first, blocks):
+        if first == 0:
+            sizes.append(len(seeds))
+        return draws(seeds, first, blocks)
+
+    monkeypatch.setattr(evolve, "_stream_draws", counting)
+    return sizes
+
+
+def test_stream_heads_are_evaluated_a_block_at_a_time(monkeypatch):
+    """A 20,000-trajectory four-ion ensemble evaluates its streams' first
+    16 draws 8192 seeds (the block budget) at a time as its blocks reach
+    them, so its traced allocations peak under 18.5 MiB (17.6 MiB; 19.0
+    MiB when every seed's draws came from one call up front)."""
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+    dft_experiment(n_trajectories=1, gamma11=7e-4, layout=layout)
+    sizes = _count_head_evaluations(monkeypatch)
+    tracemalloc.start()
+    try:
+        dft_experiment(n_trajectories=20000, gamma11=7e-4, layout=layout)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 18.5 * 2**20
+    assert sizes == [8192, 8192, 3616]
+
+
+@pytest.mark.parametrize("n_ions", [4, 5])
+def test_small_calls_evaluate_stream_heads_once(monkeypatch, n_ions):
+    """A call of 50 trajectories evaluates every stream's first 16 draws
+    in one ``_stream_draws`` call."""
+    layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
+    sizes = _count_head_evaluations(monkeypatch)
+    dft_experiment(n_trajectories=50, gamma11=7e-4, layout=layout)
+    assert sizes == [50]
+
+
 def test_largest_seeds_reach_trajectories_csv(tmp_path):
     """Seeds stay exact Python integers up to the top of the user seed
     range."""
@@ -709,7 +751,8 @@ def test_aux_and_no_aux_calls_share_no_closure_or_propagator(monkeypatch):
                               include_aux_channel=aux)
 
     def clear_caches():
-        for cache in (compile_experiment, evolve._closure, build, evolve._jump_rates):
+        for cache in (compile_experiment, evolve._closure, build, evolve._plan,
+                      evolve._jump_rates):
             cache.cache_clear()
 
     clear_caches()

@@ -29,7 +29,14 @@ from ionjump.hamiltonians import (
     build_raman_hamiltonian,
     build_sideband_hamiltonian,
 )
-from ionjump.program import AUX_SIDEBAND, InstantGate, Pulse, PulseProgram, QUBIT_CARRIER
+from ionjump.program import (
+    AUX_SIDEBAND,
+    QUBIT_CARRIER,
+    RED_SIDEBAND,
+    InstantGate,
+    Pulse,
+    PulseProgram,
+)
 from ionjump.register import (
     QuantumState,
     RegisterLayout,
@@ -364,15 +371,12 @@ def test_blocks_run_the_same_under_a_trace_or_profile_hook(hook):
     assert np.array_equal(hooked_states, states)
 
 
-@pytest.mark.parametrize("cut", [0.37, 0.0])
-def test_cutting_every_pulse_in_two_changes_no_trajectory(cut):
-    """A pulse boundary draws nothing: cutting every pulse of the 4-ion
-    QFT program into two pulses of the same Hamiltonian, the first
-    ``cut`` times its duration long, leaves all 1000 trajectories as
-    they were: equal jump counts and channels, jump times to rel 1e-10 and
-    final states to 1e-12.  At cut 0 every first piece has zero
-    duration and is skipped."""
-    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+def _split_pulse_run(n_ions, gamma, n_seeds, cut):
+    """Trajectories of the ``n_ions`` QFT program and of the same program
+    with every pulse cut into two pulses of its Hamiltonian, the first
+    ``cut`` times its duration long: (final register states, jumps) of
+    each."""
+    layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
     experiment = compile_experiment(layout, PulseParams())
     pieces = []
     for item in experiment.program.items:
@@ -382,23 +386,48 @@ def test_cutting_every_pulse_in_two_changes_no_trajectory(cut):
                        dataclasses.replace(item, duration=item.duration - first)]
         else:
             pieces.append(item)
-    channels = qubit_channels(layout, 7e-4, gamma_aux=7e-4)
+    channels = qubit_channels(layout, gamma, gamma_aux=gamma)
 
     def run(program):
-        blocks = list(trajectory_blocks(program, layout, channels, range(1000),
+        blocks = list(trajectory_blocks(program, layout, channels, range(n_seeds),
                                         experiment.initial))
         states = np.concatenate([space.embed(block_states)
                                  for _, block_states, _, _, space in blocks])
         return states, [row for _, _, jumps, *_ in blocks for row in jumps]
 
-    states, jumps = run(experiment.program)
-    split_states, split_jumps = run(PulseProgram(tuple(pieces)))
-    assert sum(map(len, jumps)) > 500
+    return run(experiment.program), run(PulseProgram(tuple(pieces)))
+
+
+def _assert_same_trajectories(jumps, split_jumps, states, split_states):
     for row, split_row in zip(jumps, split_jumps, strict=True):
         assert [c for _, c in split_row] == [c for _, c in row]
         times, expected = np.array([t for t, _ in split_row]), np.array([t for t, _ in row])
         assert np.all(np.abs(times - expected) <= 1e-10 * expected)
     assert np.max(np.abs(split_states - states)) <= 1e-12
+
+
+@pytest.mark.parametrize("cut", [0.37, 0.0])
+def test_cutting_every_pulse_in_two_changes_no_trajectory(cut):
+    """A pulse boundary draws nothing: cutting every pulse of the 4-ion
+    QFT program into two pulses of the same Hamiltonian, the first
+    ``cut`` times its duration long, leaves all 1000 trajectories as
+    they were: equal jump counts and channels, jump times to rel 1e-10 and
+    final states to 1e-12.  At cut 0 every first piece has zero
+    duration and is skipped."""
+    (states, jumps), (split_states, split_jumps) = _split_pulse_run(4, 7e-4, 1000, cut)
+    assert sum(map(len, jumps)) > 500
+    _assert_same_trajectories(jumps, split_jumps, states, split_states)
+
+
+@pytest.mark.parametrize("cut", [0.37, 0.5])
+def test_cutting_every_five_ion_pulse_in_two_changes_no_trajectory(cut):
+    """The test above at five ions, where every pulse couples pairs of
+    the closure, so no pulse steps merge and the cut is a step boundary
+    of the walk: 300 trajectories at gamma 6e-4, with sideband and
+    auxiliary-level population on the boundaries."""
+    (states, jumps), (split_states, split_jumps) = _split_pulse_run(5, 6e-4, 300, cut)
+    assert sum(map(len, jumps)) > 500
+    _assert_same_trajectories(jumps, split_jumps, states, split_states)
 
 
 def test_jump_time_distribution_is_exponential():
@@ -667,3 +696,89 @@ def test_restricted_engine_matches_the_whole_register_on_the_c7_seeds(monkeypatc
                   <= 1e-12 * restricted.jump_times)
     assert np.max(np.abs(whole.fidelities - restricted.fidelities)) <= 1e-12
     assert np.max(np.abs(whole.distributions - restricted.distributions)) <= 1e-12
+
+
+def _per_pulse_walk(program, space, channels, states, pulse=None):
+    """The walk with one step per pulse: every instant gate applies its
+    unitary, a pulse of zero duration is skipped and every other pulse
+    maps the states through its own ``pulse_propagator``."""
+    t_start = 0.0
+    for item in program.items:
+        if isinstance(item, InstantGate):
+            states = apply_internal_unitary(states, space, item.ion, item.matrix)
+        elif item.duration != 0.0:
+            propagator = pulse_propagator(item, space, channels)
+            states = (propagator.end(states) if pulse is None
+                      else pulse(propagator, states, t_start))
+            t_start += item.duration
+    return states
+
+
+@pytest.mark.parametrize("aux", [True, False], ids=["aux", "no-aux"])
+def test_merged_pulse_steps_match_the_per_pulse_walk(monkeypatch, aux):
+    """The four-ion calibrated ensemble (2000 trajectories, seed 7) on
+    the walk's plan, whose decay-only pulse runs are single steps, and
+    on one step per pulse: the calibrated gamma within 4 ulp, equal
+    jump counts and channels, jump times within 1e-12 of the program's
+    duration and to rel 1e-10, and fidelities, distributions and
+    leakages within 1e-12."""
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+
+    def run():
+        compile_experiment.cache_clear()
+        return dft.dft_experiment(n_trajectories=2000, gamma11="auto", layout=layout, seed0=7,
+                                  include_aux_channel=aux)
+
+    merged = run()
+    monkeypatch.setattr(evolve, "_walk", _per_pulse_walk)
+    per_pulse = run()
+    monkeypatch.undo()
+    compile_experiment.cache_clear()
+    assert abs(merged.gamma11 - per_pulse.gamma11) <= 4 * math.ulp(per_pulse.gamma11)
+    assert merged.jump_counts.sum() > 1000
+    assert np.array_equal(merged.jump_counts, per_pulse.jump_counts)
+    assert np.array_equal(merged.jump_channels, per_pulse.jump_channels)
+    gap = np.abs(merged.jump_times - per_pulse.jump_times)
+    assert np.all(gap <= 1e-12 * merged.program_duration)
+    assert np.all(gap <= 1e-10 * per_pulse.jump_times)
+    for name in ("fidelities", "distributions", "leakages"):
+        assert np.max(np.abs(getattr(merged, name) - getattr(per_pulse, name))) <= 1e-12, name
+
+
+def _pulse_steps(program, layout, channels, initial):
+    space = evolve.reachable(program, layout, channels, initial)
+    return [step for step in evolve._plan(program, space, tuple(channels))
+            if not isinstance(step, InstantGate)]
+
+
+def test_plan_merges_only_runs_of_decay_only_pulses():
+    """A plan step per pulse, except that a run of pulses that couple no
+    pair of the closure is one step: the 24 pulses of the four-ion QFT
+    make 6 steps and the 40 five-ion ones, all coupled, 40.  Two
+    red-sideband pulses on ion 0 with the ion in |0> and no phonon
+    couple nothing, so around a carrier on ion 1 they stay apart, and
+    side by side, with a zero-duration carrier between them, merge into
+    one step over their summed duration."""
+    for n_ions, n_pulses, n_steps in ((4, 24, 6), (5, 40, 40)):
+        layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
+        experiment = compile_experiment(layout, PulseParams())
+        channels = qubit_channels(layout, 7e-4, gamma_aux=7e-4)
+        steps = _pulse_steps(experiment.program, layout, channels,
+                             experiment.initial.amplitudes)
+        assert len(experiment.program.pulses()) == n_pulses
+        assert len(steps) == n_steps
+        assert sum(p.duration for p, _ in steps) == pytest.approx(experiment.program.duration)
+
+    layout = RegisterLayout(n_ions=2, phonon_cutoff=3)
+    channels = qubit_channels(layout, 0.01, gamma_aux=0.01)
+    start = np.zeros(layout.dim)
+    start[layout.basis_index((0, 0), 0)] = 1.0
+    sideband = Pulse(ion=0, transition=RED_SIDEBAND, rabi=1.0, duration=2.0, eta=0.2)
+    carrier = Pulse(ion=1, transition=QUBIT_CARRIER, rabi=1.0, duration=1.0)
+    apart = PulseProgram((sideband, carrier, sideband))
+    assert [(p.duration, t) for p, t in _pulse_steps(apart, layout, channels, start)] == [
+        (2.0, 0.0), (1.0, 2.0), (2.0, 3.0)]
+    together = PulseProgram((sideband, dataclasses.replace(carrier, duration=0.0), sideband,
+                             carrier))
+    assert [(p.duration, t) for p, t in _pulse_steps(together, layout, channels, start)] == [
+        (4.0, 0.0), (1.0, 4.0)]
