@@ -378,8 +378,8 @@ def compile_experiment(layout: RegisterLayout, params: PulseParams) -> CompiledE
     Nothing here depends on the decay, the seeds or the trajectories, so
     every ``dft_experiment`` call on the same register shares one
     record.  The ideal output is the gamma = 0 no-jump branch of the
-    program, from the same cached propagators that the excitation
-    integral of ``calibrate_gamma`` uses.  A register too small to hold
+    program, walked on the same cached gamma = 0 plan as the excitation
+    integral of ``calibrate_gamma``.  A register too small to hold
     f's support raises ``ZeroFunction``; exceptions are not cached.
     """
     f = dft_input_function(layout.n_ions)

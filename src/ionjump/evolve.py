@@ -29,23 +29,23 @@ whose two ends are both kept, the decay and the jump rates take one
 entry per kept state, a jump is one gather and an instant gate at most
 three.  The whole register is the closure that holds every state.  The
 closure is computed once per (program, register, support, kinds of
-channel), and each pulse's propagator and end-of-pulse map once per
-(pulse, closure, channels).  ``_walk`` is the one walk through a
-program: it carries the engine's rows and every other propagation,
-through the steps of the program's ``_plan``, built once per
-(program, closure, channels).  A step is an instant gate or a pulse,
-except that a run of pulses that couple no pair of the closure is one
-step: on the closure each of them is exp(-i diag t - decay t) with the
-same diagonals, so the run is that map over its summed duration.  The
-24 pulses of the four-ion DFT make 6 steps; all 40 five-ion pulses
-couple pairs and stay 40 steps.  A walk's ``pulse`` hook
-(``run_program``) sees each step once, a merged run as one propagator;
-the excitation integral's quadrature over such a step stays exact, as
-at gamma = 0 the step changes phases only and every population is
-constant over it.  States stay on the closure from the engine to the
-readout (``trajectory_blocks`` hands back closure amplitudes and the
-closure); register states appear only at the edges, in ``run_program``
-and ``run_trajectory``.
+channel).  ``_walk`` is the one walk through a program: it carries the
+engine's rows and every other propagation, through the steps of the
+program's ``_plan``, built once per (program, closure, channels) and
+the one place that builds propagators and their end maps, one per
+distinct step.  A step is an instant gate or a pulse, except that a run
+of pulses that couple no pair of the closure is one step: on the
+closure each of them is exp(-i diag t - decay t) with the same
+diagonals, so the run is that map over its summed duration.  The 24
+pulses of the four-ion DFT make 6 steps on 3 propagators; all 40
+five-ion pulses couple pairs and stay 40 steps on 18.  A walk's
+``pulse`` hook (``run_program``) sees each step once, a merged run as
+one propagator; the excitation integral's quadrature over such a step
+stays exact, as at gamma = 0 the step changes phases only and every
+population is constant over it.  States stay on the closure from the
+engine to the readout (``trajectory_blocks`` hands back closure
+amplitudes and the closure); register states appear only at the edges,
+in ``run_program`` and ``run_trajectory``.
 
 One engine runs every ensemble, and a single trajectory is its
 one-seed case.  All trajectories run the same program, so they advance
@@ -90,8 +90,8 @@ holds at most two block-sized arrays (start and end states; the end
 states grow in place when fresh rows are appended), 2 MiB each, plus
 one chunk-sized temporary of the pair map.  The branch lives only as
 long as its block; nothing is kept across calls but the closures, the
-pulse propagators, the plans and, in ``dft``, each register's compiled
-experiment (``dft.compile_experiment``).
+plans (with their propagators) and, in ``dft``, each register's
+compiled experiment (``dft.compile_experiment``).
 
 Randomness comes from a counter-based generator (Philox4x64-10), one
 stream per trajectory, keyed by an integer in [0, 2**128) that the
@@ -124,7 +124,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .hamiltonians import Hamiltonian, build_pulse_hamiltonian
-from .program import InstantGate, Pulse, PulseProgram
+from .program import InstantGate, PulseProgram
 from .register import QuantumState, RegisterLayout, Subspace, apply_internal_unitary
 
 #: Largest tolerated *increase* of the squared norm over one propagation.
@@ -204,12 +204,13 @@ def decay_vector(space: Subspace, channels: Sequence[JumpChannel]) -> np.ndarray
     return d
 
 
-@functools.lru_cache(maxsize=16)
-def _jump_rates(space: Subspace, channels: tuple[JumpChannel, ...]) -> np.ndarray:
+def _jump_rates(space: Subspace, channels: Sequence[JumpChannel]) -> np.ndarray:
     """(dim, n_channels) matrix whose column j is the diagonal of
     c_j^dag c_j = 2 gamma_j P_upper(j): |psi|^2 times it gives every
-    channel's ``weight`` for every row of a batch at once."""
-    return 2.0 * np.stack([decay_vector(space, [ch]) for ch in channels], axis=-1)
+    channel's ``weight`` for every row of a batch at once.
+    ``trajectory_blocks`` computes it once per call, for ``_advance``."""
+    upper = np.array([space.levels(ch.ion) == ch.upper_level for ch in channels])
+    return upper.reshape(-1, space.dim).T * np.array([2.0 * ch.gamma for ch in channels])
 
 
 class ConditionalPropagator:
@@ -224,7 +225,8 @@ class ConditionalPropagator:
     n times the map of an (n, dim) batch whose row k evolves over t[k];
     ``end`` is the precomputed map over ``duration``.  Maps act on
     states with the state axis last, so they take (n, dim) batches as
-    well.  ``hamiltonian`` is the operator it was built from.
+    well.  A walk's propagators are built by its ``_plan``, one per
+    distinct step, and keep no reference to their Hamiltonian.
     """
 
     def __init__(self, hamiltonian: Hamiltonian,
@@ -232,7 +234,6 @@ class ConditionalPropagator:
                  duration: float) -> None:
         if duration < 0.0:
             raise ValidationError("duration must be >= 0")
-        self.hamiltonian = hamiltonian
         self.space = hamiltonian.space
         self.duration = duration
         self.decay = decay_vector(self.space, channels)
@@ -300,16 +301,6 @@ def _dense_map(vecs: np.ndarray, vals: np.ndarray, inv: np.ndarray, t):
     return lambda psi: ((psi @ inv.T) * phases) @ vecs.T
 
 
-@functools.lru_cache(maxsize=128)
-def pulse_propagator(pulse: Pulse, space: Subspace,
-                     channels: tuple[JumpChannel, ...]) -> ConditionalPropagator:
-    """The propagator of one program pulse on the states of ``space``,
-    built once per (pulse, space, channels) and shared by every
-    trajectory."""
-    return ConditionalPropagator(build_pulse_hamiltonian(pulse, space.layout).restricted(space),
-                                 channels, pulse.duration)
-
-
 def reachable(program: PulseProgram, layout: RegisterLayout,
               channels: Sequence[JumpChannel], states: np.ndarray) -> Subspace:
     """The closure of the support of ``states`` (register states, state
@@ -369,7 +360,11 @@ def _plan(program: PulseProgram, space: Subspace,
     """The steps of a walk through ``program`` on ``space`` under
     ``channels``, built once per (program, closure, channels): each
     instant gate, and a (propagator, t_start) pair per pulse of nonzero
-    duration, ``t_start`` being its start in the program.
+    duration, ``t_start`` being its start in the program.  It is the one
+    place that builds a walk's propagators: each distinct pulse's
+    Hamiltonian is restricted to ``space`` once, and each distinct
+    (first pulse, duration) step gets one propagator, which every step
+    equal to it shares.
 
     A pulse whose Hamiltonian couples no pair of ``space`` generates
     -i diag - decay, diagonal on the closure.  A run of such pulses with
@@ -377,32 +372,34 @@ def _plan(program: PulseProgram, space: Subspace,
     one generator, so it is one step: a propagator over the run's summed
     duration, built on its first pulse's Hamiltonian.  Every pulse of a
     QFT at four ions is such a pulse on its 16-state closure (24 pulses
-    make 6 steps); none is at five ions (40 steps)."""
-    steps, chain, t_start = [], [], 0.0     # chain: the open run of decay-only steps
-
-    def close_chain():
-        if len(chain) > 1:
-            (first, start), *_ = chain
-            duration = sum(propagator.duration for propagator, _ in chain)
-            steps.append((ConditionalPropagator(first.hamiltonian, channels, duration), start))
-        else:
-            steps.extend(chain)
-        chain.clear()
-
+    make 6 steps, which share 3 propagators); none is at five ions (40
+    steps, one propagator per distinct pulse: 18)."""
+    hamiltonians, steps, t_start = {}, [], 0.0
+    chain = None        # the open run of decay-only pulses: [first pulse, duration, t_start]
     for item in program.items:
         if isinstance(item, InstantGate):
-            close_chain()
             steps.append(item)
+            chain = None
         elif item.duration != 0.0:
-            propagator = pulse_propagator(item, space, channels)
-            h = propagator.hamiltonian
+            if item not in hamiltonians:
+                hamiltonians[item] = build_pulse_hamiltonian(item, space.layout).restricted(space)
+            h = hamiltonians[item]
             decay_only = not np.any(h.pair_g)
-            if not (decay_only and chain
-                    and np.array_equal(chain[0][0].hamiltonian.diag, h.diag)):
-                close_chain()
-            (chain if decay_only else steps).append((propagator, t_start))
+            if (decay_only and chain is not None
+                    and np.array_equal(hamiltonians[chain[0]].diag, h.diag)):
+                chain[1] += item.duration
+            else:
+                steps.append([item, item.duration, t_start])
+                chain = steps[-1] if decay_only else None
             t_start += item.duration
-    close_chain()
+    propagators = {}
+    for k, step in enumerate(steps):
+        if not isinstance(step, InstantGate):
+            first, duration, start = step
+            if (first, duration) not in propagators:
+                propagators[first, duration] = ConditionalPropagator(hamiltonians[first],
+                                                                     channels, duration)
+            steps[k] = (propagators[first, duration], start)
     return tuple(steps)
 
 
@@ -640,11 +637,12 @@ def _sized_blocks(seeds: Sequence[int], channels: list[JumpChannel],
         yield _Block(seeds[start:], heads)
 
 
-def _advance(block: _Block, channels: tuple[JumpChannel, ...],
+def _advance(block: _Block, channels: tuple[JumpChannel, ...], rates: np.ndarray,
              propagator: ConditionalPropagator, start: np.ndarray,
              t_start: float) -> np.ndarray:
     """Carry a block's rows, ``start``, through the propagator's
-    duration and return them at its end.
+    duration and return them at its end; ``rates`` is the channels'
+    ``_jump_rates`` on the propagator's space.
 
     The rows go through the step together.  A trajectory still on the
     branch crosses when the branch's end norm falls below its first
@@ -690,7 +688,7 @@ def _advance(block: _Block, channels: tuple[JumpChannel, ...],
         dt, psi = propagator.crossing(psi, block.thresholds[rows], duration - elapsed, norm2,
                                       out_norm2)
         elapsed += dt
-        weights = (psi.real**2 + psi.imag**2) @ _jump_rates(space, channels)
+        weights = (psi.real**2 + psi.imag**2) @ rates
         total = weights.sum(axis=-1)
         if np.any(total <= 0.0):
             raise ValidationError("jump triggered with no channel weight")
@@ -754,8 +752,9 @@ def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
     key = tuple(channels)
     space = reachable(program, layout, key, initial_state.amplitudes)
     initial = space.restrict(initial_state.amplitudes)[None]
+    rates = _jump_rates(space, key)
     for block in _sized_blocks(seeds, channels, space.dim):
-        advance = functools.partial(_advance, block, key)
+        advance = functools.partial(_advance, block, key, rates)
         # no name here holds the block's rows or its final states, so a
         # caller reducing the block holds neither the rows nor what it drops
         yield (block.seeds, _walk(program, space, key, initial, advance)[block.src],

@@ -264,11 +264,11 @@ def run_program_exact(program: PulseProgram, layout: RegisterLayout,
     Loss-free reference, state axis last, batched input allowed: one
     ``evolve.run_program`` walk without jump channels on the closure of
     the input's support, so each step of the walk's cached plan takes
-    the end map of its gamma = 0 propagator (a pulse's, from
-    ``evolve.pulse_propagator``'s cache, or one over a run of pulses
-    that couple no pair of the closure), the maps the trajectory engine
-    uses without decay, and repeated calls on one program build no
-    Hamiltonian again.
+    the end map of its gamma = 0 propagator (a pulse's, or one over a
+    run of pulses that couple no pair of the closure), the maps the
+    trajectory engine uses without decay, and repeated calls on one
+    program build no Hamiltonian again while its plan stays in
+    ``evolve._plan``'s cache.
     """
     return run_program(program, layout, (), np.array(psi, dtype=np.complex128))
 

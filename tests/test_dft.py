@@ -734,16 +734,18 @@ def test_aux_and_no_aux_calls_share_no_closure_or_propagator(monkeypatch):
     cleared."""
     layout = RegisterLayout(n_ions=5, phonon_cutoff=3)
     closures, propagators = {False: [], True: []}, {False: [], True: []}
-    reach, build = evolve.reachable, evolve.pulse_propagator
+    reach, plan = evolve.reachable, evolve._plan
     aux_now = []
 
     def spy_reach(*args):
         closures[aux_now[0]].append(reach(*args))
         return closures[aux_now[0]][-1]
 
-    def spy_build(*args):
-        propagators[aux_now[0]].append(build(*args))
-        return propagators[aux_now[0]][-1]
+    def spy_plan(*args):
+        steps = plan(*args)
+        propagators[aux_now[0]].extend(step[0] for step in steps
+                                       if not isinstance(step, InstantGate))
+        return steps
 
     def run(aux):
         aux_now[:] = [aux]
@@ -751,13 +753,12 @@ def test_aux_and_no_aux_calls_share_no_closure_or_propagator(monkeypatch):
                               include_aux_channel=aux)
 
     def clear_caches():
-        for cache in (compile_experiment, evolve._closure, build, evolve._plan,
-                      evolve._jump_rates):
+        for cache in (compile_experiment, evolve._closure, plan):
             cache.cache_clear()
 
     clear_caches()
     monkeypatch.setattr(evolve, "reachable", spy_reach)
-    monkeypatch.setattr(evolve, "pulse_propagator", spy_build)
+    monkeypatch.setattr(evolve, "_plan", spy_plan)
     run(False)
     after = run(True)
     assert closures[False] and closures[True] and propagators[False] and propagators[True]
@@ -773,3 +774,24 @@ def test_aux_and_no_aux_calls_share_no_closure_or_propagator(monkeypatch):
     fresh = run(True)
     for name in REPORT_ARRAYS:
         assert np.array_equal(getattr(after, name), getattr(fresh, name)), name
+
+
+def test_a_walk_after_its_plan_is_evicted_builds_it_again():
+    """A four-ion call at one gamma, then one call at each of as many
+    other gammas as ``evolve._plan`` holds plans, evicts the first
+    gamma's plan; a second call at that gamma builds it again and
+    reports what the first did."""
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+
+    def run(gamma):
+        return dft_experiment(n_trajectories=40, gamma11=gamma, layout=layout, seed0=3)
+
+    first = run(7e-4)
+    for k in range(1, evolve._plan.cache_info().maxsize + 1):
+        run(7e-4 * (1.0 + 0.01 * k))
+    misses = evolve._plan.cache_info().misses
+    again = run(7e-4)
+    assert evolve._plan.cache_info().misses == misses + 1
+    assert first.jump_counts.sum() > 0
+    for name in REPORT_ARRAYS:
+        assert np.array_equal(getattr(first, name), getattr(again, name)), name

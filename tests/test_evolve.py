@@ -15,7 +15,6 @@ from ionjump.evolve import (
     JumpChannel,
     conditional_no_jump_branch,
     decay_vector,
-    pulse_propagator,
     qubit_channels,
     rk4_reference_step,
     run_trajectory,
@@ -26,6 +25,7 @@ from ionjump.errors import ValidationError
 from ionjump.gates import CNOT, Hadamard, PulseParams, compile_gate
 from ionjump.hamiltonians import (
     build_carrier_hamiltonian,
+    build_pulse_hamiltonian,
     build_raman_hamiltonian,
     build_sideband_hamiltonian,
 )
@@ -263,7 +263,7 @@ def test_first_jump_leaves_the_no_jump_branch(monkeypatch):
         if isinstance(item, InstantGate):
             psi = apply_internal_unitary(psi, space, item.ion, item.matrix)
         elif item.duration > 0.0:
-            propagator = pulse_propagator(item, space, tuple(channels))
+            propagator = _pulse_propagator(item, space, tuple(channels))
             pulses.append((t, psi, propagator))
             psi = propagator.at(item.duration)(psi)
             end_norm2.append(np.vdot(psi, psi).real)
@@ -653,8 +653,9 @@ def test_no_amplitude_leaves_the_closure(monkeypatch, n_ions, gamma, aux):
     advance, apply = evolve._advance, JumpChannel.apply
     pulses, picks = [0], []
 
-    def checked_advance(block, key, propagator, start, t_start):
-        out = advance(block, key, propagator, start, t_start)
+    def checked_advance(*args):
+        out = advance(*args)
+        *_, start, _ = args
         assert not np.any(start[:, outside]) and not np.any(out[:, outside])
         pulses[0] += 1
         return out
@@ -698,16 +699,23 @@ def test_restricted_engine_matches_the_whole_register_on_the_c7_seeds(monkeypatc
     assert np.max(np.abs(whole.distributions - restricted.distributions)) <= 1e-12
 
 
+def _pulse_propagator(pulse, space, channels):
+    """The propagator of one pulse on the states of ``space``, built
+    from its Hamiltonian restricted to ``space``."""
+    return ConditionalPropagator(build_pulse_hamiltonian(pulse, space.layout).restricted(space),
+                                 channels, pulse.duration)
+
+
 def _per_pulse_walk(program, space, channels, states, pulse=None):
     """The walk with one step per pulse: every instant gate applies its
     unitary, a pulse of zero duration is skipped and every other pulse
-    maps the states through its own ``pulse_propagator``."""
+    maps the states through its own ``_pulse_propagator``."""
     t_start = 0.0
     for item in program.items:
         if isinstance(item, InstantGate):
             states = apply_internal_unitary(states, space, item.ion, item.matrix)
         elif item.duration != 0.0:
-            propagator = pulse_propagator(item, space, channels)
+            propagator = _pulse_propagator(item, space, channels)
             states = (propagator.end(states) if pulse is None
                       else pulse(propagator, states, t_start))
             t_start += item.duration
@@ -754,12 +762,14 @@ def _pulse_steps(program, layout, channels, initial):
 def test_plan_merges_only_runs_of_decay_only_pulses():
     """A plan step per pulse, except that a run of pulses that couple no
     pair of the closure is one step: the 24 pulses of the four-ion QFT
-    make 6 steps and the 40 five-ion ones, all coupled, 40.  Two
-    red-sideband pulses on ion 0 with the ion in |0> and no phonon
-    couple nothing, so around a carrier on ion 1 they stay apart, and
-    side by side, with a zero-duration carrier between them, merge into
-    one step over their summed duration."""
-    for n_ions, n_pulses, n_steps in ((4, 24, 6), (5, 40, 40)):
+    make 6 steps and the 40 five-ion ones, all coupled, 40.  Steps with
+    the same first pulse and duration share one propagator: 3 at four
+    ions and 18, one per distinct pulse, at five.  Two red-sideband
+    pulses on ion 0 with the ion in |0> and no phonon couple nothing,
+    so around a carrier on ion 1 they stay apart, and side by side,
+    with a zero-duration carrier between them, merge into one step over
+    their summed duration."""
+    for n_ions, n_pulses, n_steps, n_propagators in ((4, 24, 6, 3), (5, 40, 40, 18)):
         layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
         experiment = compile_experiment(layout, PulseParams())
         channels = qubit_channels(layout, 7e-4, gamma_aux=7e-4)
@@ -768,6 +778,16 @@ def test_plan_merges_only_runs_of_decay_only_pulses():
         assert len(experiment.program.pulses()) == n_pulses
         assert len(steps) == n_steps
         assert sum(p.duration for p, _ in steps) == pytest.approx(experiment.program.duration)
+        assert len({id(p) for p, _ in steps}) == n_propagators
+        starts, t = {}, 0.0         # the pulse that starts at each time of the program
+        for item in experiment.program.items:
+            if not isinstance(item, InstantGate) and item.duration != 0.0:
+                starts[t] = item
+                t += item.duration
+        shared = {}
+        for propagator, t_start in steps:
+            key = (starts[t_start], propagator.duration)
+            assert shared.setdefault(key, propagator) is propagator
 
     layout = RegisterLayout(n_ions=2, phonon_cutoff=3)
     channels = qubit_channels(layout, 0.01, gamma_aux=0.01)
