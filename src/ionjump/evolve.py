@@ -27,18 +27,24 @@ runs on the closure's amplitudes alone, and every operator is built on
 its index array (a ``register.Subspace``): the pair maps keep the pairs
 whose two ends are both kept, the decay and the jump rates take one
 entry per kept state, a jump is one gather and an instant gate at most
-three.  The whole register is the closure that holds every state.  The
-closure is computed once per (program, register, support, kinds of
-channel).  ``_walk`` is the one walk through a program: it carries the
-engine's rows and every other propagation, through the steps of the
-program's ``_plan``, built once per (program, closure, channels) and
-the one place that builds propagators and their end maps, one per
-distinct step.  A step is an instant gate or a pulse, except that a run
-of pulses that couple no pair of the closure is one step: on the
+three.  The whole register is the closure that holds every state.
+
+The engine compiles a walk in two layers, split by what depends on
+gamma, which enters only through the decay diagonal.  ``_closure``,
+once per (program, register, support, kinds of channel), builds each
+distinct pulse's register Hamiltonian once, grows the closure from
+their pair lists and restricts them to it, and returns the closure and
+the walk's steps.  A step is an instant gate or a pulse, except that a
+run of pulses that couple no pair of the closure is one step: on the
 closure each of them is exp(-i diag t - decay t) with the same
-diagonals, so the run is that map over its summed duration.  The 24
-pulses of the four-ion DFT make 6 steps on 3 propagators; all 40
-five-ion pulses couple pairs and stay 40 steps on 18.  A walk's
+diagonals, so the run is that map over its summed duration.  ``_plan``,
+once per (closure, steps, channels), computes the decay diagonal and
+the jump-rate table once and builds one propagator and end map on that
+decay per distinct step: it is the only code that gamma reaches, and a
+fresh gamma builds no Hamiltonian.  The 24 pulses of the four-ion DFT
+make 6 steps on 3 propagators; all 40 five-ion pulses couple pairs and
+stay 40 steps on 18.  ``_walk`` is the one walk through a plan: it
+carries the engine's rows and every other propagation.  A walk's
 ``pulse`` hook (``run_program``) sees each step once, a merged run as
 one propagator; the excitation integral's quadrature over such a step
 stays exact, as at gamma = 0 the step changes phases only and every
@@ -89,9 +95,10 @@ rows share each Newton iteration's fixed numpy overhead.  A step
 holds at most two block-sized arrays (start and end states; the end
 states grow in place when fresh rows are appended), 2 MiB each, plus
 one chunk-sized temporary of the pair map.  The branch lives only as
-long as its block; nothing is kept across calls but the closures, the
-plans (with their propagators) and, in ``dft``, each register's
-compiled experiment (``dft.compile_experiment``).
+long as its block; nothing is kept across calls but the closures (with
+their steps' restricted Hamiltonians), the plans (with their
+propagators) and, in ``dft``, each register's compiled experiment
+(``dft.compile_experiment``).
 
 Randomness comes from a counter-based generator (Philox4x64-10), one
 stream per trajectory, keyed by an integer in [0, 2**128) that the
@@ -125,7 +132,8 @@ import numpy as np
 from .errors import ValidationError
 from .hamiltonians import Hamiltonian, build_pulse_hamiltonian
 from .program import InstantGate, PulseProgram
-from .register import QuantumState, RegisterLayout, Subspace, apply_internal_unitary
+from .register import (INTERNAL_DIM, QuantumState, RegisterLayout, Subspace,
+                       apply_internal_unitary)
 
 #: Largest tolerated *increase* of the squared norm over one propagation.
 _NORM_SLACK = 1e-12
@@ -207,45 +215,45 @@ def decay_vector(space: Subspace, channels: Sequence[JumpChannel]) -> np.ndarray
 def _jump_rates(space: Subspace, channels: Sequence[JumpChannel]) -> np.ndarray:
     """(dim, n_channels) matrix whose column j is the diagonal of
     c_j^dag c_j = 2 gamma_j P_upper(j): |psi|^2 times it gives every
-    channel's ``weight`` for every row of a batch at once.
-    ``trajectory_blocks`` computes it once per call, for ``_advance``."""
+    channel's ``weight`` for every row of a batch at once.  ``_plan``
+    computes it once per plan, for ``_advance``."""
     upper = np.array([space.levels(ch.ion) == ch.upper_level for ch in channels])
     return upper.reshape(-1, space.dim).T * np.array([2.0 * ch.gamma for ch in channels])
 
 
 class ConditionalPropagator:
     """Exact no-jump propagator exp(-i H_eff t), H_eff = H - i*decay,
-    of one constant Hamiltonian and set of jump channels.
+    of one constant Hamiltonian and decay diagonal.
 
-    It acts on the states of the Hamiltonian's subspace, ``space``.
-    Pair-structured operators use the closed-form 2x2 block formula
-    (``Hamiltonian.pair_propagator``); any other operator is
-    diagonalized densely, which is limited to dim <= 4096.  ``at(t)``
-    returns the map psi -> exp(-i H_eff t) psi, and for a 1-D array of
-    n times the map of an (n, dim) batch whose row k evolves over t[k];
-    ``end`` is the precomputed map over ``duration``.  Maps act on
-    states with the state axis last, so they take (n, dim) batches as
-    well.  A walk's propagators are built by its ``_plan``, one per
-    distinct step, and keep no reference to their Hamiltonian.
+    It acts on the states of the Hamiltonian's subspace, ``space``, and
+    ``decay`` is the diagonal of sum_j gamma_j P_upper(j) over them
+    (``decay_vector``).  Pair-structured operators use the closed-form
+    2x2 block formula (``Hamiltonian.pair_propagator``); any other
+    operator is diagonalized densely, which is limited to dim <= 4096.
+    ``at(t)`` returns the map psi -> exp(-i H_eff t) psi, and for a 1-D
+    array of n times the map of an (n, dim) batch whose row k evolves
+    over t[k]; ``end`` is the precomputed map over ``duration``.  Maps
+    act on states with the state axis last, so they take (n, dim)
+    batches as well.  A walk's propagators are built by its ``_plan``,
+    one per distinct step, all on the plan's one decay diagonal, and
+    keep no reference to their Hamiltonian.
     """
 
-    def __init__(self, hamiltonian: Hamiltonian,
-                 channels: list[JumpChannel] | tuple[JumpChannel, ...],
-                 duration: float) -> None:
+    def __init__(self, hamiltonian: Hamiltonian, decay: np.ndarray, duration: float) -> None:
         if duration < 0.0:
             raise ValidationError("duration must be >= 0")
         self.space = hamiltonian.space
         self.duration = duration
-        self.decay = decay_vector(self.space, channels)
+        self.decay = decay
         if hamiltonian.is_pair_structured:
-            self.at = hamiltonian.pair_propagator(self.decay)
+            self.at = hamiltonian.pair_propagator(decay)
         else:
             if self.space.dim > _DENSE_MAX_DIM:
                 raise ValidationError(
                     "dense propagator limited to dim <= 4096; "
                     "non-pair-structured drives are meant for small registers"
                 )
-            h_eff = hamiltonian.to_dense() - 1j * np.diag(self.decay)
+            h_eff = hamiltonian.to_dense() - 1j * np.diag(decay)
             vals, vecs = np.linalg.eig(h_eff)
             self.at = functools.partial(_dense_map, vecs, vals, np.linalg.inv(vecs))
         self.end = self.at(duration)
@@ -315,8 +323,15 @@ def reachable(program: PulseProgram, layout: RegisterLayout,
     what is reached, so the engine run on it is exact.  The closure
     depends only on the program, the register, the support and the
     channels' (ion, upper level) pairs, and is computed once per
-    process for each (``_closure``).
+    process for each, with the steps of its walks (``_closure``).
     """
+    return _closure_of(program, layout, channels, states)[0]
+
+
+def _closure_of(program: PulseProgram, layout: RegisterLayout,
+                channels: Sequence[JumpChannel], states: np.ndarray) -> tuple[Subspace, tuple]:
+    """``_closure`` of the support of ``states`` (register states, state
+    axis last) under ``program`` and the kinds of ``channels``."""
     support = np.flatnonzero(np.any(np.reshape(states, (-1, layout.dim)) != 0.0, axis=0))
     kinds = tuple(sorted({(ch.ion, ch.upper_level) for ch in channels}))
     return _closure(program, layout, kinds, support.tobytes())
@@ -324,25 +339,44 @@ def reachable(program: PulseProgram, layout: RegisterLayout,
 
 @functools.lru_cache(maxsize=64)
 def _closure(program: PulseProgram, layout: RegisterLayout,
-             kinds: tuple[tuple[int, int], ...], support: bytes) -> Subspace:
+             kinds: tuple[tuple[int, int], ...], support: bytes) -> tuple[Subspace, tuple]:
+    """The ``reachable`` closure of ``support`` and the steps of every
+    walk through ``program`` on it, which no gamma changes: once per
+    (program, register, support, kinds of channel).
+
+    Each distinct pulse's register Hamiltonian is built once here: its
+    pair list grows the closure, and its restriction to the closure
+    makes the steps.  A step is an instant gate, or a (Hamiltonian,
+    duration, t_start) triple per pulse of nonzero duration, ``t_start``
+    being its start in the program; every step of one pulse holds the
+    same restricted Hamiltonian.
+
+    A pulse whose Hamiltonian couples no pair of the closure generates
+    -i diag - decay, diagonal on the closure.  A run of such pulses with
+    equal diagonals, between two instant gates or coupled pulses, has
+    one generator under any decay, so it is one step: its first pulse's
+    Hamiltonian over the run's summed duration.  Every pulse of a QFT
+    at four ions is such a pulse on its 16-state closure (24 pulses
+    make 6 steps on 3 distinct (Hamiltonian, duration) pairs); none is
+    at five ions (40 steps on 18, one per distinct pulse)."""
     kept = np.zeros(layout.dim, dtype=bool)
     kept[np.frombuffer(support, dtype=np.intp)] = True
 
     def levels(ion):        # (lead, level, rest) view of ``kept``
-        return kept.reshape(layout.internal_dim**ion, layout.internal_dim, -1)
+        return kept.reshape(INTERNAL_DIM**ion, INTERNAL_DIM, -1)
 
-    couplings = {}          # the coupled pairs of each distinct pulse
+    hamiltonians = {}       # each distinct pulse's register Hamiltonian
     for item in program.items:
         if isinstance(item, InstantGate):
             before = levels(item.ion).copy()
             for a, b in zip(*np.nonzero(item.matrix)):
                 levels(item.ion)[:, a] |= before[:, b]
         elif item.duration != 0.0:
-            if item not in couplings:
-                h = build_pulse_hamiltonian(item, layout)
-                coupled = h.pair_g != 0.0
-                couplings[item] = h.pair_i[coupled], h.pair_j[coupled]
-            i, j = couplings[item]
+            if item not in hamiltonians:
+                hamiltonians[item] = build_pulse_hamiltonian(item, layout)
+            h = hamiltonians[item]
+            coupled = h.pair_g != 0.0
+            i, j = h.pair_i[coupled], h.pair_j[coupled]
             while True:
                 size = np.count_nonzero(kept)
                 kept[j[kept[i]]] = True
@@ -351,71 +385,65 @@ def _closure(program: PulseProgram, layout: RegisterLayout,
                     levels(ion)[:, 0] |= levels(ion)[:, upper]
                 if np.count_nonzero(kept) == size:
                     break
-    return Subspace(layout, np.flatnonzero(kept))
-
-
-@functools.lru_cache(maxsize=32)
-def _plan(program: PulseProgram, space: Subspace,
-          channels: tuple[JumpChannel, ...]) -> tuple:
-    """The steps of a walk through ``program`` on ``space`` under
-    ``channels``, built once per (program, closure, channels): each
-    instant gate, and a (propagator, t_start) pair per pulse of nonzero
-    duration, ``t_start`` being its start in the program.  It is the one
-    place that builds a walk's propagators: each distinct pulse's
-    Hamiltonian is restricted to ``space`` once, and each distinct
-    (first pulse, duration) step gets one propagator, which every step
-    equal to it shares.
-
-    A pulse whose Hamiltonian couples no pair of ``space`` generates
-    -i diag - decay, diagonal on the closure.  A run of such pulses with
-    equal diagonals, between two instant gates or coupled pulses, has
-    one generator, so it is one step: a propagator over the run's summed
-    duration, built on its first pulse's Hamiltonian.  Every pulse of a
-    QFT at four ions is such a pulse on its 16-state closure (24 pulses
-    make 6 steps, which share 3 propagators); none is at five ions (40
-    steps, one propagator per distinct pulse: 18)."""
-    hamiltonians, steps, t_start = {}, [], 0.0
-    chain = None        # the open run of decay-only pulses: [first pulse, duration, t_start]
+    space = Subspace(layout, np.flatnonzero(kept))
+    restricted = {pulse: h.restricted(space) for pulse, h in hamiltonians.items()}
+    steps, t_start = [], 0.0
+    chain = None        # the open run of decay-only pulses: [Hamiltonian, duration, t_start]
     for item in program.items:
         if isinstance(item, InstantGate):
             steps.append(item)
             chain = None
         elif item.duration != 0.0:
-            if item not in hamiltonians:
-                hamiltonians[item] = build_pulse_hamiltonian(item, space.layout).restricted(space)
-            h = hamiltonians[item]
+            h = restricted[item]
             decay_only = not np.any(h.pair_g)
-            if (decay_only and chain is not None
-                    and np.array_equal(hamiltonians[chain[0]].diag, h.diag)):
+            if decay_only and chain is not None and np.array_equal(chain[0].diag, h.diag):
                 chain[1] += item.duration
             else:
-                steps.append([item, item.duration, t_start])
+                steps.append([h, item.duration, t_start])
                 chain = steps[-1] if decay_only else None
             t_start += item.duration
-    propagators = {}
-    for k, step in enumerate(steps):
-        if not isinstance(step, InstantGate):
-            first, duration, start = step
-            if (first, duration) not in propagators:
-                propagators[first, duration] = ConditionalPropagator(hamiltonians[first],
-                                                                     channels, duration)
-            steps[k] = (propagators[first, duration], start)
-    return tuple(steps)
+    return space, tuple(step if isinstance(step, InstantGate) else tuple(step) for step in steps)
 
 
-def _walk(program: PulseProgram, space: Subspace, channels: tuple[JumpChannel, ...],
-          states: np.ndarray, pulse: Callable | None = None) -> np.ndarray:
-    """Carry states of ``space`` (state axis last) through the steps of
-    a pulse program's ``_plan`` under ``channels``: each instant gate
-    applies its unitary, and each pulse step (one pulse, or a merged
-    run of decay-only pulses) maps the states by its propagator's end
-    map or, given ``pulse``, by ``pulse(propagator, states, t_start)``,
-    which returns them at the step's end (``t_start``: its start in the
-    program).  ``pulse`` thus sees a merged run once, as one propagator
-    over the run's duration; a quadrature of populations over it, such
-    as ``dft.integrated_upper_population``'s, stays exact, since at
+@functools.lru_cache(maxsize=32)
+def _plan(space: Subspace, steps: tuple,
+          channels: tuple[JumpChannel, ...]) -> tuple[tuple, np.ndarray]:
+    """The walk through a closure's ``steps`` (``_closure``) under
+    ``channels``, built once per (closure, steps, channels), and the
+    channels' ``_jump_rates`` on ``space``.
+
+    It holds all that a walk's gamma changes: the decay diagonal
+    (``decay_vector``) and the jump rates, each computed once, and one
+    propagator on that decay per distinct (Hamiltonian, duration) step,
+    which every step equal to it shares.  The walk is each instant gate
+    and a (propagator, t_start) pair per pulse step: 6 steps on 3
+    propagators for the four-ion QFT, 40 on 18 at five ions."""
+    decay = decay_vector(space, channels)
+    walk, propagators = [], {}
+    for step in steps:
+        if isinstance(step, InstantGate):
+            walk.append(step)
+        else:
+            h, duration, t_start = step
+            if (h, duration) not in propagators:
+                propagators[h, duration] = ConditionalPropagator(h, decay, duration)
+            walk.append((propagators[h, duration], t_start))
+    return tuple(walk), _jump_rates(space, channels)
+
+
+def _walk(space: Subspace, walk: tuple, states: np.ndarray,
+          pulse: Callable | None = None) -> np.ndarray:
+    """Carry states of ``space`` (state axis last) through the ``walk``
+    of a ``_plan``: each instant gate applies its unitary, and each
+    pulse step (one pulse, or a merged run of decay-only pulses) maps
+    the states by its propagator's end map or, given ``pulse``, by
+    ``pulse(propagator, states, t_start)``, which returns them at the
+    step's end (``t_start``: its start in the program).  ``pulse`` thus
+    sees a merged run once, as one propagator over the run's duration;
+    a quadrature of populations over it, such as
+    ``dft.integrated_upper_population``'s, stays exact, since at
     gamma = 0 such a step changes phases only."""
-    for step in _plan(program, space, channels):
+    for step in walk:
         if isinstance(step, InstantGate):
             states = apply_internal_unitary(states, space, step.ion, step.matrix)
         else:
@@ -433,8 +461,9 @@ def run_program(program: PulseProgram, layout: RegisterLayout, channels: Sequenc
     of their ``reachable`` closure, and ``pulse`` sees states and
     propagators of that subspace (``propagator.space``), one call per
     step of the walk's plan."""
-    space = reachable(program, layout, channels, states)
-    return space.embed(_walk(program, space, tuple(channels), space.restrict(states), pulse))
+    space, steps = _closure_of(program, layout, channels, states)
+    walk, _ = _plan(space, steps, tuple(channels))
+    return space.embed(_walk(space, walk, space.restrict(states), pulse))
 
 
 def _norm2(amplitudes: np.ndarray) -> np.ndarray:
@@ -736,8 +765,10 @@ def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
 
     Trajectories run in blocks (see ``_sized_blocks``) whose rows share
     the no-jump branch until they jump; the rows hold the amplitudes of
-    the ``reachable`` closure of the initial state, ``_walk`` carries
-    them and ``_advance`` takes them through each step.  Yields, block
+    the ``reachable`` closure of the initial state.  The call looks up
+    the closure's steps and its plan under ``channels`` once, and every
+    block walks that plan: ``_walk`` carries the rows and ``_advance``
+    takes them through each step, with the plan's jump rates.  Yields, block
     by block in seed order, (the block's seeds, their final states as
     a (seeds, space.dim) array of the closure's amplitudes, their jumps
     as lists of (time, channel index), each trajectory's sum of -ln r
@@ -750,14 +781,14 @@ def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
     any block; a run's seeds are its ``stream_keys``.
     """
     key = tuple(channels)
-    space = reachable(program, layout, key, initial_state.amplitudes)
+    space, steps = _closure_of(program, layout, key, initial_state.amplitudes)
+    walk, rates = _plan(space, steps, key)
     initial = space.restrict(initial_state.amplitudes)[None]
-    rates = _jump_rates(space, key)
     for block in _sized_blocks(seeds, channels, space.dim):
         advance = functools.partial(_advance, block, key, rates)
         # no name here holds the block's rows or its final states, so a
         # caller reducing the block holds neither the rows nor what it drops
-        yield (block.seeds, _walk(program, space, key, initial, advance)[block.src],
+        yield (block.seeds, _walk(space, walk, initial, advance)[block.src],
                block.jumps, block.rate_integrals, space)
 
 

@@ -266,9 +266,10 @@ def run_program_exact(program: PulseProgram, layout: RegisterLayout,
     the input's support, so each step of the walk's cached plan takes
     the end map of its gamma = 0 propagator (a pulse's, or one over a
     run of pulses that couple no pair of the closure), the maps the
-    trajectory engine uses without decay, and repeated calls on one
-    program build no Hamiltonian again while its plan stays in
-    ``evolve._plan``'s cache.
+    trajectory engine uses without decay.  Repeated calls on one
+    program build no Hamiltonian again while its closure stays in
+    ``evolve._closure``'s cache, and no propagator while its plan stays
+    in ``evolve._plan``'s.
     """
     return run_program(program, layout, (), np.array(psi, dtype=np.complex128))
 

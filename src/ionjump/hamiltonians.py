@@ -27,20 +27,22 @@ import numpy as np
 
 from .errors import ValidationError, ZeroDetuning
 from .program import QUBIT_CARRIER, RED_SIDEBAND, Pulse
-from .register import AUX_LEVEL, RegisterLayout, Subspace, whole_register
+from .register import AUX_LEVEL, INTERNAL_DIM, RegisterLayout, Subspace, whole_register
 
 #: Amplitudes per row chunk of the diagonal term of a pair map: the
 #: map holds its input, its output and one temporary of this size.
 _CHUNK_AMPLITUDES = 16384
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hamiltonian:
     """Hermitian operator: real diagonal + symmetric pair couplings.
 
     Indices are positions in ``space``, one diagonal entry per state.
     ``pair_g[m]`` is the matrix element <pair_j[m]| H |pair_i[m]>; the
-    conjugate element is implied.
+    conjugate element is implied.  A Hamiltonian compares and hashes by
+    identity, so the walk steps that hold one can key a plan
+    (``evolve._plan``).
     """
 
     space: Subspace
@@ -209,14 +211,14 @@ def _pair_indices(layout: RegisterLayout, ion: int, lower_digit: int,
                   upper_digit: int, phonon_shift: int):
     """Flat indices of |..lower.., n+shift> and |..upper.., n> pairs."""
     layout.check_ion(ion)
-    lead = layout.internal_dim**ion
-    mid = layout.internal_dim ** (layout.n_ions - ion - 1)
+    lead = INTERNAL_DIM**ion
+    mid = INTERNAL_DIM ** (layout.n_ions - ion - 1)
     cutoff = layout.phonon_cutoff
     shape = (lead, mid, cutoff - phonon_shift)
     a = np.arange(lead)[:, None, None]
     b = np.arange(mid)[None, :, None]
     n = np.arange(cutoff - phonon_shift)[None, None, :]
-    base = (a * layout.internal_dim * mid + b) * cutoff
+    base = (a * INTERNAL_DIM * mid + b) * cutoff
     idx_lower = np.broadcast_to(base + lower_digit * mid * cutoff + n + phonon_shift,
                                 shape).ravel()
     idx_upper = np.broadcast_to(base + upper_digit * mid * cutoff + n, shape).ravel()
@@ -264,10 +266,10 @@ def build_raman_hamiltonian(layout: RegisterLayout, ion: int, rabi02: float,
         raise ZeroDetuning("Raman drive requires a nonzero one-photon detuning")
     layout.check_ion(ion)
     diag = np.zeros(layout.dim)
-    lead = layout.internal_dim**ion
-    mid = layout.internal_dim ** (layout.n_ions - ion - 1)
+    lead = INTERNAL_DIM**ion
+    mid = INTERNAL_DIM ** (layout.n_ions - ion - 1)
     cutoff = layout.phonon_cutoff
-    grid = diag.reshape(lead, layout.internal_dim, mid * cutoff)
+    grid = diag.reshape(lead, INTERNAL_DIM, mid * cutoff)
     grid[:, AUX_LEVEL, :] = -delta2
 
     idx0, idx2_car, _ = _pair_indices(layout, ion, 0, AUX_LEVEL, 0)

@@ -38,7 +38,6 @@ class RegisterLayout:
 
     n_ions: int
     phonon_cutoff: int = 3
-    internal_dim: int = INTERNAL_DIM
     com_effective_ions: int | None = None
 
     def __post_init__(self) -> None:
@@ -46,8 +45,6 @@ class RegisterLayout:
             raise ValidationError("n_ions must be >= 1")
         if self.phonon_cutoff < 2:
             raise ValidationError("phonon_cutoff must be >= 2")
-        if self.internal_dim != INTERNAL_DIM:
-            raise ValidationError("internal_dim is fixed at 3 (qubit + auxiliary)")
         if self.com_effective_ions is not None and self.com_effective_ions < 1:
             raise ValidationError("com_effective_ions must be >= 1")
 
@@ -57,14 +54,14 @@ class RegisterLayout:
 
     @property
     def dim(self) -> int:
-        return self.internal_dim**self.n_ions * self.phonon_cutoff
+        return INTERNAL_DIM**self.n_ions * self.phonon_cutoff
 
     def check_ion(self, ion: int) -> None:
         if not 0 <= ion < self.n_ions:
             raise IndexOutOfRange(f"ion index {ion} outside 0..{self.n_ions - 1}")
 
     def internal_shape(self) -> tuple[int, ...]:
-        return (self.internal_dim,) * self.n_ions + (self.phonon_cutoff,)
+        return (INTERNAL_DIM,) * self.n_ions + (self.phonon_cutoff,)
 
     def basis_index(self, digits: tuple[int, ...] | list[int], n_phonon: int = 0) -> int:
         """Flat index of |digits> (x) |n_phonon>."""
@@ -74,9 +71,9 @@ class RegisterLayout:
             raise IndexOutOfRange(f"phonon number {n_phonon} outside cutoff")
         internal = 0
         for digit in digits:
-            if not 0 <= digit < self.internal_dim:
+            if not 0 <= digit < INTERNAL_DIM:
                 raise IndexOutOfRange(f"internal digit {digit} outside 0..2")
-            internal = internal * self.internal_dim + digit
+            internal = internal * INTERNAL_DIM + digit
         return internal * self.phonon_cutoff + n_phonon
 
     def bits_of(self, value: int) -> tuple[int, ...]:
@@ -225,8 +222,8 @@ class Subspace:
 
     def levels(self, ion: int) -> np.ndarray:
         """Internal level of ``ion`` in each state of the subspace."""
-        return self._table(("levels", ion), lambda: (self.states // self._stride(ion))
-                           % self.layout.internal_dim)
+        return self._table(("levels", ion),
+                           lambda: (self.states // self._stride(ion)) % INTERNAL_DIM)
 
     def level_shifts(self, ion: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row k of each array concerns each state's copy with ``ion``'s
@@ -235,8 +232,7 @@ class Subspace:
         position is 0).  Row 0 is each state itself."""
         def build():
             levels = self.levels(ion)
-            shifted = (levels + np.arange(self.layout.internal_dim)[:, None]) % \
-                self.layout.internal_dim
+            shifted = (levels + np.arange(INTERNAL_DIM)[:, None]) % INTERNAL_DIM
             positions = self.positions(self.states + (shifted - levels) * self._stride(ion))
             kept = positions >= 0
             return shifted, np.where(kept, positions, 0), kept
@@ -245,8 +241,7 @@ class Subspace:
 
     def _stride(self, ion: int) -> int:
         self.layout.check_ion(ion)
-        return (self.layout.internal_dim ** (self.layout.n_ions - ion - 1)
-                * self.layout.phonon_cutoff)
+        return INTERNAL_DIM ** (self.layout.n_ions - ion - 1) * self.layout.phonon_cutoff
 
 
 @functools.lru_cache(maxsize=16)

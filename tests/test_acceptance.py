@@ -47,6 +47,7 @@ from ionjump.dft import (
 from ionjump.evolve import (
     ConditionalPropagator,
     conditional_no_jump_branch,
+    decay_vector,
     qubit_channels,
 )
 from ionjump.gates import (
@@ -345,7 +346,8 @@ def test_criterion_8_physics_micro_oracles():
     channels = qubit_channels(layout, gamma)
     idle = build_carrier_hamiltonian(layout, 0, rabi=0.0)
     excited = QuantumState.from_computational(layout, {1: 1.0})
-    out = ConditionalPropagator(idle, channels, 3.0).end(excited.amplitudes)
+    decay = decay_vector(idle.space, channels)
+    out = ConditionalPropagator(idle, decay, 3.0).end(excited.amplitudes)
     decay_err = abs(np.vdot(out, out).real - math.exp(-2.0 * gamma * 3.0))
 
     # jump-time distribution
@@ -370,7 +372,7 @@ def test_criterion_8_physics_micro_oracles():
         t_end = 200.0 * 2.0 * math.pi
         dt_target = 1e-2 / h.norm_bound()
         n_steps = math.ceil(t_end / dt_target)
-        advance = ConditionalPropagator(h, [], t_end / n_steps).end
+        advance = ConditionalPropagator(h, decay_vector(h.space, []), t_end / n_steps).end
         psi = np.zeros(lay1.dim, dtype=complex)
         psi[lay1.basis_index((0,), 0)] = 1.0
         i2 = lay1.basis_index((2,), 0)

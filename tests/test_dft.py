@@ -734,18 +734,19 @@ def test_aux_and_no_aux_calls_share_no_closure_or_propagator(monkeypatch):
     cleared."""
     layout = RegisterLayout(n_ions=5, phonon_cutoff=3)
     closures, propagators = {False: [], True: []}, {False: [], True: []}
-    reach, plan = evolve.reachable, evolve._plan
+    closure, plan = evolve._closure, evolve._plan
     aux_now = []
 
-    def spy_reach(*args):
-        closures[aux_now[0]].append(reach(*args))
-        return closures[aux_now[0]][-1]
+    def spy_closure(*args):
+        found = closure(*args)
+        closures[aux_now[0]].append(found[0])
+        return found
 
     def spy_plan(*args):
-        steps = plan(*args)
-        propagators[aux_now[0]].extend(step[0] for step in steps
+        walk, rates = plan(*args)
+        propagators[aux_now[0]].extend(step[0] for step in walk
                                        if not isinstance(step, InstantGate))
-        return steps
+        return walk, rates
 
     def run(aux):
         aux_now[:] = [aux]
@@ -753,11 +754,11 @@ def test_aux_and_no_aux_calls_share_no_closure_or_propagator(monkeypatch):
                               include_aux_channel=aux)
 
     def clear_caches():
-        for cache in (compile_experiment, evolve._closure, plan):
+        for cache in (compile_experiment, closure, plan):
             cache.cache_clear()
 
     clear_caches()
-    monkeypatch.setattr(evolve, "reachable", spy_reach)
+    monkeypatch.setattr(evolve, "_closure", spy_closure)
     monkeypatch.setattr(evolve, "_plan", spy_plan)
     run(False)
     after = run(True)

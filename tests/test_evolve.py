@@ -64,7 +64,7 @@ def test_exact_propagator_matches_fine_rk4():
     psi = random_state(layout, seed=5)
     duration, n_steps = 2.0, 2000
     for h in (carrier_h, sideband_h, raman_h):
-        propagator = ConditionalPropagator(h, channels, duration)
+        propagator = ConditionalPropagator(h, decay_vector(h.space, channels), duration)
         reference = psi
         for _ in range(n_steps):
             reference = rk4_reference_step(h, channels, duration / n_steps, reference)
@@ -90,7 +90,7 @@ def test_unitary_limit_preserves_norm():
     layout = RegisterLayout(n_ions=2, phonon_cutoff=3)
     h = build_sideband_hamiltonian(layout, 0, rabi=1.0, eta=0.2)
     psi = random_state(layout, 7)
-    out = ConditionalPropagator(h, [], 1.0 / h.norm_bound()).end(psi)
+    out = ConditionalPropagator(h, decay_vector(h.space, []), 1.0 / h.norm_bound()).end(psi)
     assert abs(np.vdot(out, out).real - 1.0) < 1e-12
 
 
@@ -101,7 +101,7 @@ def test_undriven_decay_norm_law():
     h = build_carrier_hamiltonian(layout, 0, rabi=0.0)
     psi = QuantumState.from_computational(layout, {1: 1.0}).amplitudes
     for t_end in (0.5, 2.0, 5.0):
-        out = ConditionalPropagator(h, channels, t_end).end(psi)
+        out = ConditionalPropagator(h, decay_vector(h.space, channels), t_end).end(psi)
         assert abs(np.vdot(out, out).real - math.exp(-2.0 * gamma * t_end)) < 1e-8
 
 
@@ -110,7 +110,7 @@ def test_single_conditional_step_is_norm_nonincreasing():
     channels = qubit_channels(layout, 0.3)
     h = build_carrier_hamiltonian(layout, 0, rabi=1.0)
     psi = random_state(layout, 1)
-    propagator = ConditionalPropagator(h, channels, duration=20.0)
+    propagator = ConditionalPropagator(h, decay_vector(h.space, channels), duration=20.0)
     norm = float(np.vdot(psi, psi).real)
     for t in np.linspace(0.0, 20.0, 401)[1:]:
         out = propagator.at(t)(psi)
@@ -632,9 +632,11 @@ def test_closure_follows_couplings_gates_and_jumps():
 
 
 def _whole_register_oracle(monkeypatch):
-    """Run the engine on the whole register: every closure is every state."""
-    monkeypatch.setattr(evolve, "reachable",
-                        lambda program, layout, channels, states: whole_register(layout))
+    """Run the engine on the whole register: every closure the engine
+    looks up is the one grown from every state, with its steps."""
+    closure = evolve._closure
+    monkeypatch.setattr(evolve, "_closure", lambda program, layout, kinds, support: closure(
+        program, layout, kinds, np.arange(layout.dim, dtype=np.intp).tobytes()))
 
 
 @pytest.mark.parametrize("aux", [True, False], ids=["aux", "no-aux"])
@@ -680,16 +682,31 @@ def test_restricted_engine_matches_the_whole_register_on_the_c7_seeds(monkeypatc
     """The C7 ensemble (five ions, calibrated gamma, 1000 trajectories,
     seed 7) on the closure and on the whole register: the same
     calibrated gamma, jump counts and channels, jump times to rel 1e-12,
-    and fidelities and DFT distributions to 1e-12."""
+    and fidelities and DFT distributions to 1e-12.  Every walk, each
+    block's among them, is on fewer states than the register's in the
+    first run and on all of them in the second."""
+    dim = RegisterLayout(n_ions=5, phonon_cutoff=3).dim
+    walk, sizes = evolve._walk, []
+
+    def spy_walk(space, steps, states, pulse=None):
+        sizes.append((space.dim, states.shape[-1]))
+        return walk(space, steps, states, pulse)
+
+    monkeypatch.setattr(evolve, "_walk", spy_walk)
+
     def run():
         compile_experiment.cache_clear()
-        return dft.dft_experiment(n_trajectories=1000, gamma11="auto", seed0=7)
+        sizes.clear()
+        report = dft.dft_experiment(n_trajectories=1000, gamma11="auto", seed0=7)
+        return report, list(sizes)
 
-    restricted = run()
+    restricted, restricted_sizes = run()
     _whole_register_oracle(monkeypatch)
-    whole = run()
+    whole, whole_sizes = run()
     monkeypatch.undo()
     compile_experiment.cache_clear()
+    assert restricted_sizes and all(a == b < dim for a, b in restricted_sizes)
+    assert whole_sizes and set(whole_sizes) == {(dim, dim)}
     assert whole.gamma11 == pytest.approx(restricted.gamma11, rel=1e-12)
     assert np.array_equal(whole.jump_counts, restricted.jump_counts)
     assert np.array_equal(whole.jump_channels, restricted.jump_channels)
@@ -703,23 +720,28 @@ def _pulse_propagator(pulse, space, channels):
     """The propagator of one pulse on the states of ``space``, built
     from its Hamiltonian restricted to ``space``."""
     return ConditionalPropagator(build_pulse_hamiltonian(pulse, space.layout).restricted(space),
-                                 channels, pulse.duration)
+                                 decay_vector(space, channels), pulse.duration)
 
 
-def _per_pulse_walk(program, space, channels, states, pulse=None):
-    """The walk with one step per pulse: every instant gate applies its
-    unitary, a pulse of zero duration is skipped and every other pulse
-    maps the states through its own ``_pulse_propagator``."""
-    t_start = 0.0
-    for item in program.items:
-        if isinstance(item, InstantGate):
-            states = apply_internal_unitary(states, space, item.ion, item.matrix)
-        elif item.duration != 0.0:
-            propagator = _pulse_propagator(item, space, channels)
-            states = (propagator.end(states) if pulse is None
-                      else pulse(propagator, states, t_start))
-            t_start += item.duration
-    return states
+def _per_pulse_walk(closure):
+    """``evolve._closure`` with one walk step per pulse: the same
+    closure, every instant gate, no step for a pulse of zero duration
+    and, for every other pulse, a Hamiltonian of its own, built and
+    restricted to the closure here, so the plan gives each pulse its
+    own propagator."""
+    def per_pulse(program, layout, kinds, support):
+        space, _ = closure(program, layout, kinds, support)
+        steps, t_start = [], 0.0
+        for item in program.items:
+            if isinstance(item, InstantGate):
+                steps.append(item)
+            elif item.duration != 0.0:
+                steps.append((build_pulse_hamiltonian(item, layout).restricted(space),
+                              item.duration, t_start))
+                t_start += item.duration
+        return space, tuple(steps)
+
+    return per_pulse
 
 
 @pytest.mark.parametrize("aux", [True, False], ids=["aux", "no-aux"])
@@ -738,7 +760,7 @@ def test_merged_pulse_steps_match_the_per_pulse_walk(monkeypatch, aux):
                                   include_aux_channel=aux)
 
     merged = run()
-    monkeypatch.setattr(evolve, "_walk", _per_pulse_walk)
+    monkeypatch.setattr(evolve, "_closure", _per_pulse_walk(evolve._closure))
     per_pulse = run()
     monkeypatch.undo()
     compile_experiment.cache_clear()
@@ -754,9 +776,9 @@ def test_merged_pulse_steps_match_the_per_pulse_walk(monkeypatch, aux):
 
 
 def _pulse_steps(program, layout, channels, initial):
-    space = evolve.reachable(program, layout, channels, initial)
-    return [step for step in evolve._plan(program, space, tuple(channels))
-            if not isinstance(step, InstantGate)]
+    space, steps = evolve._closure_of(program, layout, channels, initial)
+    walk, _ = evolve._plan(space, steps, tuple(channels))
+    return [step for step in walk if not isinstance(step, InstantGate)]
 
 
 def test_plan_merges_only_runs_of_decay_only_pulses():
@@ -802,3 +824,36 @@ def test_plan_merges_only_runs_of_decay_only_pulses():
                              carrier))
     assert [(p.duration, t) for p, t in _pulse_steps(together, layout, channels, start)] == [
         (4.0, 0.0), (1.0, 4.0)]
+
+
+def test_a_closure_builds_each_pulse_once_and_a_fresh_gamma_builds_none(monkeypatch):
+    """Counted as ``evolve`` calls them, a cold closure builds each
+    distinct pulse's Hamiltonian once, 12 at four ions and 18 at five
+    (24 and 36 when each plan built them again), and a one-trajectory
+    call at a fresh gamma on that closure builds a plan but no
+    Hamiltonian (12 and 18 when it did)."""
+    build, builds = evolve.build_pulse_hamiltonian, []
+
+    def counting(pulse, layout):
+        builds.append(pulse)
+        return build(pulse, layout)
+
+    monkeypatch.setattr(evolve, "build_pulse_hamiltonian", counting)
+    for n_ions, distinct in ((4, 12), (5, 18)):
+        layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
+        experiment = compile_experiment(layout, PulseParams())
+
+        def run(gamma):
+            builds.clear()
+            run_trajectory(experiment.program, layout,
+                           qubit_channels(layout, gamma, gamma_aux=gamma), 0, experiment.initial)
+            return list(builds)
+
+        pulses = {p for p in experiment.program.pulses() if p.duration != 0.0}
+        evolve._closure.cache_clear()
+        cold = run(7.31e-4)
+        assert len(cold) == len(set(cold)) == len(pulses) == distinct
+        assert set(cold) == pulses
+        misses = evolve._plan.cache_info().misses
+        assert run(6.17e-4) == []
+        assert evolve._plan.cache_info().misses == misses + 1

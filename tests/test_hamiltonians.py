@@ -221,7 +221,7 @@ def _raman_trace(ratio, n_cycles, balanced):
     t_end = n_cycles * 2.0 * math.pi / delta
     dt_target = 1e-2 / h.norm_bound()
     n_steps = max(1, math.ceil(t_end / dt_target))
-    at = ConditionalPropagator(h, [], t_end).at
+    at = ConditionalPropagator(h, decay_vector(h.space, []), t_end).at
     psi = np.zeros(layout.dim, dtype=complex)
     psi[layout.basis_index((0,), 0)] = 1.0
     idx = [layout.basis_index((0,), 0), layout.basis_index((1,), 1),
