@@ -66,7 +66,6 @@ from .gates import (
 )
 from .hamiltonians import (
     build_carrier_hamiltonian,
-    build_raman_hamiltonian,
     build_sideband_hamiltonian,
 )
 from .program import InstantGate, Pulse, PulseProgram

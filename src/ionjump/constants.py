@@ -2,13 +2,7 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-
-
-def _hydrogenic_field(e_charge: float, epsilon0: float, a0: float) -> float:
-    # Field of a proton at one Bohr radius: e / (4 pi eps0 a0^2).
-    return e_charge / (4.0 * math.pi * epsilon0 * a0**2)
 
 
 @dataclass(frozen=True)
@@ -17,8 +11,8 @@ class PhysicalConstants:
 
     ``e_hyd`` is the hydrogenic field strength e/(4 pi eps0 a0^2), the
     practical ceiling for the laser field before the ion itself is torn
-    apart; it is stored explicitly and must agree with the recomputed
-    value to 0.5%.
+    apart; it is stored explicitly, and the tests check it against the
+    value recomputed from the other constants to 0.5%.
     """
 
     c_light: float = 299_792_458.0            # m/s
@@ -27,10 +21,6 @@ class PhysicalConstants:
     e_charge: float = 1.602176634e-19         # C
     a0: float = 5.29177210903e-11             # m
     e_hyd: float = field(default=5.142206747621692e11)  # V/m
-
-    def hydrogenic_field(self) -> float:
-        """Recompute e/(4 pi eps0 a0^2) from the stored constants."""
-        return _hydrogenic_field(self.e_charge, self.epsilon0, self.a0)
 
 
 CONSTANTS = PhysicalConstants()

@@ -42,6 +42,7 @@ from .evolve import (
     decay_vector,
     fidelities,
     qubit_channels,
+    reachable,
     run_program,
     stream_keys,
     trajectory_blocks,
@@ -143,15 +144,17 @@ def integrated_upper_population(program: PulseProgram, layout: RegisterLayout,
     adds a Gauss-Legendre sum over its exact propagator: one pulse, or
     a run of pulses that couple no pair of the closure, over which the
     populations do not change at gamma = 0, so the sum stays exact.
+    Every step acts on the one closure the walk carries, so the
+    excitation diagonal is computed once, on that closure.
     """
     upper = qubit_channels(layout, 1.0, gamma_aux=1.0 if include_aux else None)
+    # number of ions in an upper level, per state the walk carries
+    excitation = decay_vector(reachable(program, layout, (), initial.amplitudes), upper)
     nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
     total = 0.0
 
     def node_sum(propagator, psi, t_start):
         nonlocal total
-        # number of ions in an upper level, per state the walk carries
-        excitation = decay_vector(propagator.space, upper)
         half = 0.5 * propagator.duration
         rows = np.broadcast_to(psi, (nodes.size, psi.size))   # one row per node
         phi = propagator.at(half * (nodes + 1.0))(rows)

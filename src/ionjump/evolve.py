@@ -15,9 +15,9 @@ of Dalibard, Castin and Molmer, PRL 68, 580 (1992); Plenio and Knight,
 RMP 70, 101 (1998)).
 
 Every pulse Hamiltonian is constant in time, so the no-jump propagator
-exp(-i H_eff t) of a pulse is exact: a closed-form 2x2 block formula for
-the pair-structured resonant drives, evaluated once per distinct rate
-and per group of equal pairs, dense diagonalization otherwise.
+exp(-i H_eff t) of a pulse is exact: a closed-form 2x2 block formula,
+evaluated once per distinct rate and per group of equal pairs, since
+every pulse drive is pair-structured (``hamiltonians``).
 
 The pulses, the instant gates and the jumps map each basis state only
 to the states its couplings reach, so an evolution never leaves the
@@ -141,8 +141,6 @@ _NORM_SLACK = 1e-12
 #: search stops.
 _ROOT_RTOL = 1e-13
 _ROOT_MAX_EVALUATIONS = 100
-#: Largest register for the dense (non-pair-structured) propagator.
-_DENSE_MAX_DIM = 4096
 #: Amplitudes of the jumped trajectories one block holds (rows x the
 #: closure's size), besides its no-jump branch: 8192 rows on the
 #: 16-state four-ion DFT closure, 481 on the 272-state five-ion one.  A
@@ -227,9 +225,9 @@ class ConditionalPropagator:
 
     It acts on the states of the Hamiltonian's subspace, ``space``, and
     ``decay`` is the diagonal of sum_j gamma_j P_upper(j) over them
-    (``decay_vector``).  Pair-structured operators use the closed-form
-    2x2 block formula (``Hamiltonian.pair_propagator``); any other
-    operator is diagonalized densely, which is limited to dim <= 4096.
+    (``decay_vector``).  The Hamiltonian must be pair-structured, as
+    every pulse's is: the map is the closed-form 2x2 block formula
+    (``Hamiltonian.pair_propagator``); any other operator is refused.
     ``at(t)`` returns the map psi -> exp(-i H_eff t) psi, and for a 1-D
     array of n times the map of an (n, dim) batch whose row k evolves
     over t[k]; ``end`` is the precomputed map over ``duration``.  Maps
@@ -242,20 +240,13 @@ class ConditionalPropagator:
     def __init__(self, hamiltonian: Hamiltonian, decay: np.ndarray, duration: float) -> None:
         if duration < 0.0:
             raise ValidationError("duration must be >= 0")
+        if not hamiltonian.is_pair_structured:
+            raise ValidationError("the propagator needs a pair-structured Hamiltonian "
+                                  "(each state coupled to at most one other)")
         self.space = hamiltonian.space
         self.duration = duration
         self.decay = decay
-        if hamiltonian.is_pair_structured:
-            self.at = hamiltonian.pair_propagator(decay)
-        else:
-            if self.space.dim > _DENSE_MAX_DIM:
-                raise ValidationError(
-                    "dense propagator limited to dim <= 4096; "
-                    "non-pair-structured drives are meant for small registers"
-                )
-            h_eff = hamiltonian.to_dense() - 1j * np.diag(decay)
-            vals, vecs = np.linalg.eig(h_eff)
-            self.at = functools.partial(_dense_map, vecs, vals, np.linalg.inv(vecs))
+        self.at = hamiltonian.pair_propagator(decay)
         self.end = self.at(duration)
 
     def crossing(self, psi: np.ndarray, r: np.ndarray, span: np.ndarray,
@@ -298,15 +289,6 @@ class ConditionalPropagator:
             rows, lo, hi, tol, r, psi = (
                 rows[going], lo[going], hi[going], tol[going], r[going], psi[going])
         return roots, phi
-
-
-def _dense_map(vecs: np.ndarray, vals: np.ndarray, inv: np.ndarray, t):
-    phases = np.exp(-1j * vals * np.asarray(t, dtype=np.float64)[..., None])
-    if phases.ndim == 1:
-        matrix = ((vecs * phases) @ inv).T
-        return lambda psi: psi @ matrix
-    # row k: psi_k -> V diag(phases_k) V^-1 psi_k, without a matrix per row
-    return lambda psi: ((psi @ inv.T) * phases) @ vecs.T
 
 
 def reachable(program: PulseProgram, layout: RegisterLayout,
@@ -478,22 +460,6 @@ def _check_norm(before, after) -> None:
         raise ValidationError("conditional evolution increased the norm")
 
 
-def rk4_reference_step(hamiltonian: Hamiltonian, channels: list[JumpChannel],
-                       dt: float, psi: np.ndarray) -> np.ndarray:
-    """Textbook four-stage RK4 step; the tests' integrator-independent
-    reference for ConditionalPropagator."""
-    decay = decay_vector(hamiltonian.space, channels)
-
-    def gen(v):
-        return -1j * hamiltonian.apply(v) - decay * v
-
-    k1 = gen(psi)
-    k2 = gen(psi + 0.5 * dt * k1)
-    k3 = gen(psi + 0.5 * dt * k2)
-    k4 = gen(psi + dt * k3)
-    return psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 @dataclass(frozen=True)
 class TrajectoryRecord:
     """Outcome of one stochastic run."""
@@ -579,7 +545,7 @@ def _stream_draws(seeds: Sequence[int], first: int, blocks: int) -> np.ndarray:
 class _Block:
     """The trajectories of one block and the owners of its rows.
 
-    ``run_program`` carries the block's rows; row 0 is the no-jump
+    ``_walk`` carries the block's rows; row 0 is the no-jump
     branch, and its threshold 0 never jumps.  A trajectory that has not
     jumped has no row of its own: ``src[k]`` is 0 and ``first[k]`` is
     its first threshold.  Once it jumps it owns a row (``owner`` maps

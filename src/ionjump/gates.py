@@ -274,27 +274,6 @@ def run_program_exact(program: PulseProgram, layout: RegisterLayout,
     return run_program(program, layout, (), np.array(psi, dtype=np.complex128))
 
 
-def program_computational_matrix(program: PulseProgram,
-                                 layout: RegisterLayout) -> tuple[np.ndarray, float]:
-    """Ideal program action restricted to the computational subspace.
-
-    Returns (V, leakage) where V[y, x] = <y, ph=0| U_program |x, ph=0>
-    over bit patterns and ``leakage`` is the largest column norm outside
-    the computational-times-phonon-ground block.
-    """
-    n = layout.n_ions
-    dim_c = 2**n
-    basis = np.zeros((dim_c, layout.dim), dtype=np.complex128)
-    for x in range(dim_c):
-        basis[x, layout.computational_index(x)] = 1.0
-    final = run_program_exact(program, layout, basis)
-    columns = np.array([layout.computational_index(y) for y in range(dim_c)])
-    v = final[:, columns].T
-    kept = (np.abs(final[:, columns]) ** 2).sum(axis=1)
-    leakage = float(np.max(1.0 - kept))
-    return v, leakage
-
-
 def operator_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Phase-insensitive normalized distance min_phi |u - e^{i phi} v|_F / sqrt(dim)."""
     overlap = np.trace(v.conj().T @ u)

@@ -13,10 +13,9 @@ couple |0, n> <-> |1, n> at Omega/2 without the Lamb-Dicke factor.
 Every drive is stored as a sparse pair list plus a real diagonal over
 the states of a ``Subspace``: the builders give the whole register, and
 ``Hamiltonian.restricted`` the operator on a subspace it maps into
-itself.  The resonant pulse operators are *pair-structured* (each basis
-state couples to at most one partner), so their propagators have a
-closed form; the Raman three-level operator is not, and falls back to a
-dense path.
+itself.  Every pulse operator is *pair-structured* (each basis state
+couples to at most one partner), so its propagator has a closed form,
+the only one the engine has (``Hamiltonian.pair_propagator``).
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, ZeroDetuning
+from .errors import ValidationError
 from .program import QUBIT_CARRIER, RED_SIDEBAND, Pulse
 from .register import AUX_LEVEL, INTERNAL_DIM, RegisterLayout, Subspace, whole_register
 
@@ -74,28 +73,6 @@ class Hamiltonian:
         # a sorted scan, not np.unique, which imports numpy.ma on first use
         indices = np.sort(np.concatenate([self.pair_i, self.pair_j]))
         return not np.any(indices[1:] == indices[:-1])
-
-    def to_dense(self) -> np.ndarray:
-        dim = self.space.dim
-        h = np.zeros((dim, dim), dtype=np.complex128)
-        h[np.arange(dim), np.arange(dim)] = self.diag
-        # accumulate; repeated (i, j) entries add, matching the pair list
-        np.add.at(h, (self.pair_j, self.pair_i), self.pair_g)
-        np.add.at(h, (self.pair_i, self.pair_j), np.conj(self.pair_g))
-        return h
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        out = self.diag * psi
-        np.add.at(out, self.pair_j, self.pair_g * psi[self.pair_i])
-        np.add.at(out, self.pair_i, np.conj(self.pair_g) * psi[self.pair_j])
-        return out
-
-    def norm_bound(self) -> float:
-        """Infinity-norm upper bound on the spectral radius."""
-        rows = np.abs(self.diag).astype(np.float64).copy()
-        np.add.at(rows, self.pair_i, np.abs(self.pair_g))
-        np.add.at(rows, self.pair_j, np.abs(self.pair_g))
-        return float(rows.max()) if rows.size else 0.0
 
     def pair_propagator(self, decay: np.ndarray | None = None):
         """Closed form of exp(-i (H - i*decay) t) for a pair-structured H.
@@ -250,41 +227,6 @@ def build_sideband_hamiltonian(layout: RegisterLayout, ion: int, rabi: float,
     g = base * np.sqrt(n + 1.0) * np.exp(1j * phase)
     return Hamiltonian(space=whole_register(layout), diag=np.zeros(layout.dim),
                        pair_i=idx0, pair_j=idx_up, pair_g=g.astype(np.complex128))
-
-
-def build_raman_hamiltonian(layout: RegisterLayout, ion: int, rabi02: float,
-                            rabi12: float, delta2: float, eta: float) -> Hamiltonian:
-    """Detuned three-level Raman drive on one ion.
-
-    H = -Delta2 |2><2| + Omega02/2 (|2><0| + h.c.)
-        + eta*Omega12/(2 sqrt(5 N_eff)) (|2><1| a + h.c.),
-
-    so the 0<->2 branch is a carrier and the 1<->2 branch exchanges a
-    phonon.  Not pair-structured (level 2 couples to both qubit levels).
-    """
-    if delta2 == 0.0:
-        raise ZeroDetuning("Raman drive requires a nonzero one-photon detuning")
-    layout.check_ion(ion)
-    diag = np.zeros(layout.dim)
-    lead = INTERNAL_DIM**ion
-    mid = INTERNAL_DIM ** (layout.n_ions - ion - 1)
-    cutoff = layout.phonon_cutoff
-    grid = diag.reshape(lead, INTERNAL_DIM, mid * cutoff)
-    grid[:, AUX_LEVEL, :] = -delta2
-
-    idx0, idx2_car, _ = _pair_indices(layout, ion, 0, AUX_LEVEL, 0)
-    g_car = np.full(idx0.shape, 0.5 * rabi02, dtype=np.complex128)
-    idx1, idx2_sb, n = _pair_indices(layout, ion, 1, AUX_LEVEL, 1)
-    g_sb = (eta * rabi12 / (2.0 * np.sqrt(5.0 * layout.effective_ions))
-            * np.sqrt(n + 1.0)).astype(np.complex128)
-
-    return Hamiltonian(
-        space=whole_register(layout),
-        diag=diag.reshape(layout.dim),
-        pair_i=np.concatenate([idx0, idx1]),
-        pair_j=np.concatenate([idx2_car, idx2_sb]),
-        pair_g=np.concatenate([g_car, g_sb]),
-    )
 
 
 def build_pulse_hamiltonian(pulse: Pulse, layout: RegisterLayout) -> Hamiltonian:

@@ -47,11 +47,14 @@ class InstantGate:
     unless stated otherwise).
 
     The gate keeps a read-only copy of its matrix, so gates, and the
-    programs holding them, compare and hash by value."""
+    programs holding them, compare and hash by value.  The hash is
+    computed once, here: the engine's plan cache hashes every gate of a
+    walk's steps on each lookup."""
 
     ion: int
     matrix: np.ndarray
     label: str = ""
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=np.complex128)
@@ -61,6 +64,8 @@ class InstantGate:
             raise ValidationError(f"instantaneous gate {self.label!r} is not unitary")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        # + 0.0 turns -0.0 into 0.0, so entries that compare equal hash equal
+        object.__setattr__(self, "_hash", hash((self.ion, self.label, (m + 0.0).tobytes())))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InstantGate):
@@ -69,7 +74,7 @@ class InstantGate:
                 and np.array_equal(self.matrix, other.matrix))
 
     def __hash__(self) -> int:
-        return hash((self.ion, self.label, self.matrix.tobytes()))
+        return self._hash
 
 
 ProgramItem = Pulse | InstantGate
@@ -96,21 +101,3 @@ class PulseProgram:
     def duration(self) -> float:
         """Total laser-on time (instant gates cost nothing)."""
         return sum(item.duration for item in self.items if isinstance(item, Pulse))
-
-    def pulses(self) -> list[Pulse]:
-        return [item for item in self.items if isinstance(item, Pulse)]
-
-    def rotation_count(self, effective_ions: int) -> float:
-        """Total sideband rotation angle in units of pi.
-
-        A pi-pulse on the n=1 sideband contributes 1, a 2*pi-pulse 2;
-        carrier pulses count with their own Rabi rate.
-        """
-        total = 0.0
-        for pulse in self.pulses():
-            if pulse.transition == QUBIT_CARRIER:
-                rate = pulse.rabi
-            else:
-                rate = pulse.eta * pulse.rabi / np.sqrt(5.0 * effective_ions)
-            total += rate * pulse.duration / np.pi
-        return total

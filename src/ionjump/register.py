@@ -125,27 +125,6 @@ class QuantumState:
     def _as_grid(self) -> np.ndarray:
         return self.amplitudes.reshape(self.layout.internal_shape())
 
-    def ion_level_population(self, ion: int, level: int) -> float:
-        """Unnormalized population of one internal level of one ion."""
-        self.layout.check_ion(ion)
-        grid = self._as_grid()
-        taken = np.take(grid, level, axis=ion)
-        return float(np.sum(np.abs(taken) ** 2))
-
-    def phonon_population(self, n: int) -> float:
-        grid = self._as_grid()
-        taken = np.take(grid, n, axis=self.layout.n_ions)
-        return float(np.sum(np.abs(taken) ** 2))
-
-    def phonon_excited_population(self) -> float:
-        """Population outside the phonon ground state (unnormalized)."""
-        return self.squared_norm() - self.phonon_population(0)
-
-    def aux_population(self) -> float:
-        """Total population of the auxiliary level across all ions."""
-        return sum(self.ion_level_population(k, AUX_LEVEL)
-                   for k in range(self.layout.n_ions))
-
     def computational_probabilities(self) -> np.ndarray:
         """Probabilities of the 2^n bit patterns, renormalized, phonon
         traced out; auxiliary-level population is excluded (leakage)."""

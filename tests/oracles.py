@@ -1,0 +1,180 @@
+"""Reference operators and readouts that only the tests use.
+
+None of these is on the engine's path.  The dense forms here check the
+engine's closed-form maps (``Hamiltonian.pair_propagator``) against
+integrator- and structure-independent references; the Raman three-level
+drive is the one operator here that is not pair-structured, which the
+engine's propagator refuses, so its evolution runs on
+``dense_propagator`` alone.
+"""
+
+import math
+
+import numpy as np
+
+from ionjump.errors import ZeroDetuning
+from ionjump.evolve import decay_vector
+from ionjump.gates import run_program_exact
+from ionjump.hamiltonians import Hamiltonian, _pair_indices
+from ionjump.program import QUBIT_CARRIER, Pulse
+from ionjump.register import AUX_LEVEL, INTERNAL_DIM, whole_register
+
+
+def build_raman_hamiltonian(layout, ion, rabi02, rabi12, delta2, eta):
+    """Detuned three-level Raman drive on one ion.
+
+    H = -Delta2 |2><2| + Omega02/2 (|2><0| + h.c.)
+        + eta*Omega12/(2 sqrt(5 N_eff)) (|2><1| a + h.c.),
+
+    so the 0<->2 branch is a carrier and the 1<->2 branch exchanges a
+    phonon.  Not pair-structured (level 2 couples to both qubit levels).
+    """
+    if delta2 == 0.0:
+        raise ZeroDetuning("Raman drive requires a nonzero one-photon detuning")
+    layout.check_ion(ion)
+    diag = np.zeros(layout.dim)
+    lead = INTERNAL_DIM**ion
+    mid = INTERNAL_DIM ** (layout.n_ions - ion - 1)
+    grid = diag.reshape(lead, INTERNAL_DIM, mid * layout.phonon_cutoff)
+    grid[:, AUX_LEVEL, :] = -delta2
+
+    idx0, idx2_car, _ = _pair_indices(layout, ion, 0, AUX_LEVEL, 0)
+    g_car = np.full(idx0.shape, 0.5 * rabi02, dtype=np.complex128)
+    idx1, idx2_sb, n = _pair_indices(layout, ion, 1, AUX_LEVEL, 1)
+    g_sb = (eta * rabi12 / (2.0 * np.sqrt(5.0 * layout.effective_ions))
+            * np.sqrt(n + 1.0)).astype(np.complex128)
+    return Hamiltonian(space=whole_register(layout), diag=diag,
+                       pair_i=np.concatenate([idx0, idx1]),
+                       pair_j=np.concatenate([idx2_car, idx2_sb]),
+                       pair_g=np.concatenate([g_car, g_sb]))
+
+
+def to_dense(h):
+    """The Hamiltonian as a dense matrix over its subspace."""
+    dim = h.space.dim
+    dense = np.zeros((dim, dim), dtype=np.complex128)
+    dense[np.arange(dim), np.arange(dim)] = h.diag
+    # accumulate; repeated (i, j) entries add, matching the pair list
+    np.add.at(dense, (h.pair_j, h.pair_i), h.pair_g)
+    np.add.at(dense, (h.pair_i, h.pair_j), np.conj(h.pair_g))
+    return dense
+
+
+def apply(h, psi):
+    """H psi, from the pair list."""
+    out = h.diag * psi
+    np.add.at(out, h.pair_j, h.pair_g * psi[h.pair_i])
+    np.add.at(out, h.pair_i, np.conj(h.pair_g) * psi[h.pair_j])
+    return out
+
+
+def norm_bound(h):
+    """Infinity-norm upper bound on the spectral radius."""
+    rows = np.abs(h.diag).astype(np.float64).copy()
+    np.add.at(rows, h.pair_i, np.abs(h.pair_g))
+    np.add.at(rows, h.pair_j, np.abs(h.pair_g))
+    return float(rows.max()) if rows.size else 0.0
+
+
+def dense_propagator(h, decay, t):
+    """The map psi -> exp(-i (H - i*decay) t) psi of any Hamiltonian, by
+    dense diagonalization; for a 1-D array of n times, the map of an
+    (n, dim) batch whose row k evolves over t[k].  States have the state
+    axis last."""
+    vals, vecs = np.linalg.eig(to_dense(h) - 1j * np.diag(decay))
+    inv = np.linalg.inv(vecs)
+    phases = np.exp(-1j * vals * np.asarray(t, dtype=np.float64)[..., None])
+    if phases.ndim == 1:
+        matrix = ((vecs * phases) @ inv).T
+        return lambda psi: psi @ matrix
+    # row k: psi_k -> V diag(phases_k) V^-1 psi_k, without a matrix per row
+    return lambda psi: ((psi @ inv.T) * phases) @ vecs.T
+
+
+def rk4_reference_step(h, channels, dt, psi):
+    """Textbook four-stage RK4 step of the conditional generator
+    -i H - decay: the integrator-independent reference for the exact
+    propagators."""
+    decay = decay_vector(h.space, channels)
+
+    def gen(v):
+        return -1j * apply(h, v) - decay * v
+
+    k1 = gen(psi)
+    k2 = gen(psi + 0.5 * dt * k1)
+    k3 = gen(psi + 0.5 * dt * k2)
+    k4 = gen(psi + dt * k3)
+    return psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _grid(state):
+    return state.amplitudes.reshape(state.layout.internal_shape())
+
+
+def ion_level_population(state, ion, level):
+    """Unnormalized population of one internal level of one ion."""
+    state.layout.check_ion(ion)
+    return float(np.sum(np.abs(np.take(_grid(state), level, axis=ion)) ** 2))
+
+
+def phonon_population(state, n):
+    """Unnormalized population of phonon number ``n``."""
+    taken = np.take(_grid(state), n, axis=state.layout.n_ions)
+    return float(np.sum(np.abs(taken) ** 2))
+
+
+def phonon_excited_population(state):
+    """Population outside the phonon ground state (unnormalized)."""
+    return state.squared_norm() - phonon_population(state, 0)
+
+
+def aux_population(state):
+    """Total population of the auxiliary level across all ions."""
+    return sum(ion_level_population(state, k, AUX_LEVEL)
+               for k in range(state.layout.n_ions))
+
+
+def pulses(program):
+    """The program's pulses, in order."""
+    return [item for item in program.items if isinstance(item, Pulse)]
+
+
+def rotation_count(program, effective_ions):
+    """Total sideband rotation angle in units of pi.
+
+    A pi-pulse on the n=1 sideband contributes 1, a 2*pi-pulse 2;
+    carrier pulses count with their own Rabi rate.
+    """
+    total = 0.0
+    for pulse in pulses(program):
+        if pulse.transition == QUBIT_CARRIER:
+            rate = pulse.rabi
+        else:
+            rate = pulse.eta * pulse.rabi / np.sqrt(5.0 * effective_ions)
+        total += rate * pulse.duration / np.pi
+    return total
+
+
+def program_computational_matrix(program, layout):
+    """Ideal program action restricted to the computational subspace.
+
+    Returns (V, leakage) where V[y, x] = <y, ph=0| U_program |x, ph=0>
+    over bit patterns (``gates.run_program_exact``) and ``leakage`` is
+    the largest column norm outside the computational-times-phonon-ground
+    block.
+    """
+    dim_c = 2**layout.n_ions
+    basis = np.zeros((dim_c, layout.dim), dtype=np.complex128)
+    for x in range(dim_c):
+        basis[x, layout.computational_index(x)] = 1.0
+    final = run_program_exact(program, layout, basis)
+    columns = np.array([layout.computational_index(y) for y in range(dim_c)])
+    v = final[:, columns].T
+    kept = (np.abs(final[:, columns]) ** 2).sum(axis=1)
+    return v, float(np.max(1.0 - kept))
+
+
+def hydrogenic_field(constants):
+    """e/(4 pi eps0 a0^2), the field of a proton at one Bohr radius,
+    recomputed from the stored constants."""
+    return constants.e_charge / (4.0 * math.pi * constants.epsilon0 * constants.a0**2)

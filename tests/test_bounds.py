@@ -48,6 +48,7 @@ from ionjump.errors import (
     WrongEncoding,
     ZeroDetuning,
 )
+import oracles
 
 EPS = 216.0
 
@@ -425,7 +426,7 @@ def test_bounds_monotone_in_budgets_and_rates(db, factor):
 def test_hydrogenic_field_self_consistency():
     from ionjump.constants import CONSTANTS
 
-    computed = CONSTANTS.hydrogenic_field()
+    computed = oracles.hydrogenic_field(CONSTANTS)
     assert abs(computed - CONSTANTS.e_hyd) / computed < 0.005
     # the field ceiling caps the achievable drive ratio
     assert einstein_ratio(2.61e15, CONSTANTS.e_hyd) > 1e20

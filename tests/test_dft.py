@@ -30,6 +30,7 @@ from ionjump.gates import PulseParams, run_program_exact
 from ionjump.program import InstantGate
 from ionjump.register import AUX_LEVEL, QuantumState, RegisterLayout, whole_register
 from test_acceptance import CALIBRATED_GAMMA
+import oracles
 
 # 32-point spectrum of f(n) = [n = 8 mod 10], frozen from the direct
 # O(N^2) summation oracle
@@ -153,7 +154,7 @@ def test_closure_readout_matches_the_register_readout(aux):
         assert abs(1.0 - row.sum() - state.leakage()) <= 1e-15
     # the hand-built state, the last row
     assert state.leakage() == pytest.approx(0.25 / 0.77)
-    assert state.phonon_excited_population() == pytest.approx(0.36 / 0.77)
+    assert oracles.phonon_excited_population(state) == pytest.approx(0.36 / 0.77)
 
 
 def test_circuit_matches_oracle_exactly():
@@ -166,7 +167,7 @@ def test_circuit_matches_oracle_exactly():
     assert np.max(np.abs(frequency_distribution(out[None], whole_register(layout))[0]
                          - ideal_dft_oracle(f))) < 1e-12
     assert state.leakage() < 1e-12
-    assert state.phonon_excited_population() < 1e-12
+    assert oracles.phonon_excited_population(state) < 1e-12
 
 
 @pytest.mark.parametrize("n_ions", [4, 5])
@@ -233,7 +234,7 @@ def test_compiled_experiment_is_keyed_by_pulse_params():
     assert compile_experiment.cache_info().currsize == 2
     assert compile_experiment(layout, PulseParams()) is instant
     assert carrier is not instant
-    assert len(carrier.program.pulses()) > len(instant.program.pulses())
+    assert len(oracles.pulses(carrier.program)) > len(oracles.pulses(instant.program))
     assert carrier.program.duration > instant.program.duration
     assert not np.array_equal(carrier.ideal_final, instant.ideal_final)
 
@@ -313,6 +314,43 @@ def test_excitation_integral_is_computed_once_per_compiled_experiment(monkeypatc
     assert integrals[0] == integrate(experiment.program, layout, experiment.initial)
     assert integrals[1] == integrate(experiment.program, layout, experiment.initial,
                                      include_aux=False)
+
+
+@pytest.mark.parametrize("include_aux", [True, False], ids=["aux", "no-aux"])
+@pytest.mark.parametrize("n_ions", [4, 5])
+def test_excitation_integral_builds_its_diagonal_once(monkeypatch, n_ions, include_aux):
+    """Every step of the integral's walk acts on one closure, so the
+    excitation diagonal is built once per integral (6 steps at four
+    ions, 40 at five), and the integral is bit-equal to the same
+    quadrature with the diagonal built again at every step."""
+    layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
+    experiment = compile_experiment(layout, PulseParams())
+    upper = qubit_channels(layout, 1.0, gamma_aux=1.0 if include_aux else None)
+    nodes, weights = np.polynomial.legendre.leggauss(dft.QUADRATURE_NODES)
+    per_step = 0.0
+
+    def node_sum(propagator, psi, t_start):
+        nonlocal per_step
+        excitation = evolve.decay_vector(propagator.space, upper)
+        half = 0.5 * propagator.duration
+        rows = np.broadcast_to(psi, (nodes.size, psi.size))
+        phi = propagator.at(half * (nodes + 1.0))(rows)
+        per_step += half * float(weights @ ((phi.real**2 + phi.imag**2) @ excitation))
+        return propagator.end(psi)
+
+    evolve.run_program(experiment.program, layout, (), experiment.initial.amplitudes, node_sum)
+    calls = []
+    decay_vector = dft.decay_vector
+
+    def spy(space, channels):
+        calls.append(space)
+        return decay_vector(space, channels)
+
+    monkeypatch.setattr(dft, "decay_vector", spy)
+    integral = integrated_upper_population(experiment.program, layout, experiment.initial,
+                                           include_aux=include_aux)
+    assert len(calls) == 1
+    assert integral == per_step
 
 
 def test_auxiliary_decay_switch():

@@ -1,5 +1,6 @@
 import cProfile
 import dataclasses
+import functools
 import math
 import sys
 
@@ -16,7 +17,6 @@ from ionjump.evolve import (
     conditional_no_jump_branch,
     decay_vector,
     qubit_channels,
-    rk4_reference_step,
     run_trajectory,
     trajectory_blocks,
     trajectory_rng,
@@ -26,7 +26,6 @@ from ionjump.gates import CNOT, Hadamard, PulseParams, compile_gate
 from ionjump.hamiltonians import (
     build_carrier_hamiltonian,
     build_pulse_hamiltonian,
-    build_raman_hamiltonian,
     build_sideband_hamiltonian,
 )
 from ionjump.program import (
@@ -43,6 +42,7 @@ from ionjump.register import (
     apply_internal_unitary,
     whole_register,
 )
+import oracles
 
 KS_CRITICAL_1PCT = 1.628  # asymptotic Kolmogorov-Smirnov quantile at alpha = 0.01
 
@@ -54,28 +54,35 @@ def random_state(layout, seed=0):
 
 
 def test_exact_propagator_matches_fine_rk4():
-    """Closed-form (pair-structured) and dense (Raman) propagators of
-    H_eff, with decay, against many small textbook RK4 steps."""
+    """Closed-form (pair-structured) propagators of H_eff, and the
+    tests' dense one on the Raman drive, with decay, against many small
+    textbook RK4 steps."""
     layout = RegisterLayout(n_ions=2, phonon_cutoff=3)
     channels = qubit_channels(layout, 0.05, gamma_aux=0.02)
     carrier_h = build_carrier_hamiltonian(layout, 1, rabi=0.8, phase=0.3)
     sideband_h = build_sideband_hamiltonian(layout, 0, rabi=1.0, eta=0.2, phase=0.4)
-    raman_h = build_raman_hamiltonian(layout, 1, 0.03, 0.06, delta2=1.0, eta=0.3)
+    raman_h = oracles.build_raman_hamiltonian(layout, 1, 0.03, 0.06, delta2=1.0, eta=0.3)
     psi = random_state(layout, seed=5)
     duration, n_steps = 2.0, 2000
-    for h in (carrier_h, sideband_h, raman_h):
+    maps = []       # (Hamiltonian, at, end) of each propagator
+    for h in (carrier_h, sideband_h):
         propagator = ConditionalPropagator(h, decay_vector(h.space, channels), duration)
+        maps.append((h, propagator.at, propagator.end))
+    raman_at = functools.partial(oracles.dense_propagator, raman_h,
+                                 decay_vector(raman_h.space, channels))
+    maps.append((raman_h, raman_at, raman_at(duration)))
+    for h, at, end in maps:
         reference = psi
         for _ in range(n_steps):
-            reference = rk4_reference_step(h, channels, duration / n_steps, reference)
-        assert np.max(np.abs(propagator.end(psi) - reference)) < 1e-11
+            reference = oracles.rk4_reference_step(h, channels, duration / n_steps, reference)
+        assert np.max(np.abs(end(psi) - reference)) < 1e-11
         batch = np.stack([psi, 1j * psi])
-        assert np.allclose(propagator.end(batch)[1], 1j * propagator.end(psi))
-        assert np.max(np.abs(propagator.at(0.0)(psi) - psi)) < 1e-12
+        assert np.allclose(end(batch)[1], 1j * end(psi))
+        assert np.max(np.abs(at(0.0)(psi) - psi)) < 1e-12
         times = np.array([0.3, 1.7, 0.0])
-        rows = propagator.at(times)(np.stack([psi, 1j * psi, psi]))
+        rows = at(times)(np.stack([psi, 1j * psi, psi]))
         for row, t, start in zip(rows, times, (psi, 1j * psi, psi)):
-            assert np.max(np.abs(row - propagator.at(t)(start))) < 1e-14
+            assert np.max(np.abs(row - at(t)(start))) < 1e-14
 
 
 def test_decay_vector():
@@ -90,7 +97,7 @@ def test_unitary_limit_preserves_norm():
     layout = RegisterLayout(n_ions=2, phonon_cutoff=3)
     h = build_sideband_hamiltonian(layout, 0, rabi=1.0, eta=0.2)
     psi = random_state(layout, 7)
-    out = ConditionalPropagator(h, decay_vector(h.space, []), 1.0 / h.norm_bound()).end(psi)
+    out = ConditionalPropagator(h, decay_vector(h.space, []), 1.0 / oracles.norm_bound(h)).end(psi)
     assert abs(np.vdot(out, out).real - 1.0) < 1e-12
 
 
@@ -175,18 +182,12 @@ def test_jump_applied_at_root_found_time():
     assert record.emitted_count == 1
     (t1, pick), = record.jumps
 
-    vals, vecs = np.linalg.eig(h.to_dense()
-                               - 1j * np.diag(decay_vector(whole_register(layout), channels)))
-    inv = np.linalg.inv(vecs)
-
-    def propagate(psi, t):
-        return vecs @ (np.exp(-1j * vals * t) * (inv @ psi))
-
+    decay = decay_vector(whole_register(layout), channels)
     r = trajectory_rng(seed).random()
-    before = propagate(initial.amplitudes, t1)
+    before = oracles.dense_propagator(h, decay, t1)(initial.amplitudes)
     assert abs(np.vdot(before, before).real - r) < 1e-10
     jumped = channels[pick].apply(before, whole_register(layout))
-    expected = propagate(jumped / np.linalg.norm(jumped), duration - t1)
+    expected = oracles.dense_propagator(h, decay, duration - t1)(jumped / np.linalg.norm(jumped))
     final = record.final_state.amplitudes
     assert np.max(np.abs(final / np.linalg.norm(final)
                          - expected / np.linalg.norm(expected))) < 1e-9
@@ -225,7 +226,7 @@ def test_block_ensemble_matches_one_row_runs(monkeypatch):
                 for seed, state, row in zip(block_seeds, space.embed(states), jumps,
                                             strict=True)]
     assert [seed for seed, _, _ in ensemble] == list(range(40, 40 + n))
-    pulse_ends = np.cumsum([item.duration for item in program.pulses()])
+    pulse_ends = np.cumsum([item.duration for item in oracles.pulses(program)])
     repeats = 0
     for seed, state, row in ensemble:
         single = run_trajectory(program, layout, channels, seed, initial)
@@ -557,13 +558,11 @@ def test_jumps_past_the_stream_head_land_on_their_draws():
                             seed, initial)
     assert record.emitted_count == 22
 
-    vals, vecs = np.linalg.eig(h.to_dense()
-                               - 1j * np.diag(decay_vector(whole_register(layout), channels)))
-    inv = np.linalg.inv(vecs)
+    decay = decay_vector(whole_register(layout), channels)
     thresholds = trajectory_rng(seed).random(2 * record.emitted_count)[::2]
     gaps = np.diff(record.jump_times(), prepend=0.0)
     for r, dt in zip(thresholds, gaps):
-        before = vecs @ (np.exp(-1j * vals * dt) * (inv @ initial.amplitudes))
+        before = oracles.dense_propagator(h, decay, dt)(initial.amplitudes)
         assert abs(np.vdot(before, before).real - r) < 1e-10
 
 
@@ -584,15 +583,13 @@ def test_rate_integral_is_the_integrated_jump_rate():
     compensator = rate_integrals[0] - math.log(np.vdot(states[0], states[0]).real)
 
     decay = decay_vector(whole_register(layout), channels)
-    vals, vecs = np.linalg.eig(h.to_dense() - 1j * np.diag(decay))
-    coeffs = np.linalg.inv(vecs) @ initial.amplitudes
     nodes, weights = np.polynomial.legendre.leggauss(64)
+    rows = np.broadcast_to(initial.amplitudes, (nodes.size, layout.dim))
     edges = [0.0] + [t for t, _ in jumps] + [duration]
     integral = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         half = 0.5 * (b - a)
-        phases = np.exp(-1j * np.outer(vals, half * (nodes + 1.0)))
-        psi = (vecs @ (phases * coeffs[:, None])).T
+        psi = oracles.dense_propagator(h, decay, half * (nodes + 1.0))(rows)
         density = psi.real**2 + psi.imag**2
         integral += half * weights @ (density @ (2.0 * decay) / density.sum(axis=-1))
     assert abs(compensator - integral) < 1e-9
@@ -797,7 +794,7 @@ def test_plan_merges_only_runs_of_decay_only_pulses():
         channels = qubit_channels(layout, 7e-4, gamma_aux=7e-4)
         steps = _pulse_steps(experiment.program, layout, channels,
                              experiment.initial.amplitudes)
-        assert len(experiment.program.pulses()) == n_pulses
+        assert len(oracles.pulses(experiment.program)) == n_pulses
         assert len(steps) == n_steps
         assert sum(p.duration for p, _ in steps) == pytest.approx(experiment.program.duration)
         assert len({id(p) for p, _ in steps}) == n_propagators
@@ -849,7 +846,7 @@ def test_a_closure_builds_each_pulse_once_and_a_fresh_gamma_builds_none(monkeypa
                            qubit_channels(layout, gamma, gamma_aux=gamma), 0, experiment.initial)
             return list(builds)
 
-        pulses = {p for p in experiment.program.pulses() if p.duration != 0.0}
+        pulses = {p for p in oracles.pulses(experiment.program) if p.duration != 0.0}
         evolve._closure.cache_clear()
         cold = run(7.31e-4)
         assert len(cold) == len(set(cold)) == len(pulses) == distinct

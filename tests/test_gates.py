@@ -14,10 +14,10 @@ from ionjump.gates import (
     compile_gate,
     ideal_gate_unitary,
     operator_distance,
-    program_computational_matrix,
 )
 from ionjump.program import Pulse
 from ionjump.register import RegisterLayout
+import oracles
 
 ATOL = 1e-9
 
@@ -29,7 +29,7 @@ def lay2():
 
 def test_cnot_matches_ideal(lay2):
     program = compile_gate(CNOT(0, 1), lay2)
-    matrix, leakage = program_computational_matrix(program, lay2)
+    matrix, leakage = oracles.program_computational_matrix(program, lay2)
     ideal = ideal_gate_unitary(CNOT(0, 1), 2)
     assert operator_distance(matrix, ideal) < ATOL
     assert leakage < ATOL
@@ -40,21 +40,21 @@ def test_cnot_matches_ideal(lay2):
 
 def test_cnot_is_four_pi_rotations(lay2):
     program = compile_gate(CNOT(0, 1), lay2)
-    assert program.rotation_count(lay2.effective_ions) == pytest.approx(4.0)
-    sidebands = [p for p in program.pulses()]
+    assert oracles.rotation_count(program, lay2.effective_ions) == pytest.approx(4.0)
+    sidebands = [p for p in oracles.pulses(program)]
     assert len(sidebands) == 3     # pi + 2pi + pi
 
 
 def test_hadamard_squares_to_identity(lay2):
     program = compile_gate(Hadamard(1), lay2) + compile_gate(Hadamard(1), lay2)
-    matrix, _ = program_computational_matrix(program, lay2)
+    matrix, _ = oracles.program_computational_matrix(program, lay2)
     assert operator_distance(matrix, np.eye(4, dtype=complex)) < ATOL
 
 
 @pytest.mark.parametrize("theta", [math.pi, math.pi / 2, math.pi / 8, 2.3, -0.7])
 def test_controlled_phase_exact(lay2, theta):
     program = compile_gate(ControlledPhase(0, 1, theta), lay2)
-    matrix, leakage = program_computational_matrix(program, lay2)
+    matrix, leakage = oracles.program_computational_matrix(program, lay2)
     ideal = ideal_gate_unitary(ControlledPhase(0, 1, theta), 2)
     assert np.max(np.abs(matrix - ideal)) < ATOL   # equal, not just up to phase
     assert leakage < ATOL
@@ -63,19 +63,19 @@ def test_controlled_phase_exact(lay2, theta):
 def test_controlled_phase_at_pi_is_plain_cz_core(lay2):
     program = compile_gate(ControlledPhase(0, 1, math.pi), lay2)
     assert len(program.items) == 4      # no correction gate needed
-    assert program.rotation_count(lay2.effective_ions) == pytest.approx(4.0)
+    assert oracles.rotation_count(program, lay2.effective_ions) == pytest.approx(4.0)
 
 
 def test_phase_shift(lay2):
     program = compile_gate(PhaseShift(0, 0.9), lay2)
-    matrix, _ = program_computational_matrix(program, lay2)
+    matrix, _ = oracles.program_computational_matrix(program, lay2)
     assert np.max(np.abs(matrix - ideal_gate_unitary(PhaseShift(0, 0.9), 2))) < ATOL
 
 
 def test_toffoli_matches_ideal():
     layout = RegisterLayout(n_ions=3, phonon_cutoff=3)
     program = compile_gate(Toffoli(0, 1, 2), layout)
-    matrix, leakage = program_computational_matrix(program, layout)
+    matrix, leakage = oracles.program_computational_matrix(program, layout)
     ideal = ideal_gate_unitary(Toffoli(0, 1, 2), 3)
     assert operator_distance(matrix, ideal) < ATOL
     assert leakage < ATOL
@@ -85,7 +85,7 @@ def test_pulse_level_hadamard(lay2):
     params = PulseParams(instant_single_qubit=False)
     program = compile_gate(Hadamard(0), lay2, params)
     assert any(isinstance(item, Pulse) for item in program.items)
-    matrix, leakage = program_computational_matrix(program, lay2)
+    matrix, leakage = oracles.program_computational_matrix(program, lay2)
     assert operator_distance(matrix, ideal_gate_unitary(Hadamard(0), 2)) < ATOL
     assert leakage < ATOL
 
@@ -95,9 +95,9 @@ def test_pulse_level_cnot(lay2):
     rotations become carrier pulses and the gate still lands exactly."""
     params = PulseParams(instant_single_qubit=False)
     program = compile_gate(CNOT(0, 1), lay2, params)
-    kinds = {item.transition for item in program.pulses()}
+    kinds = {item.transition for item in oracles.pulses(program)}
     assert "qubit_carrier" in kinds
-    matrix, leakage = program_computational_matrix(program, lay2)
+    matrix, leakage = oracles.program_computational_matrix(program, lay2)
     assert operator_distance(matrix, ideal_gate_unitary(CNOT(0, 1), 2)) < ATOL
     assert leakage < ATOL
     assert program.duration > compile_gate(CNOT(0, 1), lay2).duration

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,11 +12,11 @@ from ionjump.hamiltonians import (
     _pair_groups,
     build_carrier_hamiltonian,
     build_pulse_hamiltonian,
-    build_raman_hamiltonian,
     build_sideband_hamiltonian,
 )
-from ionjump.program import AUX_SIDEBAND, QUBIT_CARRIER, RED_SIDEBAND, Pulse
+from ionjump.program import AUX_SIDEBAND, QUBIT_CARRIER, RED_SIDEBAND, TRANSITIONS, Pulse
 from ionjump.register import RegisterLayout, whole_register
+import oracles
 
 
 @pytest.fixture
@@ -33,17 +34,17 @@ def random_state(layout, seed=0):
     lambda lay: build_carrier_hamiltonian(lay, 0, rabi=0.7, phase=0.3),
     lambda lay: build_sideband_hamiltonian(lay, 1, rabi=0.9, eta=0.2, phase=1.1),
     lambda lay: build_sideband_hamiltonian(lay, 0, rabi=0.9, eta=0.2, upper_level=2),
-    lambda lay: build_raman_hamiltonian(lay, 0, rabi02=0.02, rabi12=0.05,
-                                        delta2=1.0, eta=0.4),
+    lambda lay: oracles.build_raman_hamiltonian(lay, 0, rabi02=0.02, rabi12=0.05,
+                                                delta2=1.0, eta=0.4),
 ])
 def test_hermiticity(layout, builder):
-    dense = builder(layout).to_dense()
+    dense = oracles.to_dense(builder(layout))
     assert np.max(np.abs(dense - dense.conj().T)) < 1e-15
 
 
 def test_sideband_matrix_element(layout):
     h = build_sideband_hamiltonian(layout, 0, rabi=1.0, eta=0.2)
-    dense = h.to_dense()
+    dense = oracles.to_dense(h)
     i0 = layout.basis_index((0, 0), 1)
     i1 = layout.basis_index((1, 0), 0)
     expected = 0.2 * 1.0 / (2.0 * math.sqrt(5.0 * layout.effective_ions))
@@ -69,7 +70,7 @@ def test_pi_pulse_phase_convention(layout):
 def test_propagate_exact_matches_dense_diagonalization(layout):
     h = build_sideband_hamiltonian(layout, 1, rabi=0.8, eta=0.3, phase=0.7)
     psi = random_state(layout, seed=3)
-    vals, vecs = np.linalg.eigh(h.to_dense())
+    vals, vecs = np.linalg.eigh(oracles.to_dense(h))
     reference = vecs @ (np.exp(-1j * vals * 2.1) * (vecs.conj().T @ psi))
     assert np.max(np.abs(h.pair_propagator()(2.1)(psi) - reference)) < 1e-13
 
@@ -167,16 +168,16 @@ def test_qft_pulses_have_few_rates_and_groups():
 
 def test_norm_bound_dominates_spectrum(layout):
     for h in (build_carrier_hamiltonian(layout, 0, rabi=1.3),
-              build_raman_hamiltonian(layout, 1, 0.4, 0.9, delta2=2.0, eta=0.3)):
-        top = np.max(np.abs(np.linalg.eigvalsh(h.to_dense())))
-        assert h.norm_bound() >= top - 1e-12
+              oracles.build_raman_hamiltonian(layout, 1, 0.4, 0.9, delta2=2.0, eta=0.3)):
+        top = np.max(np.abs(np.linalg.eigvalsh(oracles.to_dense(h))))
+        assert oracles.norm_bound(h) >= top - 1e-12
 
 
 def test_raman_structure(layout):
-    h = build_raman_hamiltonian(layout, 0, rabi02=0.02, rabi12=0.05,
-                                delta2=1.5, eta=0.4)
+    h = oracles.build_raman_hamiltonian(layout, 0, rabi02=0.02, rabi12=0.05,
+                                        delta2=1.5, eta=0.4)
     assert not h.is_pair_structured    # level 2 couples to both qubit levels
-    dense = h.to_dense()
+    dense = oracles.to_dense(h)
     i2 = layout.basis_index((2, 0), 0)
     assert dense[i2, i2] == pytest.approx(-1.5)
     i0 = layout.basis_index((0, 0), 0)
@@ -184,19 +185,32 @@ def test_raman_structure(layout):
     i1 = layout.basis_index((1, 0), 1)
     assert dense[i2, i1] == pytest.approx(0.4 * 0.05 / (2 * math.sqrt(10.0)))
     with pytest.raises(ZeroDetuning):
-        build_raman_hamiltonian(layout, 0, 0.02, 0.05, delta2=0.0, eta=0.4)
+        oracles.build_raman_hamiltonian(layout, 0, 0.02, 0.05, delta2=0.0, eta=0.4)
 
 
 def test_build_pulse_hamiltonian_dispatch(layout):
     for kind, upper in ((QUBIT_CARRIER, 1), (RED_SIDEBAND, 1), (AUX_SIDEBAND, 2)):
         pulse = Pulse(ion=0, transition=kind, rabi=0.5, duration=1.0, eta=0.2)
         h = build_pulse_hamiltonian(pulse, layout)
-        dense = h.to_dense()
+        dense = oracles.to_dense(h)
         if kind == QUBIT_CARRIER:
             i, j = layout.basis_index((0, 0), 0), layout.basis_index((1, 0), 0)
         else:
             i, j = layout.basis_index((0, 0), 1), layout.basis_index((upper, 0), 0)
         assert abs(dense[j, i]) > 0.0
+
+
+@pytest.mark.parametrize("transition", TRANSITIONS)
+def test_every_pulse_operator_is_pair_structured(layout, transition):
+    for ion in range(layout.n_ions):
+        pulse = Pulse(ion=ion, transition=transition, rabi=0.5, duration=1.0, eta=0.2)
+        assert build_pulse_hamiltonian(pulse, layout).is_pair_structured
+
+
+def test_propagator_refuses_an_operator_that_is_not_pair_structured(layout):
+    h = oracles.build_raman_hamiltonian(layout, 0, rabi02=0.02, rabi12=0.05, delta2=1.0, eta=0.4)
+    with pytest.raises(ValidationError, match="pair-structured"):
+        ConditionalPropagator(h, decay_vector(h.space, []), 1.0)
 
 
 def test_nonpositive_eta_rejected(layout):
@@ -209,19 +223,20 @@ def test_nonpositive_eta_rejected(layout):
 # --------------------------------------------------------------------------
 
 def _raman_trace(ratio, n_cycles, balanced):
-    """Evaluate the exact propagator of the three-level Raman drive on
-    |0, ph=0> at every time of a grid of spacing 1e-2/|H|, in chunks of
-    8192 times; returns the time grid and the three level populations."""
+    """Evaluate the exact (dense) propagator of the three-level Raman
+    drive on |0, ph=0> at every time of a grid of spacing 1e-2/|H|, in
+    chunks of 8192 times; returns the time grid and the three level
+    populations."""
     layout = RegisterLayout(n_ions=1, phonon_cutoff=3)
     delta = 1.0
     rabi02 = ratio * delta
     rabi12 = rabi02 * math.sqrt(5.0 * layout.effective_ions) if balanced else 0.0
-    h = build_raman_hamiltonian(layout, 0, rabi02=rabi02, rabi12=rabi12,
-                                delta2=delta, eta=1.0)
+    h = oracles.build_raman_hamiltonian(layout, 0, rabi02=rabi02, rabi12=rabi12,
+                                        delta2=delta, eta=1.0)
     t_end = n_cycles * 2.0 * math.pi / delta
-    dt_target = 1e-2 / h.norm_bound()
+    dt_target = 1e-2 / oracles.norm_bound(h)
     n_steps = max(1, math.ceil(t_end / dt_target))
-    at = ConditionalPropagator(h, decay_vector(h.space, []), t_end).at
+    at = functools.partial(oracles.dense_propagator, h, decay_vector(h.space, []))
     psi = np.zeros(layout.dim, dtype=complex)
     psi[layout.basis_index((0,), 0)] = 1.0
     idx = [layout.basis_index((0,), 0), layout.basis_index((1,), 1),
