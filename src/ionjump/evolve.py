@@ -67,9 +67,13 @@ step; a trajectory still on the branch leaves it when the branch's
 end norm falls below its first r, and starts as a copy of the branch
 at the start of that step.  Only the rows that cross search for their
 jump times, all together, each by safeguarded Newton iteration on
-||U(t) psi||^2 = r inside its own bracket; the jumps are applied at
-those times, and the jumped rows finish the step as a smaller batch,
-which repeats while any of them crosses again.
+||U(t) psi||^2 = r inside its own bracket.  The iteration runs on each
+row's norm curve in closed form (``Hamiltonian.pair_propagator``'s
+``norm_curve``: a few exponentials and, per group of pairs, cos and sin,
+weighed by sums of the row taken once), never on the mapped states;
+the map is applied once, at the roots.  The jumps are applied at those
+times, and the jumped rows finish the step as a smaller batch, which
+repeats while any of them crosses again.
 
 A block records, per trajectory, its jumps as (time, channel index)
 and the sum of -ln r over the thresholds r it crossed.  Between jumps
@@ -91,10 +95,11 @@ The budget is 2**17 amplitudes: 8192 rows on the 16-state four-ion
 closure, 481 on the 272-state five-ion one.  A 31-seed calibration
 pilot runs as one block at four and five ions, and about budget /
 steps rows cross in a step: the larger the crossing batch, the more
-rows share each Newton iteration's fixed numpy overhead.  A step
-holds at most two block-sized arrays (start and end states; the end
-states grow in place when fresh rows are appended), 2 MiB each, plus
-one chunk-sized temporary of the pair map.  The branch lives only as
+rows share each Newton iteration's fixed numpy overhead, a few array
+operations on the closed-form norm curves whatever the closure's
+size.  A step holds at most two block-sized arrays (start and end
+states; the end states grow in place when fresh rows are appended),
+2 MiB each, plus one chunk-sized temporary of the pair map.  The branch lives only as
 long as its block; nothing is kept across calls but the closures (with
 their steps' restricted Hamiltonians), the plans (with their
 propagators) and, in ``dft``, each register's compiled experiment
@@ -246,7 +251,7 @@ class ConditionalPropagator:
         self.space = hamiltonian.space
         self.duration = duration
         self.decay = decay
-        self.at = hamiltonian.pair_propagator(decay)
+        self.at, self.norm_curve = hamiltonian.pair_propagator(decay)
         self.end = self.at(duration)
 
     def crossing(self, psi: np.ndarray, r: np.ndarray, span: np.ndarray,
@@ -260,35 +265,31 @@ class ConditionalPropagator:
         each row takes Newton steps inside its own shrinking bracket,
         falling back to bisection when a step leaves it.  The first
         guess interpolates the logarithm of the norm, exact for a pure
-        exponential decay.  Rows stop one by one; those still searching
-        are evaluated together, one ``at`` call per iteration.
+        exponential decay.  Every iteration evaluates each row's squared
+        norm and its slope on the closed form of its norm curve
+        (``norm_curve``, from a few sums of the row taken once), not
+        through the map; a row that has stopped keeps its time.  The
+        states at the roots come from one ``at`` call.
         """
+        lo, hi, tol = np.zeros_like(span), span, _ROOT_RTOL * span
+        curve = self.norm_curve(psi)
+        searching = np.ones(span.size, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):
             guess = span * np.log(norm2 / r) / np.log(norm2 / end_norm2)
-        t = np.minimum(np.maximum(np.where(end_norm2 > 0.0, guess, 0.5 * span), 0.0), span)
-        lo, hi, tol = np.zeros_like(span), span, _ROOT_RTOL * span
-        roots, phi = np.empty_like(span), np.empty_like(psi)
-        rows = np.arange(span.size)
-        for evaluation in range(1, _ROOT_MAX_EVALUATIONS + 1):
-            out = self.at(t)(psi)
-            density = out.real**2 + out.imag**2
-            excess = density.sum(axis=-1) - r
-            inside = excess >= 0.0
-            lo, hi = np.where(inside, t, lo), np.where(inside, hi, t)
-            slope = -2.0 * np.einsum("...j,j->...", density, self.decay)
-            step = np.divide(-excess, slope, out=np.full_like(slope, np.inf),
-                             where=slope < 0.0)
-            done = ((np.abs(step) <= tol) | (hi - lo <= tol)
-                    | (evaluation == _ROOT_MAX_EVALUATIONS))
-            roots[rows[done]], phi[rows[done]] = t[done], out[done]
-            if done.all():
-                break
-            going = ~done
-            trial = t + step
-            t = np.where((lo < trial) & (trial < hi), trial, 0.5 * (lo + hi))[going]
-            rows, lo, hi, tol, r, psi = (
-                rows[going], lo[going], hi[going], tol[going], r[going], psi[going])
-        return roots, phi
+            t = np.minimum(np.maximum(np.where(end_norm2 > 0.0, guess, 0.5 * span), 0.0), span)
+            for evaluation in range(1, _ROOT_MAX_EVALUATIONS + 1):
+                value, slope = curve(t)
+                excess = value - r
+                inside = excess >= 0.0
+                lo, hi = np.where(inside, t, lo), np.where(inside, hi, t)
+                step = np.where(slope < 0.0, -excess / slope, np.inf)
+                searching &= np.minimum(np.abs(step), hi - lo) > tol
+                if evaluation == _ROOT_MAX_EVALUATIONS or not searching.any():
+                    break
+                trial = t + step
+                t = np.where(searching,
+                             np.where((lo < trial) & (trial < hi), trial, 0.5 * (lo + hi)), t)
+        return t, self.at(t)(psi)
 
 
 def reachable(program: PulseProgram, layout: RegisterLayout,
@@ -305,7 +306,10 @@ def reachable(program: PulseProgram, layout: RegisterLayout,
     what is reached, so the engine run on it is exact.  The closure
     depends only on the program, the register, the support and the
     channels' (ion, upper level) pairs, and is computed once per
-    process for each, with the steps of its walks (``_closure``).
+    process for each, with the steps of its walks (``_closure``).  One
+    pass closes a set under a pulse's pairs and one under the jumps, so
+    the jumps are swept again only after a gate or the pairs added
+    states.
     """
     return _closure_of(program, layout, channels, states)[0]
 
@@ -348,6 +352,7 @@ def _closure(program: PulseProgram, layout: RegisterLayout,
         return kept.reshape(INTERNAL_DIM**ion, INTERNAL_DIM, -1)
 
     hamiltonians = {}       # each distinct pulse's register Hamiltonian
+    swept = -1              # states kept after the last sweep of the jumps
     for item in program.items:
         if isinstance(item, InstantGate):
             before = levels(item.ion).copy()
@@ -359,13 +364,18 @@ def _closure(program: PulseProgram, layout: RegisterLayout,
             h = hamiltonians[item]
             coupled = h.pair_g != 0.0
             i, j = h.pair_i[coupled], h.pair_j[coupled]
+            # one pass closes the states under the pairs, and one under the
+            # jumps; the jumps are swept again only after states were added
             while True:
-                size = np.count_nonzero(kept)
                 kept[j[kept[i]]] = True
                 kept[i[kept[j]]] = True
+                size = np.count_nonzero(kept)
+                if size == swept:
+                    break
                 for ion, upper in kinds:
                     levels(ion)[:, 0] |= levels(ion)[:, upper]
-                if np.count_nonzero(kept) == size:
+                swept = np.count_nonzero(kept)
+                if swept == size:
                     break
     space = Subspace(layout, np.flatnonzero(kept))
     restricted = {pulse: h.restricted(space) for pulse, h in hamiltonians.items()}

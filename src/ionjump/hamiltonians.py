@@ -31,6 +31,11 @@ from .register import AUX_LEVEL, INTERNAL_DIM, RegisterLayout, Subspace, whole_r
 #: Amplitudes per row chunk of the diagonal term of a pair map: the
 #: map holds its input, its output and one temporary of this size.
 _CHUNK_AMPLITUDES = 16384
+#: The quadratic form of a 2x2 matrix a over a pair: (a00, a01, a10, a11)
+#: times it gives (a00, a11, a01 + a10, i (a10 - a01)), and
+#: <psi| a |psi> is their dot with (|psi_i|^2, |psi_j|^2, Re X, Im X),
+#: X = psi_i conj(psi_j).
+_FORM = np.array([[1, 0, 0, 0], [0, 0, 1, -1j], [0, 0, 1, 1j], [0, 1, 0, 0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,14 +80,16 @@ class Hamiltonian:
         return not np.any(indices[1:] == indices[:-1])
 
     def pair_propagator(self, decay: np.ndarray | None = None):
-        """Closed form of exp(-i (H - i*decay) t) for a pair-structured H.
+        """Closed form of exp(-i (H - i*decay) t) for a pair-structured H,
+        and of each evolved row's squared norm.
 
-        Returns a function of t giving the map psi -> exp(...) psi (state
-        axis last); the t-independent parts are computed once here.  A
-        1-D array of n times gives the map of an (n, dim) batch whose
-        row k evolves over t[k].  ``decay`` is an optional real
-        diagonal, the anti-Hermitian part of a conditional generator.
-        Each coupled pair is a 2x2 block with complex
+        Returns ``(at, norm_curve)``.  ``at`` is a function of t giving
+        the map psi -> exp(...) psi (state axis last); the t-independent
+        parts are computed once here.  A 1-D array of n times gives the
+        map of an (n, dim) batch whose row k evolves over t[k].
+        ``decay`` is an optional real diagonal, the anti-Hermitian part
+        of a conditional generator.  Each coupled pair is a 2x2 block
+        with complex
         Omega = sqrt(half^2 + |g|^2); cos(Omega t) and sin(Omega t)/Omega
         are even in Omega, so the branch of the root does not matter.
 
@@ -99,11 +106,34 @@ class Hamiltonian:
         Each entry is the same floating-point operation on the same
         inputs as an evaluation per state, so the map is bit-identical
         to one.
+
+        ``norm_curve(psi)``, for an (n, dim) batch, returns the function
+        ``curve(t)`` of n times giving ||exp(...) psi[k]||^2 at t[k] and
+        its slope, -2 <psi(t)| decay |psi(t)>, as two arrays, without
+        applying the map.  On a group's block, with M = H - mean(diag)
+        and c = cos(Omega t), s = sin(Omega t)/Omega, the map is
+        exp(-i mean t) (c - i s M), so a row's squared norm is
+        |exp(-i mean t)|^2 (|c|^2 A + |s|^2 B + 2 Re(-i conj(c) s C))
+        with A, B and C quadratic forms of the group's pairs, and its
+        slope is the same with decay weighting each form.  A quadratic
+        form over the pairs of a group is linear in four sums of the
+        row (S_i and S_j, the squared norms of the pairs' i and j ends,
+        and the real and imaginary parts of X = sum psi_i conj(psi_j));
+        an unpaired state of rate r adds its squared norm times
+        exp(2 Re(r) t).  ``norm_curve`` takes those sums with one
+        ``np.bincount`` through the column index of ``at`` and folds
+        them into per-row coefficients once; ``curve`` then evaluates
+        exp per rate and group and cos and sin per group, and contracts
+        them with the coefficients.  It is exact at Omega = 0, where
+        s = t, as ``at`` is; splitting the group's terms into the
+        exponentials of the eigenvalues mean rate +- i Omega would lose
+        about eps (|g| / |Omega|)^2 there.
         """
         diag = self.diag if decay is None else self.diag - 1j * decay
         i, j, g = self.pair_i, self.pair_j, self.pair_g
         dim = self.space.dim
-        perm = np.arange(dim)
+        partners = np.tile(np.arange(dim), (2, 1))      # each state, then its partner
+        perm = partners[1]
         perm[i], perm[j] = j, i
         rate_first, state_rate, first, group = _pair_groups(diag, i, j, g)
         n_rates, n_groups = rate_first.size, first.size
@@ -150,7 +180,71 @@ class Hamiltonian:
 
             return apply
 
-        return at
+        # a row's squared norm and slope: a rate's terms are its sum times
+        # exp(2 Re(rate) t) and 2 Re(rate) times that; a group's are forms
+        # in v = exp(Re(mean rate) t) (c, s), from its block M and the
+        # weights of the norm (1) and of its slope (-2 decay)
+        growth = np.concatenate([2.0 * exponent[:n_rates].real, exponent[n_rates:].real])
+        rate_terms = np.stack([np.ones(n_rates), growth[:n_rates]])[:, None]
+        block = np.zeros((n_groups, 2, 2), dtype=np.complex128)
+        block[:, 0, 0], block[:, 0, 1], block[:, 1, 0], block[:, 1, 1] = half, np.conj(g), g, -half
+        weights = np.zeros((2, n_groups, 2, 2))
+        weights[0, :, 0, 0] = weights[0, :, 1, 1] = 1.0
+        weights[1, :, 0, 0], weights[1, :, 1, 1] = 2.0 * rate[i].real, 2.0 * rate[j].real
+        group_terms = np.moveaxis(_norm2_terms(block, weights), 0, 2).reshape(n_groups, 4, 16)
+        # a row's sums: |psi|^2, then psi conj(psi[perm]), real and imaginary
+        # parts, per column of ``at``'s tables; per group, where its S_i,
+        # S_j, Re X and Im X (X = sum psi_i conj(psi_j)) lie among them
+        width = 2 * (n_rates + 2 * n_groups)
+        parts = (2 * column[:, None] + np.arange(2)).ravel()
+        ends = 2 * (n_rates + np.arange(n_groups))
+        picks = np.stack([ends, ends + 2 * n_groups, width + ends, width + ends + 1], axis=-1)
+
+        def norm_curve(psi):
+            n = len(psi)
+            products = psi[:, None] * np.conj(np.take(psi, partners, axis=-1))
+            index = np.arange(2 * n)[:, None] * width + parts
+            sums = np.bincount(index.ravel(), products.view(np.float64).ravel(),
+                               2 * n * width).reshape(n, 2 * width)
+            terms = np.take(sums, picks, axis=1).transpose(1, 0, 2) @ group_terms
+            coeff = np.concatenate(
+                [sums[:, :2 * n_rates:2] * rate_terms,
+                 terms.reshape(n_groups, n, 2, 8).transpose(2, 1, 0, 3).reshape(2, n, -1)],
+                axis=-1)
+
+            def curve(t):
+                t = t[:, None]
+                scale = np.exp(growth * t)
+                if not n_groups:        # exponentials only, as on every four-ion step
+                    return (coeff * scale).sum(axis=-1)
+                w = omega * t
+                v = np.concatenate([np.cos(w)[..., None],
+                                    np.where(degenerate, t, np.sin(w) / safe)[..., None]],
+                                   axis=-1) * scale[:, n_rates:, None]
+                products = np.conj(v)[..., None] * v[..., None, :]
+                return (coeff * np.concatenate(
+                    [scale[:, :n_rates], products.view(np.float64).reshape(len(t), -1)],
+                    axis=1)).sum(axis=-1)
+
+            return curve
+
+        return at, norm_curve
+
+
+def _norm2_terms(block: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The forms of <psi(t)| weight |psi(t)>, psi(t) = c psi - i s M psi
+    on a group's block (M = ``block``, per group; ``weight`` per weight
+    and group): a (weights, groups, 4, 2, 2, 2) array giving, per sum of
+    the group's pairs in a row (S_i, S_j, Re X, Im X), the multipliers
+    of the real and imaginary parts of conj(v_a) v_b, v = (c, s)."""
+    adjoint = np.conj(block).transpose(0, 2, 1)
+    # <psi| a |psi> over the pairs = form(a) . (S_i, S_j, Re X, Im X)
+    norm, quad, cross = (np.stack([weight, adjoint @ weight @ block, weight @ block])
+                         .reshape(3, *weight.shape[:-2], 4) @ _FORM)
+    terms = np.zeros(weight.shape[:-2] + (4, 2, 2, 2))
+    terms[..., 0, 0, 0], terms[..., 1, 1, 0] = norm.real, quad.real
+    terms[..., 0, 1, 0], terms[..., 0, 1, 1] = 2.0 * cross.imag, 2.0 * cross.real
+    return terms
 
 
 def _distinct(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -122,27 +122,6 @@ class QuantumState:
     def squared_norm(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def _as_grid(self) -> np.ndarray:
-        return self.amplitudes.reshape(self.layout.internal_shape())
-
-    def computational_probabilities(self) -> np.ndarray:
-        """Probabilities of the 2^n bit patterns, renormalized, phonon
-        traced out; auxiliary-level population is excluded (leakage)."""
-        n = self.layout.n_ions
-        grid = self._as_grid()
-        probs = np.abs(grid) ** 2
-        # trace out the phonon, then restrict every ion axis to {0, 1}
-        probs = probs.sum(axis=n)
-        for axis in range(n):
-            probs = np.take(probs, (0, 1), axis=axis)
-        flat = probs.reshape(2**n)
-        total = self.squared_norm()
-        return flat / total
-
-    def leakage(self) -> float:
-        """Renormalized population outside the computational subspace."""
-        return 1.0 - float(self.computational_probabilities().sum())
-
 
 @dataclass(frozen=True, eq=False)
 class Subspace:

@@ -15,8 +15,8 @@ import numpy as np
 from ionjump.errors import ZeroDetuning
 from ionjump.evolve import decay_vector
 from ionjump.gates import run_program_exact
-from ionjump.hamiltonians import Hamiltonian, _pair_indices
-from ionjump.program import QUBIT_CARRIER, Pulse
+from ionjump.hamiltonians import Hamiltonian, _pair_indices, build_pulse_hamiltonian
+from ionjump.program import QUBIT_CARRIER, InstantGate, Pulse
 from ionjump.register import AUX_LEVEL, INTERNAL_DIM, whole_register
 
 
@@ -81,14 +81,91 @@ def dense_propagator(h, decay, t):
     dense diagonalization; for a 1-D array of n times, the map of an
     (n, dim) batch whose row k evolves over t[k].  States have the state
     axis last."""
+    return dense_maps(h, decay)(t)
+
+
+def dense_maps(h, decay):
+    """``dense_propagator`` as a function of t, diagonalizing once.  Its
+    eigenvectors are ill-conditioned near an exceptional point (a 2x2
+    block with Omega = 0 is not diagonalizable), where
+    ``taylor_propagator`` is the reference."""
     vals, vecs = np.linalg.eig(to_dense(h) - 1j * np.diag(decay))
     inv = np.linalg.inv(vecs)
-    phases = np.exp(-1j * vals * np.asarray(t, dtype=np.float64)[..., None])
-    if phases.ndim == 1:
-        matrix = ((vecs * phases) @ inv).T
-        return lambda psi: psi @ matrix
-    # row k: psi_k -> V diag(phases_k) V^-1 psi_k, without a matrix per row
-    return lambda psi: ((psi @ inv.T) * phases) @ vecs.T
+
+    def at(t):
+        phases = np.exp(-1j * vals * np.asarray(t, dtype=np.float64)[..., None])
+        if phases.ndim == 1:
+            matrix = ((vecs * phases) @ inv).T
+            return lambda psi: psi @ matrix
+        # row k: psi_k -> V diag(phases_k) V^-1 psi_k, without a matrix per row
+        return lambda psi: ((psi @ inv.T) * phases) @ vecs.T
+
+    return at
+
+
+def taylor_propagator(h, decay, t):
+    """``dense_propagator`` by scaling and squaring of the Taylor series
+    of the dense generator, with no eigenvectors: exact at an
+    exceptional point too.  Small dimensions only."""
+    generator = -1j * to_dense(h) - np.diag(decay)
+
+    def matrix(t):
+        a = generator * t
+        squarings = max(0, math.ceil(math.log2(max(np.abs(a).sum(axis=1).max(), 1e-300) / 0.25)))
+        a = a / 2.0**squarings
+        term = total = np.eye(len(a), dtype=np.complex128)
+        for k in range(1, 25):
+            term = term @ a / k
+            total = total + term
+        for _ in range(squarings):
+            total = total @ total
+        return total
+
+    if np.ndim(t) == 0:
+        return lambda psi: psi @ matrix(t).T
+    return lambda psi: np.stack([matrix(tk) @ row for tk, row in zip(t, psi)])
+
+
+def norm_root(propagate, psi, r, span):
+    """The times t[k] in [0, span[k]] at which ||U(t) psi[k]||^2 = r[k],
+    by bisection of the non-increasing squared norm down to a bracket of
+    1e-15 relative; ``propagate(t)`` is U(t) of an (n, dim) batch whose
+    row k evolves over t[k] (``dense_propagator``'s form)."""
+    lo, hi = np.zeros(len(span)), np.array(span, dtype=np.float64)
+    while np.any(hi - lo > 1e-15 * hi):
+        mid = 0.5 * (lo + hi)
+        above = np.sum(np.abs(propagate(mid)(psi)) ** 2, axis=-1) >= r
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def closure_states(program, layout, channels, states):
+    """The ``reachable`` closure's states, grown by the plain fixpoint: at
+    each pulse of nonzero duration, the partners of its nonzero pair
+    couplings and every channel's jump, both swept until nothing new
+    comes; at each instant gate, the states its nonzero entries reach."""
+    kept = np.any(np.reshape(states, (-1, layout.dim)) != 0.0, axis=0)
+
+    def levels(ion):
+        return kept.reshape(INTERNAL_DIM**ion, INTERNAL_DIM, -1)
+
+    for item in program.items:
+        if isinstance(item, InstantGate):
+            before = levels(item.ion).copy()
+            for a, b in zip(*np.nonzero(item.matrix)):
+                levels(item.ion)[:, a] |= before[:, b]
+        elif item.duration != 0.0:
+            h = build_pulse_hamiltonian(item, layout)
+            i, j = h.pair_i[h.pair_g != 0.0], h.pair_j[h.pair_g != 0.0]
+            while True:
+                size = np.count_nonzero(kept)
+                kept[j[kept[i]]] = True
+                kept[i[kept[j]]] = True
+                for ch in channels:
+                    levels(ch.ion)[:, 0] |= levels(ch.ion)[:, ch.upper_level]
+                if np.count_nonzero(kept) == size:
+                    break
+    return np.flatnonzero(kept)
 
 
 def rk4_reference_step(h, channels, dt, psi):
@@ -126,6 +203,23 @@ def phonon_population(state, n):
 def phonon_excited_population(state):
     """Population outside the phonon ground state (unnormalized)."""
     return state.squared_norm() - phonon_population(state, 0)
+
+
+def computational_probabilities(state):
+    """Probabilities of the 2^n bit patterns, renormalized, phonon
+    traced out; auxiliary-level population is excluded (leakage)."""
+    n = state.layout.n_ions
+    probs = np.abs(_grid(state)) ** 2
+    # trace out the phonon, then restrict every ion axis to {0, 1}
+    probs = probs.sum(axis=n)
+    for axis in range(n):
+        probs = np.take(probs, (0, 1), axis=axis)
+    return probs.reshape(2**n) / state.squared_norm()
+
+
+def leakage(state):
+    """Renormalized population outside the computational subspace."""
+    return 1.0 - float(computational_probabilities(state).sum())
 
 
 def aux_population(state):

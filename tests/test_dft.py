@@ -109,12 +109,12 @@ def test_batched_readout_matches_per_state_path(n_ions):
     assert distributions.shape == (6, 2**n_ions)
     for amplitudes, row in zip(states, distributions):
         state = QuantumState(layout=layout, amplitudes=amplitudes)
-        probs = state.computational_probabilities()
+        probs = oracles.computational_probabilities(state)
         expected = np.empty_like(probs)
         for pattern in range(probs.size):
             expected[bit_reverse(pattern, n_ions)] = probs[pattern]
         assert np.max(np.abs(row - expected)) < 1e-15
-        assert abs(1.0 - row.sum() - state.leakage()) < 1e-15
+        assert abs(1.0 - row.sum() - oracles.leakage(state)) < 1e-15
 
 
 @pytest.mark.parametrize("aux", [True, False], ids=["aux", "no-aux"])
@@ -148,12 +148,12 @@ def test_closure_readout_matches_the_register_readout(aux):
                          - frequency_distribution(register, whole_register(layout)))) <= 1e-15
     for amplitudes, row in zip(register, distributions):
         state = QuantumState(layout=layout, amplitudes=amplitudes)
-        probs = state.computational_probabilities()
+        probs = oracles.computational_probabilities(state)
         expected = probs[[bit_reverse(k, layout.n_ions) for k in range(probs.size)]]
         assert np.max(np.abs(row - expected)) <= 1e-15
-        assert abs(1.0 - row.sum() - state.leakage()) <= 1e-15
+        assert abs(1.0 - row.sum() - oracles.leakage(state)) <= 1e-15
     # the hand-built state, the last row
-    assert state.leakage() == pytest.approx(0.25 / 0.77)
+    assert oracles.leakage(state) == pytest.approx(0.25 / 0.77)
     assert oracles.phonon_excited_population(state) == pytest.approx(0.36 / 0.77)
 
 
@@ -166,7 +166,7 @@ def test_circuit_matches_oracle_exactly():
     state = QuantumState(layout=layout, amplitudes=out)
     assert np.max(np.abs(frequency_distribution(out[None], whole_register(layout))[0]
                          - ideal_dft_oracle(f))) < 1e-12
-    assert state.leakage() < 1e-12
+    assert oracles.leakage(state) < 1e-12
     assert oracles.phonon_excited_population(state) < 1e-12
 
 

@@ -193,6 +193,55 @@ def test_jump_applied_at_root_found_time():
                          - expected / np.linalg.norm(expected))) < 1e-9
 
 
+def _assert_crossing_matches_bisection(propagator, propagate, psi, target):
+    """``crossing`` on rows whose thresholds r are their squared norms at
+    ``target`` times (oracle maps ``propagate``) finds the bisection
+    roots of those maps within 1e-12 relative."""
+    r = np.sum(np.abs(propagate(target)(psi)) ** 2, axis=-1)
+    span = np.full(len(psi), propagator.duration)
+    roots, phi = propagator.crossing(psi, r, span, evolve._norm2(psi),
+                                     evolve._norm2(propagator.end(psi)))
+    expected = oracles.norm_root(propagate, psi, r, span)
+    assert np.all(np.abs(roots - expected) <= 1e-12 * expected)
+    assert np.array_equal(phi, propagator.at(roots)(psi))
+
+
+def test_crossing_roots_match_a_dense_bisection_on_every_five_ion_step():
+    """Three random unit rows on each of the 18 distinct steps of the
+    five-ion QFT walk, with thresholds reached between 20% and 90% of
+    the step, against the bisection of the dense eigen-propagator."""
+    layout = RegisterLayout(n_ions=5, phonon_cutoff=3)
+    experiment = compile_experiment(layout, PulseParams())
+    channels = qubit_channels(layout, 1e-3, gamma_aux=1e-3)
+    space, steps = evolve._closure_of(experiment.program, layout, channels,
+                                      experiment.initial.amplitudes)
+    decay = decay_vector(space, channels)
+    distinct = list(dict.fromkeys(step[:2] for step in steps if isinstance(step, tuple)))
+    assert len(distinct) == 18
+    rng = np.random.default_rng(5)
+    for h, duration in distinct:
+        psi = rng.normal(size=(3, space.dim)) + 1j * rng.normal(size=(3, space.dim))
+        _assert_crossing_matches_bisection(
+            ConditionalPropagator(h, decay, duration), oracles.dense_maps(h, decay),
+            psi / np.linalg.norm(psi, axis=-1, keepdims=True),
+            rng.uniform(0.2, 0.9, 3) * duration)
+
+
+def test_crossing_root_at_the_exceptional_point():
+    """A one-ion carrier step whose decay 2|g| on level 1 makes Omega = 0,
+    where the propagator is not diagonalizable: ``crossing`` against the
+    bisection of a Taylor scaling-and-squaring exponential."""
+    layout = RegisterLayout(n_ions=1, phonon_cutoff=2)
+    h = build_carrier_hamiltonian(layout, 0, rabi=1.0)
+    decay = decay_vector(whole_register(layout), qubit_channels(layout, 1.0))
+    rng = np.random.default_rng(6)
+    psi = rng.normal(size=(16, layout.dim)) + 1j * rng.normal(size=(16, layout.dim))
+    _assert_crossing_matches_bisection(
+        ConditionalPropagator(h, decay, 4.0),
+        functools.partial(oracles.taylor_propagator, h, decay),
+        psi / np.linalg.norm(psi, axis=-1, keepdims=True), rng.uniform(0.8, 3.6, 16))
+
+
 #: Rows of jumped trajectories a block holds in the tests that lower the
 #: block budget so that an ensemble spans several blocks.
 SMALL_BLOCK_ROWS = 67
@@ -626,6 +675,51 @@ def test_closure_follows_couplings_gates_and_jumps():
     assert states(pulse, aux) == {(0, 1), (2, 0), (0, 0)}
     hadamard = pulse + compile_gate(Hadamard(0), layout)
     assert states(hadamard, aux) == {(0, 1), (2, 0), (0, 0), (1, 1), (1, 0)}
+
+
+@pytest.mark.parametrize("n_ions, size", [(4, 16), (5, 272), (6, 1072), (7, 3736)])
+def test_dft_closures_match_the_plain_fixpoint(n_ions, size):
+    """The engine's closure of the DFT input, which sweeps the jumps only
+    after a gate or a pulse's pairs added states, holds the states of
+    the plain fixpoint (pairs and jumps swept together until nothing
+    new comes), with and without auxiliary decay and with none."""
+    layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
+    experiment = compile_experiment(layout, PulseParams())
+    for channels in (qubit_channels(layout, 1e-4, gamma_aux=1e-4),
+                     qubit_channels(layout, 1e-4), []):
+        space = evolve.reachable(experiment.program, layout, channels,
+                                 experiment.initial.amplitudes)
+        assert space.dim == size
+        assert np.array_equal(space.states, oracles.closure_states(
+            experiment.program, layout, channels, experiment.initial.amplitudes))
+
+
+def test_closure_sweeps_the_jumps_after_gates_and_the_pairs_after_jumps():
+    """A gate that adds an upper-level state before a pulse whose pairs
+    add nothing still has that state's jump swept; a jump's new state
+    still has its pair partner swept."""
+    def states(layout, program, start, channels):
+        support = np.zeros(layout.dim)
+        support[layout.basis_index(*start)] = 1.0
+        found = evolve.reachable(program, layout, channels, support).states
+        assert np.array_equal(found, oracles.closure_states(program, layout, channels,
+                                                            support))
+        return set(found.tolist())
+
+    # ion 0 from level 2 to level 1 by a gate; the sideband on ion 1 couples
+    # no state with phonon 0 and ion 1 in level 0; ion 0's jump gives |0, 0; 0>
+    two = RegisterLayout(n_ions=2, phonon_cutoff=2)
+    swap12 = InstantGate(ion=0, matrix=np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
+    sideband = Pulse(ion=1, transition=RED_SIDEBAND, rabi=1.0, duration=1.0, eta=0.2)
+    found = states(two, PulseProgram((swap12, sideband)), ((2, 0), 0), qubit_channels(two, 0.1))
+    assert found == {two.basis_index(digits, 0) for digits in ((2, 0), (1, 0), (0, 0))}
+    # |1, n=1> pairs with |0, 2>; its jump gives |0, 1>, which pairs with
+    # |1, 0>, whose jump gives |0, 0>
+    one = RegisterLayout(n_ions=1, phonon_cutoff=3)
+    sideband = Pulse(ion=0, transition=RED_SIDEBAND, rabi=1.0, duration=1.0, eta=0.2)
+    found = states(one, PulseProgram((sideband,)), ((1,), 1), qubit_channels(one, 0.1))
+    assert found == {one.basis_index(*state) for state in
+                     (((1,), 1), ((0,), 2), ((0,), 1), ((1,), 0), ((0,), 0))}
 
 
 def _whole_register_oracle(monkeypatch):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ionjump.dft import qft_program
+from ionjump import evolve
+from ionjump.dft import dft_input_function, qft_program
 from ionjump.errors import ValidationError, ZeroDetuning
 from ionjump.evolve import ConditionalPropagator, decay_vector, qubit_channels
 from ionjump.hamiltonians import (
@@ -15,7 +16,7 @@ from ionjump.hamiltonians import (
     build_sideband_hamiltonian,
 )
 from ionjump.program import AUX_SIDEBAND, QUBIT_CARRIER, RED_SIDEBAND, TRANSITIONS, Pulse
-from ionjump.register import RegisterLayout, whole_register
+from ionjump.register import QuantumState, RegisterLayout, whole_register
 import oracles
 
 
@@ -61,7 +62,7 @@ def test_pi_pulse_phase_convention(layout):
     t_pi = math.pi * math.sqrt(5.0 * layout.effective_ions) / 0.2
     psi = np.zeros(layout.dim, dtype=complex)
     psi[layout.basis_index((1, 0), 0)] = 1.0
-    out = h.pair_propagator()(t_pi)(psi)
+    out = h.pair_propagator()[0](t_pi)(psi)
     target = layout.basis_index((0, 0), 1)
     assert out[target] == pytest.approx(-1j, abs=1e-12)
     assert np.linalg.norm(np.delete(out, target)) < 1e-12
@@ -72,7 +73,7 @@ def test_propagate_exact_matches_dense_diagonalization(layout):
     psi = random_state(layout, seed=3)
     vals, vecs = np.linalg.eigh(oracles.to_dense(h))
     reference = vecs @ (np.exp(-1j * vals * 2.1) * (vecs.conj().T @ psi))
-    assert np.max(np.abs(h.pair_propagator()(2.1)(psi) - reference)) < 1e-13
+    assert np.max(np.abs(h.pair_propagator()[0](2.1)(psi) - reference)) < 1e-13
 
 
 def per_pair_propagator(h, decay=None):
@@ -137,14 +138,14 @@ def test_grouped_pair_map_matches_per_pair_oracle(layout, builder, t):
            else np.stack([random_state(layout, seed) for seed in range(len(t))]))
     for d in (None, decay):
         expected = per_pair_propagator(h, d)(t)(psi)
-        assert np.array_equal(h.pair_propagator(d)(t)(psi), expected)
+        assert np.array_equal(h.pair_propagator(d)[0](t)(psi), expected)
 
 
 def test_zero_coupling_pair_takes_the_degenerate_branch(layout):
     h = _diagonal_pairs(layout)
     a, b = h.pair_i[-1], h.pair_j[-1]
     psi = random_state(layout, seed=5)
-    out = h.pair_propagator()(1.7)(psi)
+    out = h.pair_propagator()[0](1.7)(psi)
     # an uncoupled pair with equal diagonal elements only picks up phases
     assert np.allclose(out[[a, b]], np.exp(-1j * h.diag[a] * 1.7) * psi[[a, b]],
                        rtol=0.0, atol=1e-15)
@@ -164,6 +165,69 @@ def test_qft_pulses_have_few_rates_and_groups():
         assert rates.size <= layout.n_ions + 1
         assert groups.size <= 2 * layout.n_ions < h.pair_i.size
         assert group.shape == h.pair_i.shape
+
+
+def _assert_norm_curve_matches_the_map(h, decay, rows, times):
+    """``pair_propagator``'s closed-form norm curve against the map: the
+    squared norm of each evolved row within 1e-13, and its slope
+    -2 <psi(t)| decay |psi(t)> within 1e-13 relative."""
+    at, norm_curve = h.pair_propagator(decay)
+    value, slope = norm_curve(rows)(times)
+    out = at(times)(rows)
+    density = out.real**2 + out.imag**2
+    assert np.max(np.abs(value - density.sum(axis=-1))) < 1e-13
+    expected = -2.0 * density @ decay
+    assert np.all(np.abs(slope - expected) <= 1e-13 * np.abs(expected))
+
+
+def _unit_rows(dim, n, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n_ions", [4, 5, 6])
+def test_norm_curve_matches_the_map_on_every_qft_step(n_ions):
+    """Random unit rows at random times of every step of the QFT walk,
+    on its closure, with qubit and auxiliary decay."""
+    layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
+    initial = QuantumState.from_computational(
+        layout, {int(k): 1.0 for k in np.nonzero(dft_input_function(n_ions))[0]})
+    channels = qubit_channels(layout, 2e-4, gamma_aux=1e-4)
+    space, steps = evolve._closure_of(qft_program(layout), layout, channels,
+                                      initial.amplitudes)
+    decay = decay_vector(space, channels)
+    rng = np.random.default_rng(n_ions)
+    pulse_steps = [step for step in steps if isinstance(step, tuple)]
+    assert len(pulse_steps) == {4: 6, 5: 40, 6: 60}[n_ions]
+    for k, (h, duration, _) in enumerate(pulse_steps):
+        _assert_norm_curve_matches_the_map(h, decay, _unit_rows(space.dim, 4, k),
+                                           rng.uniform(0.0, duration, 4))
+
+
+def _carrier_pair(g, decay_upper):
+    """One ion's carrier, coupling g, with decay 0 on level 0 and
+    ``decay_upper`` on level 1: Omega^2 = |g|^2 - (decay_upper / 2)^2."""
+    layout = RegisterLayout(n_ions=1, phonon_cutoff=2)
+    h = build_carrier_hamiltonian(layout, 0, rabi=2.0 * g)
+    return h, decay_vector(h.space, qubit_channels(layout, decay_upper))
+
+
+@pytest.mark.parametrize("g, omega_over_g", [(0.5, 0.0), (0.5, 1e-6), (0.0, None)],
+                         ids=["exceptional", "near-exceptional", "undriven"])
+def test_norm_curve_matches_the_map_on_degenerate_pairs(g, omega_over_g):
+    """Equal diagonals with decay 0 and 2|g| (Omega = 0, where the split
+    into two exponentials fails), with |Omega| = 1e-6 |g|, and an
+    undriven pair (g = 0) with decay 0.3 on one end."""
+    decay_upper = 0.3 if omega_over_g is None else 2.0 * g * math.sqrt(1.0 - omega_over_g**2)
+    h, decay = _carrier_pair(g, decay_upper)
+    half = 0.5j * decay_upper
+    omega = np.sqrt(half**2 + g**2 + 0j)
+    if omega_over_g is not None:
+        assert abs(omega) == pytest.approx(omega_over_g * g, rel=1e-3, abs=0.0)
+    rng = np.random.default_rng(3)
+    _assert_norm_curve_matches_the_map(h, decay, _unit_rows(h.space.dim, 64, 4),
+                                       rng.uniform(0.0, 3.0, 64))
 
 
 def test_norm_bound_dominates_spectrum(layout):

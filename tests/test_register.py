@@ -59,9 +59,9 @@ def test_populations_and_leakage():
     assert oracles.aux_population(state) == pytest.approx(0.3)
     assert oracles.phonon_population(state, 1) == pytest.approx(0.3)
     assert oracles.phonon_excited_population(state) == pytest.approx(0.3)
-    probs = state.computational_probabilities()
+    probs = oracles.computational_probabilities(state)
     assert probs.sum() == pytest.approx(0.7)
-    assert state.leakage() == pytest.approx(0.3)
+    assert oracles.leakage(state) == pytest.approx(0.3)
 
 
 def test_apply_internal_unitary_batched():
