@@ -132,6 +132,17 @@ def frequency_distribution(states: np.ndarray, space: Subspace) -> np.ndarray:
 #: pulses rotate each block by a few radians at most, and 8 nodes
 #: already agree with 64 to 5e-15 on the standard experiment.
 QUADRATURE_NODES = 16
+#: The rule's nodes and weights.  ``numpy.polynomial.legendre.leggauss``
+#: makes its rule exactly symmetric, so its non-negative half, kept here
+#: as literals, gives the whole rule, and a run does not import
+#: ``numpy.polynomial`` for it.
+_HALF_RULE = np.array([
+    [0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+     0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499],
+    [0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+     0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176]])
+_NODES = np.concatenate([-_HALF_RULE[0, ::-1], _HALF_RULE[0]])
+_WEIGHTS = np.concatenate([_HALF_RULE[1, ::-1], _HALF_RULE[1]])
 
 
 def integrated_upper_population(program: PulseProgram, layout: RegisterLayout,
@@ -150,15 +161,14 @@ def integrated_upper_population(program: PulseProgram, layout: RegisterLayout,
     upper = qubit_channels(layout, 1.0, gamma_aux=1.0 if include_aux else None)
     # number of ions in an upper level, per state the walk carries
     excitation = decay_vector(reachable(program, layout, (), initial.amplitudes), upper)
-    nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_NODES)
     total = 0.0
 
     def node_sum(propagator, psi, t_start):
         nonlocal total
         half = 0.5 * propagator.duration
-        rows = np.broadcast_to(psi, (nodes.size, psi.size))   # one row per node
-        phi = propagator.at(half * (nodes + 1.0))(rows)
-        total += half * float(weights @ ((phi.real**2 + phi.imag**2) @ excitation))
+        rows = np.broadcast_to(psi, (_NODES.size, psi.size))   # one row per node
+        phi = propagator.at(half * (_NODES + 1.0))(rows)
+        total += half * float(_WEIGHTS @ ((phi.real**2 + phi.imag**2) @ excitation))
         return propagator.end(psi)
 
     run_program(program, layout, (), initial.amplitudes, node_sum)

@@ -17,7 +17,9 @@ RMP 70, 101 (1998)).
 Every pulse Hamiltonian is constant in time, so the no-jump propagator
 exp(-i H_eff t) of a pulse is exact: a closed-form 2x2 block formula,
 evaluated once per distinct rate and per group of equal pairs, since
-every pulse drive is pair-structured (``hamiltonians``).
+every pulse drive is pair-structured (``hamiltonians``).  A step that
+couples no pair of the states the engine carries has no group, and its
+propagator is an elementwise map: exp(rate t) per state times psi.
 
 The pulses, the instant gates and the jumps map each basis state only
 to the states its couplings reach, so an evolution never leaves the
@@ -42,8 +44,11 @@ once per (closure, steps, channels), computes the decay diagonal and
 the jump-rate table once and builds one propagator and end map on that
 decay per distinct step: it is the only code that gamma reaches, and a
 fresh gamma builds no Hamiltonian.  The 24 pulses of the four-ion DFT
-make 6 steps on 3 propagators; all 40 five-ion pulses couple pairs and
-stay 40 steps on 18.  ``_walk`` is the one walk through a plan: it
+make 6 steps on 3 propagators, all elementwise maps, since none couples
+a pair of the 16-state closure; all 40 five-ion pulses couple pairs and
+stay 40 steps on 18.  A propagator builds its norm curve's constants on
+its first jump-time search, so a plan that never searches (gamma = 0)
+holds only its maps.  ``_walk`` is the one walk through a plan: it
 carries the engine's rows and every other propagation.  A walk's
 ``pulse`` hook (``run_program``) sees each step once, a merged run as
 one propagator; the excitation integral's quadrature over such a step
@@ -70,8 +75,9 @@ jump times, all together, each by safeguarded Newton iteration on
 ||U(t) psi||^2 = r inside its own bracket.  The iteration runs on each
 row's norm curve in closed form (``Hamiltonian.pair_propagator``'s
 ``norm_curve``: a few exponentials and, per group of pairs, cos and sin,
-weighed by sums of the row taken once), never on the mapped states;
-the map is applied once, at the roots.  The jumps are applied at those
+weighed by sums of the row taken once; on a step with no pair, as at
+four ions, exponentials alone), never on the mapped states; the map is
+applied once, at the roots.  The jumps are applied at those
 times, and the jumped rows finish the step as a smaller batch, which
 repeats while any of them crosses again.
 
@@ -99,7 +105,7 @@ rows share each Newton iteration's fixed numpy overhead, a few array
 operations on the closed-form norm curves whatever the closure's
 size.  A step holds at most two block-sized arrays (start and end
 states; the end states grow in place when fresh rows are appended),
-2 MiB each, plus one chunk-sized temporary of the pair map.  The branch lives only as
+2 MiB each, plus one chunk-sized temporary of a map with pairs.  The branch lives only as
 long as its block; nothing is kept across calls but the closures (with
 their steps' restricted Hamiltonians), the plans (with their
 propagators) and, in ``dft``, each register's compiled experiment
@@ -187,11 +193,16 @@ class JumpChannel:
         """c |psi> (unnormalized) for states of ``space``, state axis
         last: one gather of each state's copy with the ion in the upper
         level, weighted sqrt(2*gamma) where the ion is in |0> and 0
-        elsewhere."""
-        _, sources, kept = space.level_shifts(self.ion)     # shift = upper - 0
-        scale = np.where((space.levels(self.ion) == 0) & kept[self.upper_level],
-                         math.sqrt(2.0 * self.gamma), 0.0)
-        return np.take(amplitudes, sources[self.upper_level], axis=-1) * scale
+        elsewhere.  The gather and the weights are built once per
+        subspace, keyed by (ion, upper level, gamma)."""
+        def build():
+            _, sources, kept = space.level_shifts(self.ion)     # shift = upper - 0
+            return sources[self.upper_level], np.where(
+                (space.levels(self.ion) == 0) & kept[self.upper_level],
+                math.sqrt(2.0 * self.gamma), 0.0)
+
+        source, scale = space._table(("jump", self.ion, self.upper_level, self.gamma), build)
+        return np.take(amplitudes, source, axis=-1) * scale
 
 
 def qubit_channels(layout: RegisterLayout, gamma11: float,

@@ -20,6 +20,7 @@ the only one the engine has (``Hamiltonian.pair_propagator``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +106,10 @@ class Hamiltonian:
         index (unpaired states read zeros in the off-diagonal table).
         Each entry is the same floating-point operation on the same
         inputs as an evaluation per state, so the map is bit-identical
-        to one.
+        to one.  A step that holds no pair (every step of the four-ion
+        QFT on its closure) has no group and no off-diagonal table:
+        ``at(t)`` spreads exp(rate t) over the states, and its map is
+        that table times psi, an elementwise product.
 
         ``norm_curve(psi)``, for an (n, dim) batch, returns the function
         ``curve(t)`` of n times giving ||exp(...) psi[k]||^2 at t[k] and
@@ -127,19 +131,22 @@ class Hamiltonian:
         them with the coefficients.  It is exact at Omega = 0, where
         s = t, as ``at`` is; splitting the group's terms into the
         exponentials of the eigenvalues mean rate +- i Omega would lose
-        about eps (|g| / |Omega|)^2 there.
+        about eps (|g| / |Omega|)^2 there.  Without groups the sums are
+        each rate's squared norm alone, from the same bincount, and
+        ``curve`` is a sum of exponentials.  The curve's index arrays
+        and group forms are built on the first ``norm_curve`` call, so
+        a propagator that never searches (gamma = 0) holds none of them.
         """
         diag = self.diag if decay is None else self.diag - 1j * decay
         i, j, g = self.pair_i, self.pair_j, self.pair_g
         dim = self.space.dim
-        partners = np.tile(np.arange(dim), (2, 1))      # each state, then its partner
-        perm = partners[1]
+        perm = np.arange(dim)                           # each state's partner
         perm[i], perm[j] = j, i
         rate_first, state_rate, first, group = _pair_groups(diag, i, j, g)
         n_rates, n_groups = rate_first.size, first.size
         i, j, g = i[first], j[first], g[first]          # one pair per group
-        rate = -1j * diag
-        exponent = np.concatenate([rate[rate_first], 0.5 * (rate[i] + rate[j])])
+        rate_i, rate_j = -1j * diag[i], -1j * diag[j]
+        exponent = np.concatenate([-1j * diag[rate_first], 0.5 * (rate_i + rate_j)])
         half = 0.5 * (diag[i] - diag[j])
         ihalf = 1j * half
         omega = np.sqrt(half**2 + np.abs(g) ** 2 + 0j)
@@ -155,6 +162,9 @@ class Hamiltonian:
         def at(t):
             t = np.asarray(t, dtype=np.float64)[..., None]
             table = np.exp(exponent * t)
+            if not n_groups:        # diagonal, as on every four-ion step
+                coeff = np.take(table, column, axis=-1)
+                return lambda psi: coeff * psi
             phase = table[..., n_rates:]
             sinc = phase * np.where(degenerate, t, np.sin(omega * t) / safe)
             cos = phase * np.cos(omega * t)
@@ -180,55 +190,72 @@ class Hamiltonian:
 
             return apply
 
-        # a row's squared norm and slope: a rate's terms are its sum times
-        # exp(2 Re(rate) t) and 2 Re(rate) times that; a group's are forms
-        # in v = exp(Re(mean rate) t) (c, s), from its block M and the
-        # weights of the norm (1) and of its slope (-2 decay)
-        growth = np.concatenate([2.0 * exponent[:n_rates].real, exponent[n_rates:].real])
-        rate_terms = np.stack([np.ones(n_rates), growth[:n_rates]])[:, None]
-        block = np.zeros((n_groups, 2, 2), dtype=np.complex128)
-        block[:, 0, 0], block[:, 0, 1], block[:, 1, 0], block[:, 1, 1] = half, np.conj(g), g, -half
-        weights = np.zeros((2, n_groups, 2, 2))
-        weights[0, :, 0, 0] = weights[0, :, 1, 1] = 1.0
-        weights[1, :, 0, 0], weights[1, :, 1, 1] = 2.0 * rate[i].real, 2.0 * rate[j].real
-        group_terms = np.moveaxis(_norm2_terms(block, weights), 0, 2).reshape(n_groups, 4, 16)
-        # a row's sums: |psi|^2, then psi conj(psi[perm]), real and imaginary
-        # parts, per column of ``at``'s tables; per group, where its S_i,
-        # S_j, Re X and Im X (X = sum psi_i conj(psi_j)) lie among them
-        width = 2 * (n_rates + 2 * n_groups)
-        parts = (2 * column[:, None] + np.arange(2)).ravel()
-        ends = 2 * (n_rates + np.arange(n_groups))
-        picks = np.stack([ends, ends + 2 * n_groups, width + ends, width + ends + 1], axis=-1)
+        @functools.cache
+        def norm_curve_of():
+            # a row's squared norm and slope: a rate's terms are its sum
+            # times exp(2 Re(rate) t) and 2 Re(rate) times that; a group's
+            # are forms in v = exp(Re(mean rate) t) (c, s), from its block
+            # M and the weights of the norm (1) and of its slope (-2 decay)
+            growth = np.concatenate([2.0 * exponent[:n_rates].real, exponent[n_rates:].real])
+            rate_terms = np.stack([np.ones(n_rates), growth[:n_rates]])[:, None]
+            if not n_groups:        # a sum of exponentials: per-rate sums only
 
-        def norm_curve(psi):
-            n = len(psi)
-            products = psi[:, None] * np.conj(np.take(psi, partners, axis=-1))
-            index = np.arange(2 * n)[:, None] * width + parts
-            sums = np.bincount(index.ravel(), products.view(np.float64).ravel(),
-                               2 * n * width).reshape(n, 2 * width)
-            terms = np.take(sums, picks, axis=1).transpose(1, 0, 2) @ group_terms
-            coeff = np.concatenate(
-                [sums[:, :2 * n_rates:2] * rate_terms,
-                 terms.reshape(n_groups, n, 2, 8).transpose(2, 1, 0, 3).reshape(2, n, -1)],
-                axis=-1)
+                def norm_curve(psi):
+                    # |psi|^2 as the complex product the paired sums take,
+                    # so the curve is bit-identical to theirs
+                    n = len(psi)
+                    index = np.arange(n)[:, None] * n_rates + column
+                    sums = np.bincount(index.ravel(), (psi * np.conj(psi)).real.ravel(),
+                                       n * n_rates).reshape(n, n_rates)
+                    coeff = sums * rate_terms
+                    return lambda t: (coeff * np.exp(growth * t[:, None])).sum(axis=-1)
 
-            def curve(t):
-                t = t[:, None]
-                scale = np.exp(growth * t)
-                if not n_groups:        # exponentials only, as on every four-ion step
-                    return (coeff * scale).sum(axis=-1)
-                w = omega * t
-                v = np.concatenate([np.cos(w)[..., None],
-                                    np.where(degenerate, t, np.sin(w) / safe)[..., None]],
-                                   axis=-1) * scale[:, n_rates:, None]
-                products = np.conj(v)[..., None] * v[..., None, :]
-                return (coeff * np.concatenate(
-                    [scale[:, :n_rates], products.view(np.float64).reshape(len(t), -1)],
-                    axis=1)).sum(axis=-1)
+                return norm_curve
+            block = np.zeros((n_groups, 2, 2), dtype=np.complex128)
+            block[:, 0, 0], block[:, 0, 1], block[:, 1, 0], block[:, 1, 1] = (
+                half, np.conj(g), g, -half)
+            weights = np.zeros((2, n_groups, 2, 2))
+            weights[0, :, 0, 0] = weights[0, :, 1, 1] = 1.0
+            weights[1, :, 0, 0], weights[1, :, 1, 1] = 2.0 * rate_i.real, 2.0 * rate_j.real
+            group_terms = np.moveaxis(_norm2_terms(block, weights), 0, 2).reshape(n_groups, 4, 16)
+            # a row's sums: |psi|^2, then psi conj(psi[perm]), real and
+            # imaginary parts, per column of ``at``'s tables; per group, where
+            # its S_i, S_j, Re X and Im X (X = sum psi_i conj(psi_j)) lie
+            partners = np.stack([np.arange(dim), perm])
+            width = 2 * (n_rates + 2 * n_groups)
+            parts = (2 * column[:, None] + np.arange(2)).ravel()
+            ends = 2 * (n_rates + np.arange(n_groups))
+            picks = np.stack([ends, ends + 2 * n_groups, width + ends, width + ends + 1], axis=-1)
 
-            return curve
+            def norm_curve(psi):
+                n = len(psi)
+                products = psi[:, None] * np.conj(np.take(psi, partners, axis=-1))
+                index = np.arange(2 * n)[:, None] * width + parts
+                sums = np.bincount(index.ravel(), products.view(np.float64).ravel(),
+                                   2 * n * width).reshape(n, 2 * width)
+                terms = np.take(sums, picks, axis=1).transpose(1, 0, 2) @ group_terms
+                coeff = np.concatenate(
+                    [sums[:, :2 * n_rates:2] * rate_terms,
+                     terms.reshape(n_groups, n, 2, 8).transpose(2, 1, 0, 3).reshape(2, n, -1)],
+                    axis=-1)
 
-        return at, norm_curve
+                def curve(t):
+                    t = t[:, None]
+                    scale = np.exp(growth * t)
+                    w = omega * t
+                    v = np.concatenate([np.cos(w)[..., None],
+                                        np.where(degenerate, t, np.sin(w) / safe)[..., None]],
+                                       axis=-1) * scale[:, n_rates:, None]
+                    products = np.conj(v)[..., None] * v[..., None, :]
+                    return (coeff * np.concatenate(
+                        [scale[:, :n_rates], products.view(np.float64).reshape(len(t), -1)],
+                        axis=1)).sum(axis=-1)
+
+                return curve
+
+            return norm_curve
+
+        return at, lambda psi: norm_curve_of()(psi)
 
 
 def _norm2_terms(block: np.ndarray, weight: np.ndarray) -> np.ndarray:

@@ -219,14 +219,20 @@ def apply_internal_unitary(amplitudes: np.ndarray, space: Subspace,
     ion in level b: one weighted term per shift b - a (mod 3), of which
     shift 0 is the state itself and the others are gathers.  A shift
     whose weights are all zero is skipped, so a phase gate is one
-    product and a Hadamard-like gate two gathers.
+    product and a Hadamard-like gate two gathers.  Each gate's terms are
+    built once per subspace, keyed by the ion and the matrix's bytes.
     """
-    shifted, sources, kept = space.level_shifts(ion)
-    weights = np.where(kept, np.asarray(matrix)[space.levels(ion), shifted], 0.0)
+    matrix = np.asarray(matrix)
+
+    def build():
+        shifted, sources, kept = space.level_shifts(ion)
+        weights = np.where(kept, matrix[space.levels(ion), shifted], 0.0)
+        return [(shift, source, weight)
+                for shift, (source, weight) in enumerate(zip(sources, weights)) if weight.any()]
+
     out = None
-    for shift, (source, weight) in enumerate(zip(sources, weights)):
-        if not weight.any():
-            continue
+    for shift, source, weight in space._table(("gate", ion, matrix.dtype.str, matrix.tobytes()),
+                                              build):
         term = weight * (amplitudes if shift == 0 else np.take(amplitudes, source, axis=-1))
         if out is None:
             out = term

@@ -15,7 +15,8 @@ import numpy as np
 from ionjump.errors import ZeroDetuning
 from ionjump.evolve import decay_vector
 from ionjump.gates import run_program_exact
-from ionjump.hamiltonians import Hamiltonian, _pair_indices, build_pulse_hamiltonian
+from ionjump.hamiltonians import (Hamiltonian, _norm2_terms, _pair_groups, _pair_indices,
+                                  build_pulse_hamiltonian)
 from ionjump.program import QUBIT_CARRIER, InstantGate, Pulse
 from ionjump.register import AUX_LEVEL, INTERNAL_DIM, whole_register
 
@@ -124,6 +125,70 @@ def taylor_propagator(h, decay, t):
     if np.ndim(t) == 0:
         return lambda psi: psi @ matrix(t).T
     return lambda psi: np.stack([matrix(tk) @ row for tk, row in zip(t, psi)])
+
+
+def paired_norm_curve(h, decay):
+    """``Hamiltonian.pair_propagator``'s norm curve taken through the
+    group code for every operator, a pair-free one too: one bincount of
+    each row's products with itself and with its partner, and the
+    group forms (none when no pair is coupled).  The engine builds a
+    pair-free step's curve from the per-rate sums alone, and a paired
+    one's as here; both must equal this to the bit."""
+    diag = h.diag - 1j * decay
+    dim = h.space.dim
+    partners = np.tile(np.arange(dim), (2, 1))
+    partners[1, h.pair_i], partners[1, h.pair_j] = h.pair_j, h.pair_i
+    rate_first, column, first, group = _pair_groups(diag, h.pair_i, h.pair_j, h.pair_g)
+    n_rates, n_groups = rate_first.size, first.size
+    i, j, g = h.pair_i[first], h.pair_j[first], h.pair_g[first]
+    column[h.pair_i] = n_rates + group
+    column[h.pair_j] = n_rates + n_groups + group
+    rate = -1j * diag
+    half = 0.5 * (diag[i] - diag[j])
+    omega = np.sqrt(half**2 + np.abs(g) ** 2 + 0j)
+    degenerate = omega == 0.0
+    safe = np.where(degenerate, 1.0, omega)
+    growth = np.concatenate([2.0 * rate[rate_first].real, (0.5 * (rate[i] + rate[j])).real])
+    rate_terms = np.stack([np.ones(n_rates), growth[:n_rates]])[:, None]
+    block = np.zeros((n_groups, 2, 2), dtype=np.complex128)
+    block[:, 0, 0], block[:, 0, 1], block[:, 1, 0], block[:, 1, 1] = half, np.conj(g), g, -half
+    weights = np.zeros((2, n_groups, 2, 2))
+    weights[0, :, 0, 0] = weights[0, :, 1, 1] = 1.0
+    weights[1, :, 0, 0], weights[1, :, 1, 1] = 2.0 * rate[i].real, 2.0 * rate[j].real
+    group_terms = np.moveaxis(_norm2_terms(block, weights), 0, 2).reshape(n_groups, 4, 16)
+    width = 2 * (n_rates + 2 * n_groups)
+    parts = (2 * column[:, None] + np.arange(2)).ravel()
+    ends = 2 * (n_rates + np.arange(n_groups))
+    picks = np.stack([ends, ends + 2 * n_groups, width + ends, width + ends + 1], axis=-1)
+
+    def norm_curve(psi):
+        n = len(psi)
+        products = psi[:, None] * np.conj(np.take(psi, partners, axis=-1))
+        index = np.arange(2 * n)[:, None] * width + parts
+        sums = np.bincount(index.ravel(), products.view(np.float64).ravel(),
+                           2 * n * width).reshape(n, 2 * width)
+        terms = np.take(sums, picks, axis=1).transpose(1, 0, 2) @ group_terms
+        coeff = np.concatenate(
+            [sums[:, :2 * n_rates:2] * rate_terms,
+             terms.reshape(n_groups, n, 2, 8).transpose(2, 1, 0, 3).reshape(2, n, -1)], axis=-1)
+
+        def curve(t):
+            t = t[:, None]
+            scale = np.exp(growth * t)
+            if not n_groups:
+                return (coeff * scale).sum(axis=-1)
+            w = omega * t
+            v = np.concatenate([np.cos(w)[..., None],
+                                np.where(degenerate, t, np.sin(w) / safe)[..., None]],
+                               axis=-1) * scale[:, n_rates:, None]
+            products = np.conj(v)[..., None] * v[..., None, :]
+            return (coeff * np.concatenate(
+                [scale[:, :n_rates], products.view(np.float64).reshape(len(t), -1)],
+                axis=1)).sum(axis=-1)
+
+        return curve
+
+    return norm_curve
 
 
 def norm_root(propagate, psi, r, span):

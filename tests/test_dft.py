@@ -353,6 +353,14 @@ def test_excitation_integral_builds_its_diagonal_once(monkeypatch, n_ions, inclu
     assert integral == per_step
 
 
+def test_quadrature_rule_is_numpys_gauss_legendre_rule_to_the_bit():
+    """The excitation integral's rule, built from its non-negative half,
+    is ``leggauss(QUADRATURE_NODES)`` bit for bit."""
+    nodes, weights = np.polynomial.legendre.leggauss(dft.QUADRATURE_NODES)
+    assert dft._NODES.tobytes() == nodes.tobytes()
+    assert dft._WEIGHTS.tobytes() == weights.tobytes()
+
+
 def test_auxiliary_decay_switch():
     """Without the auxiliary-level channels no jump lands on a channel
     index >= n_ions, and the calibration needs a larger gamma for the

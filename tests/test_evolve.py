@@ -93,6 +93,25 @@ def test_decay_vector():
     assert d[layout.basis_index((0, 0), 1)] == 0.0
 
 
+def test_jump_tables_are_kept_per_gamma():
+    """A channel's gather and weights are kept on the subspace per (ion,
+    upper level, gamma): channels that differ in gamma alone, applied in
+    turn on one subspace, each move the upper level's amplitudes to |0>
+    times their own sqrt(2 gamma)."""
+    layout = RegisterLayout(n_ions=2, phonon_cutoff=2)
+    space = whole_register(layout)
+    rng = np.random.default_rng(4)
+    psi = rng.normal(size=(3, layout.dim)) + 1j * rng.normal(size=(3, layout.dim))
+    for ion in (0, 1):
+        for upper in (1, 2):
+            expected = np.zeros((3, 3, 3, 2), dtype=np.complex128)
+            grid = np.moveaxis(psi.reshape(3, 3, 3, 2), ion + 1, 1)
+            np.moveaxis(expected, ion + 1, 1)[:, 0] = grid[:, upper]
+            for gamma in (0.3, 0.02, 0.3):
+                out = JumpChannel(ion, gamma, upper).apply(psi, space)
+                assert np.array_equal(out, expected.reshape(3, -1) * math.sqrt(2.0 * gamma))
+
+
 def test_unitary_limit_preserves_norm():
     layout = RegisterLayout(n_ions=2, phonon_cutoff=3)
     h = build_sideband_hamiltonian(layout, 0, rabi=1.0, eta=0.2)

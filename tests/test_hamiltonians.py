@@ -15,7 +15,8 @@ from ionjump.hamiltonians import (
     build_pulse_hamiltonian,
     build_sideband_hamiltonian,
 )
-from ionjump.program import AUX_SIDEBAND, QUBIT_CARRIER, RED_SIDEBAND, TRANSITIONS, Pulse
+from ionjump.program import (AUX_SIDEBAND, QUBIT_CARRIER, RED_SIDEBAND, TRANSITIONS, Pulse,
+                             PulseProgram)
 from ionjump.register import QuantumState, RegisterLayout, whole_register
 import oracles
 
@@ -186,23 +187,88 @@ def _unit_rows(dim, n, seed):
     return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 
-@pytest.mark.parametrize("n_ions", [4, 5, 6])
-def test_norm_curve_matches_the_map_on_every_qft_step(n_ions):
-    """Random unit rows at random times of every step of the QFT walk,
-    on its closure, with qubit and auxiliary decay."""
+def _qft_steps(n_ions):
+    """The decay diagonal and the (Hamiltonian, duration) pulse steps of
+    the QFT walk on its closure, with qubit and auxiliary decay."""
     layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
     initial = QuantumState.from_computational(
         layout, {int(k): 1.0 for k in np.nonzero(dft_input_function(n_ions))[0]})
     channels = qubit_channels(layout, 2e-4, gamma_aux=1e-4)
     space, steps = evolve._closure_of(qft_program(layout), layout, channels,
                                       initial.amplitudes)
-    decay = decay_vector(space, channels)
-    rng = np.random.default_rng(n_ions)
-    pulse_steps = [step for step in steps if isinstance(step, tuple)]
+    pulse_steps = [step[:2] for step in steps if isinstance(step, tuple)]
     assert len(pulse_steps) == {4: 6, 5: 40, 6: 60}[n_ions]
-    for k, (h, duration, _) in enumerate(pulse_steps):
-        _assert_norm_curve_matches_the_map(h, decay, _unit_rows(space.dim, 4, k),
+    return decay_vector(space, channels), pulse_steps
+
+
+@pytest.mark.parametrize("n_ions", [4, 5, 6])
+def test_norm_curve_matches_the_map_on_every_qft_step(n_ions):
+    """Random unit rows at random times of every step of the QFT walk,
+    on its closure, with qubit and auxiliary decay."""
+    decay, steps = _qft_steps(n_ions)
+    rng = np.random.default_rng(n_ions)
+    for k, (h, duration) in enumerate(steps):
+        _assert_norm_curve_matches_the_map(h, decay, _unit_rows(decay.size, 4, k),
                                            rng.uniform(0.0, duration, 4))
+
+
+def _decay_only_chain():
+    """Two auxiliary-sideband pulses on a two-ion input with no phonon
+    and no auxiliary level: neither couples a pair of the closure, so
+    the walk merges them into one step, whose qubit decay takes three
+    values (0, 1 or 2 ions excited)."""
+    layout = RegisterLayout(n_ions=2, phonon_cutoff=3)
+    program = PulseProgram(items=(
+        Pulse(0, AUX_SIDEBAND, rabi=0.3, eta=0.1, duration=4.0),
+        Pulse(1, AUX_SIDEBAND, rabi=0.2, eta=0.1, duration=3.0)))
+    initial = QuantumState.from_computational(layout, {0b11: 1.0, 0b10: 0.5, 0b01: 0.2})
+    channels = qubit_channels(layout, 0.05)
+    space, ((h, duration, _),) = evolve._closure_of(program, layout, channels,
+                                                    initial.amplitudes)
+    assert duration == 7.0 and space.dim == 4
+    return h, decay_vector(space, channels), duration
+
+
+def test_pair_free_maps_match_a_taylor_exponential():
+    """On every four-ion QFT step and on a merged decay-only chain, all
+    holding no pair: the end map, the map at a time per row and the norm
+    curve's value within 1e-13 of a dense Taylor exponential, and its
+    slope within 1e-13 relative."""
+    decay, steps = _qft_steps(4)
+    cases = [(h, decay, duration) for h, duration in steps] + [_decay_only_chain()]
+    rng = np.random.default_rng(8)
+    for k, (h, decay, duration) in enumerate(cases):
+        assert not h.pair_i.size
+        rows, times = _unit_rows(h.space.dim, 5, k), rng.uniform(0.0, duration, 5)
+        propagator = ConditionalPropagator(h, decay, duration)
+        exact = oracles.taylor_propagator(h, decay, duration)(rows)
+        assert np.max(np.abs(propagator.end(rows) - exact)) < 1e-13
+        exact = oracles.taylor_propagator(h, decay, times)(rows)
+        assert np.max(np.abs(propagator.at(times)(rows) - exact)) < 1e-13
+        value, slope = propagator.norm_curve(rows)(times)
+        density = exact.real**2 + exact.imag**2
+        assert np.max(np.abs(value - density.sum(axis=-1))) < 1e-13
+        expected = -2.0 * density @ decay
+        assert np.all(np.abs(slope - expected) <= 1e-13 * np.abs(expected))
+
+
+@pytest.mark.parametrize("n_ions", [4, 5])
+def test_qft_maps_and_curves_are_bit_identical_to_the_paired_forms(n_ions):
+    """Every QFT step's map at a time per row, its end map and its norm
+    curve are bit-identical to the per-pair map and to the curve taken
+    through the group code: at four ions no step holds a pair and each
+    is built as an elementwise map; at five every step couples pairs."""
+    decay, steps = _qft_steps(n_ions)
+    rng = np.random.default_rng(n_ions)
+    for k, (h, duration) in enumerate(steps):
+        assert bool(h.pair_i.size) == (n_ions == 5)
+        rows, times = _unit_rows(decay.size, 6, k), rng.uniform(0.0, duration, 6)
+        propagator = ConditionalPropagator(h, decay, duration)
+        at = per_pair_propagator(h, decay)
+        assert np.array_equal(propagator.at(times)(rows), at(times)(rows))
+        assert np.array_equal(propagator.end(rows), at(duration)(rows))
+        assert np.array_equal(propagator.norm_curve(rows)(times),
+                              oracles.paired_norm_curve(h, decay)(rows)(times))
 
 
 def _carrier_pair(g, decay_upper):
