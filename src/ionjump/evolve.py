@@ -71,15 +71,17 @@ a row whose end norm stays at or above its r holds no jump in that
 step; a trajectory still on the branch leaves it when the branch's
 end norm falls below its first r, and starts as a copy of the branch
 at the start of that step.  Only the rows that cross search for their
-jump times, all together, each by safeguarded Newton iteration on
-||U(t) psi||^2 = r inside its own bracket.  The iteration runs on each
+jump times, all together, by Newton iteration on ||U(t) psi||^2 = r
+(``ConditionalPropagator.crossing``).  The iteration runs on each
 row's norm curve in closed form (``Hamiltonian.pair_propagator``'s
 ``norm_curve``: a few exponentials and, per group of pairs, cos and sin,
-weighed by sums of the row taken once; on a step with no pair, as at
-four ions, exponentials alone), never on the mapped states; the map is
-applied once, at the roots.  The jumps are applied at those
-times, and the jumped rows finish the step as a smaller batch, which
-repeats while any of them crosses again.
+weighed by sums of the row taken once), never on the mapped states; the
+map is applied once, at the roots.  On a step with no coupled pair, as
+at four ions, the curve is a sum of decaying exponentials, whose log is
+convex, and Newton on the log from t = 0 needs no bracket; a step with
+pairs keeps each row inside its own bracket.  The jumps are applied at
+those times, and the jumped rows finish the step as a smaller batch,
+which repeats while any of them crosses again.
 
 A block records, per trajectory, its jumps as (time, channel index)
 and the sum of -ln r over the thresholds r it crossed.  Between jumps
@@ -248,7 +250,9 @@ class ConditionalPropagator:
     array of n times the map of an (n, dim) batch whose row k evolves
     over t[k]; ``end`` is the precomputed map over ``duration``.  Maps
     act on states with the state axis last, so they take (n, dim)
-    batches as well.  A walk's propagators are built by its ``_plan``,
+    batches as well.  ``elementwise`` is True when the step couples no
+    pair (``Hamiltonian.is_elementwise``), which picks the search of
+    ``crossing``.  A walk's propagators are built by its ``_plan``,
     one per distinct step, all on the plan's one decay diagonal, and
     keep no reference to their Hamiltonian.
     """
@@ -264,26 +268,52 @@ class ConditionalPropagator:
         self.decay = decay
         self.at, self.norm_curve = hamiltonian.pair_propagator(decay)
         self.end = self.at(duration)
+        self.elementwise = hamiltonian.is_elementwise
 
     def crossing(self, psi: np.ndarray, r: np.ndarray, span: np.ndarray,
                  norm2: np.ndarray, end_norm2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Jump times of a block of rows and the states there.
 
-        Row k solves ||U(t) psi[k]||^2 = r[k] for t in ``(0, span[k]]``,
+        Row k solves ||U(t) psi[k]||^2 = r[k] for t in ``[0, span[k]]``,
         given the squared norms ``norm2[k] >= r[k]`` at 0 and
-        ``end_norm2[k] < r[k]`` at ``span[k]``.  The squared norm is
-        non-increasing with derivative -2 <psi(t)| decay |psi(t)>, so
-        each row takes Newton steps inside its own shrinking bracket,
-        falling back to bisection when a step leaves it.  The first
-        guess interpolates the logarithm of the norm, exact for a pure
-        exponential decay.  Every iteration evaluates each row's squared
-        norm and its slope on the closed form of its norm curve
-        (``norm_curve``, from a few sums of the row taken once), not
-        through the map; a row that has stopped keeps its time.  The
-        states at the roots come from one ``at`` call.
+        ``end_norm2[k] < r[k]`` at ``span[k]``.  The squared norm N(t) is
+        non-increasing with derivative -2 <psi(t)| decay |psi(t)>.  Every
+        iteration evaluates each row's N and N' on the closed form of its
+        norm curve (``norm_curve``, from a few sums of the row taken
+        once), not through the map, and the states at the roots come from
+        one ``at`` call.  Both searches stop when every row's step is at
+        most ``_ROOT_RTOL`` of its span.
+
+        On a step with no coupled pair (``elementwise``, every step of
+        the four-ion QFT on its closure) N(t) = sum_r S_r exp(g_r t) with
+        S_r >= 0, so ln N is a log-sum-exp of affine functions, convex.
+        Newton on ln N - ln r started left of the root then never
+        overshoots: each tangent meets ln r at or before the root, so the
+        iterates rise to it and need no bracket.  The first step starts
+        from t = 0, where N is ``norm2`` and N' one product with
+        ``decay``, so it costs no curve evaluation.
+
+        On a step with pairs N is not convex.  Each row takes Newton
+        steps on N inside its own shrinking bracket, falling back to
+        bisection when a step leaves it; the first guess interpolates the
+        logarithm of the norm, exact for a pure exponential decay, and a
+        row that has stopped keeps its time.
         """
-        lo, hi, tol = np.zeros_like(span), span, _ROOT_RTOL * span
+        tol = _ROOT_RTOL * span
         curve = self.norm_curve(psi)
+        if self.elementwise:
+            log_r = np.log(r)
+            t = (np.log(norm2) - log_r) * norm2 / (2.0 * ((psi.real**2 + psi.imag**2) @ self.decay))
+            for _ in range(_ROOT_MAX_EVALUATIONS):
+                value, slope = curve(t)
+                rise = (log_r - np.log(value)) * value / slope
+                t += rise
+                if (rise <= tol).all():
+                    break
+            # a root at 0 or at the span may land an ulp outside
+            t = np.minimum(np.maximum(t, 0.0), span)
+            return t, self.at(t)(psi)
+        lo, hi = np.zeros_like(span), span
         searching = np.ones(span.size, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore"):
             guess = span * np.log(norm2 / r) / np.log(norm2 / end_norm2)

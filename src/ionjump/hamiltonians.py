@@ -80,6 +80,12 @@ class Hamiltonian:
         indices = np.sort(np.concatenate([self.pair_i, self.pair_j]))
         return not np.any(indices[1:] == indices[:-1])
 
+    @property
+    def is_elementwise(self) -> bool:
+        """True when no pair couples its states (every g is 0): the map of
+        ``pair_propagator`` is then exp(rate t) per state, elementwise."""
+        return not np.any(self.pair_g)
+
     def pair_propagator(self, decay: np.ndarray | None = None):
         """Closed form of exp(-i (H - i*decay) t) for a pair-structured H,
         and of each evolved row's squared norm.
@@ -106,10 +112,14 @@ class Hamiltonian:
         index (unpaired states read zeros in the off-diagonal table).
         Each entry is the same floating-point operation on the same
         inputs as an evaluation per state, so the map is bit-identical
-        to one.  A step that holds no pair (every step of the four-ion
-        QFT on its closure) has no group and no off-diagonal table:
-        ``at(t)`` spreads exp(rate t) over the states, and its map is
-        that table times psi, an elementwise product.
+        to one.  A pair with g = 0 couples nothing and is dropped here, so
+        its two states take their exact exp(rate t) entries; through the
+        2x2 formula an overdamped block's cos and sin grow like
+        exp(|Omega| t) and cancel against its phase.  A step that holds no
+        coupled pair (every step of the four-ion QFT on its closure) has
+        no group and no off-diagonal table: ``at(t)`` spreads exp(rate t)
+        over the states, and its map is that table times psi, an
+        elementwise product.
 
         ``norm_curve(psi)``, for an (n, dim) batch, returns the function
         ``curve(t)`` of n times giving ||exp(...) psi[k]||^2 at t[k] and
@@ -138,13 +148,14 @@ class Hamiltonian:
         a propagator that never searches (gamma = 0) holds none of them.
         """
         diag = self.diag if decay is None else self.diag - 1j * decay
-        i, j, g = self.pair_i, self.pair_j, self.pair_g
+        coupled = self.pair_g != 0.0            # an undriven pair couples nothing
+        pair_i, pair_j, g = self.pair_i[coupled], self.pair_j[coupled], self.pair_g[coupled]
         dim = self.space.dim
         perm = np.arange(dim)                           # each state's partner
-        perm[i], perm[j] = j, i
-        rate_first, state_rate, first, group = _pair_groups(diag, i, j, g)
+        perm[pair_i], perm[pair_j] = pair_j, pair_i
+        rate_first, state_rate, first, group = _pair_groups(diag, pair_i, pair_j, g)
         n_rates, n_groups = rate_first.size, first.size
-        i, j, g = i[first], j[first], g[first]          # one pair per group
+        i, j, g = pair_i[first], pair_j[first], g[first]    # one pair per group
         rate_i, rate_j = -1j * diag[i], -1j * diag[j]
         exponent = np.concatenate([-1j * diag[rate_first], 0.5 * (rate_i + rate_j)])
         half = 0.5 * (diag[i] - diag[j])
@@ -155,8 +166,8 @@ class Hamiltonian:
         off_i, off_j = -1j * np.conj(g), -1j * g
         # table columns: the rates, then each group's i and j entries
         column = state_rate
-        column[self.pair_i] = n_rates + group
-        column[self.pair_j] = n_rates + n_groups + group
+        column[pair_i] = n_rates + group
+        column[pair_j] = n_rates + n_groups + group
         step = max(1, _CHUNK_AMPLITUDES // dim)
 
         def at(t):

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import first_jump_times
 from ionjump import dft, evolve
@@ -24,6 +26,7 @@ from ionjump.evolve import (
 from ionjump.errors import ValidationError
 from ionjump.gates import CNOT, Hadamard, PulseParams, compile_gate
 from ionjump.hamiltonians import (
+    Hamiltonian,
     build_carrier_hamiltonian,
     build_pulse_hamiltonian,
     build_sideband_hamiltonian,
@@ -259,6 +262,107 @@ def test_crossing_root_at_the_exceptional_point():
         ConditionalPropagator(h, decay, 4.0),
         functools.partial(oracles.taylor_propagator, h, decay),
         psi / np.linalg.norm(psi, axis=-1, keepdims=True), rng.uniform(0.8, 3.6, 16))
+
+
+def _unit_rows(rng, n, dim):
+    rows = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+
+
+def test_crossing_roots_match_a_dense_bisection_on_every_four_ion_step():
+    """Three random unit rows on each of the 3 distinct steps of the
+    four-ion QFT walk, none of which couples a pair, with thresholds
+    reached between 20% and 90% of the step, against the bisection of
+    the dense eigen-propagator.  Then the edge rows of the bracket-free
+    search: r = ||psi||^2 (root 0), r one ulp above the end norm (root
+    at the span) and a row on one rate, whose log-norm is a line."""
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+    experiment = compile_experiment(layout, PulseParams())
+    channels = qubit_channels(layout, 1e-3, gamma_aux=1e-3)
+    space, steps = evolve._closure_of(experiment.program, layout, channels,
+                                      experiment.initial.amplitudes)
+    decay = decay_vector(space, channels)
+    distinct = list(dict.fromkeys(step[:2] for step in steps if isinstance(step, tuple)))
+    assert len(distinct) == 3
+    rng = np.random.default_rng(8)
+    for h, duration in distinct:
+        propagator = ConditionalPropagator(h, decay, duration)
+        assert propagator.elementwise
+        _assert_crossing_matches_bisection(propagator, oracles.dense_maps(h, decay),
+                                           _unit_rows(rng, 3, space.dim),
+                                           rng.uniform(0.2, 0.9, 3) * duration)
+        psi = _unit_rows(rng, 3, space.dim)
+        k = np.flatnonzero(decay > 0.0)[0]
+        psi[2, (h.diag != h.diag[k]) | (decay != decay[k])] = 0.0
+        psi[2] /= np.linalg.norm(psi[2])
+        norm2, end_norm2 = evolve._norm2(psi), evolve._norm2(propagator.end(psi))
+        half = 0.5 * duration
+        r = np.array([norm2[0], np.nextafter(end_norm2[1], 1.0),
+                      norm2[2] * math.exp(-2.0 * decay[k] * half)])
+        span = np.full(3, duration)
+        roots, phi = propagator.crossing(psi, r, span, norm2, end_norm2)
+        assert np.all((0.0 <= roots) & (roots <= span))
+        assert roots[0] <= 1e-12 * duration and roots[1] >= (1.0 - 1e-12) * duration
+        assert abs(roots[2] - half) <= 1e-12 * half
+        assert np.array_equal(phi, propagator.at(roots)(psi))
+
+
+@given(n_ions=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       duration=st.floats(0.5, 10.0), decay_span=st.floats(0.05, 2.0))
+@settings(max_examples=40, deadline=None)
+def test_pair_free_crossing_roots_match_a_bisection(n_ions, seed, duration, decay_span):
+    """Random steps of one or two ions with no pair: a random diagonal
+    and random decays, each from a few values so that states share
+    rates, and random unit rows with thresholds reached between 20% and
+    90% of the step, against the bisection of the dense propagator.
+    The largest decay times the step, ``decay_span``, is at most 2, so
+    each root is well conditioned: beyond that a row's norm near its
+    root can be the flat plateau of its undecaying states, where the
+    rounding of r alone moves any search's root by 1e-11 relative."""
+    layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=2)
+    rng = np.random.default_rng(seed)
+    none = np.zeros(0, dtype=np.intp)
+    h = Hamiltonian(whole_register(layout), rng.choice([-1.3, 0.0, 0.4], layout.dim),
+                    none, none, np.zeros(0, dtype=np.complex128))
+    decay = decay_span / duration * rng.choice([0.0, 0.25, 1.0], layout.dim)
+    decay[0] = decay_span / duration
+    propagator = ConditionalPropagator(h, decay, duration)
+    assert propagator.elementwise
+    _assert_crossing_matches_bisection(propagator, oracles.dense_maps(h, decay),
+                                       _unit_rows(rng, 4, layout.dim),
+                                       rng.uniform(0.2, 0.9, 4) * duration)
+
+
+def test_pair_free_crossing_batches_take_few_curve_evaluations(monkeypatch):
+    """No crossing batch of a calibrated 2000-trajectory four-ion
+    ensemble evaluates its norm curves more than 8 times."""
+    counts = []
+    crossing = ConditionalPropagator.crossing
+
+    def counted(self, psi, *args):
+        norm_curve = self.norm_curve
+
+        def counting(rows):
+            curve = norm_curve(rows)
+
+            def evaluate(t):
+                counts[-1] += 1
+                return curve(t)
+
+            return evaluate
+
+        counts.append(0)
+        self.norm_curve = counting
+        try:
+            return crossing(self, psi, *args)
+        finally:
+            self.norm_curve = norm_curve
+
+    monkeypatch.setattr(ConditionalPropagator, "crossing", counted)
+    report = dft.dft_experiment(2000, "auto", layout=RegisterLayout(n_ions=4, phonon_cutoff=3),
+                                seed0=7)
+    assert report.jump_counts.sum() > 1000 and len(counts) > 10
+    assert 0 < max(counts) <= 8
 
 
 #: Rows of jumped trajectories a block holds in the tests that lower the

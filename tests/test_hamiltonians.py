@@ -79,9 +79,11 @@ def test_propagate_exact_matches_dense_diagonalization(layout):
 
 def per_pair_propagator(h, decay=None):
     """Closed form of exp(-i (H - i*decay) t) evaluated per state and per
-    pair: the oracle of the grouped ``Hamiltonian.pair_propagator``."""
+    pair: the oracle of the grouped ``Hamiltonian.pair_propagator``.  A
+    pair with g = 0 couples nothing, so its states take exp(rate t)."""
     diag = h.diag if decay is None else h.diag - 1j * decay
-    i, j, g = h.pair_i, h.pair_j, h.pair_g
+    coupled = h.pair_g != 0.0
+    i, j, g = h.pair_i[coupled], h.pair_j[coupled], h.pair_g[coupled]
     perm = np.arange(h.space.dim)
     perm[i], perm[j] = j, i
     rate = -1j * diag
@@ -112,7 +114,8 @@ def per_pair_propagator(h, decay=None):
 def _diagonal_pairs(layout):
     """Sideband pairs under a real diagonal taking three values, so
     half != 0 and Omega is complex, plus one zero-coupling pair whose
-    two states have equal diagonal elements (Omega = 0)."""
+    two states have equal diagonal elements (Omega = 0 without decay;
+    the map leaves it elementwise)."""
     h = build_sideband_hamiltonian(layout, 1, rabi=0.9, eta=0.2, phase=1.1)
     # drawn at random, so pairs with equal diag[i] differ in diag[j] and back
     diag = np.random.default_rng(2).choice([0.0, 0.3, -1.1], size=layout.dim)
@@ -294,6 +297,26 @@ def test_norm_curve_matches_the_map_on_degenerate_pairs(g, omega_over_g):
     rng = np.random.default_rng(3)
     _assert_norm_curve_matches_the_map(h, decay, _unit_rows(h.space.dim, 64, 4),
                                        rng.uniform(0.0, 3.0, 64))
+
+
+def test_undriven_pair_takes_its_exact_exponentials():
+    """An undriven pair (g = 0) with decay 0.3 on one end couples
+    nothing: at t = 100 the map and the norm curve give each state its
+    own exp(rate t) within 1e-14 relative, where the overdamped 2x2
+    block formula was 1.7e-4 off, and the step searches on the convex
+    pair-free curve."""
+    h, decay = _carrier_pair(0.0, 0.3)
+    t = 100.0
+    rows = _unit_rows(h.space.dim, 4, 9)
+    expected = np.exp((-1j * h.diag - decay) * t) * rows
+    at, norm_curve = h.pair_propagator(decay)
+    out = at(t)(rows)
+    assert np.all(np.abs(out - expected) <= 1e-14 * np.abs(expected))
+    density = np.abs(expected) ** 2
+    value, slope = norm_curve(rows)(np.full(len(rows), t))
+    assert np.all(np.abs(value - density.sum(axis=-1)) <= 1e-14 * value)
+    assert np.all(np.abs(slope + 2.0 * density @ decay) <= 1e-14 * np.abs(slope))
+    assert ConditionalPropagator(h, decay, t).elementwise
 
 
 def test_norm_bound_dominates_spectrum(layout):
