@@ -37,6 +37,7 @@ import numpy as np
 from .errors import ValidationError, ZeroFunction
 from .evolve import (
     SEED_LIMIT,
+    JumpChannel,
     check_seeds,
     conditional_no_jump_branch,
     decay_vector,
@@ -145,6 +146,14 @@ _NODES = np.concatenate([-_HALF_RULE[0, ::-1], _HALF_RULE[0]])
 _WEIGHTS = np.concatenate([_HALF_RULE[1, ::-1], _HALF_RULE[1]])
 
 
+def _channels(layout: RegisterLayout, gamma: float, include_aux: bool) -> list[JumpChannel]:
+    """The channels a run at ``gamma`` uses: each ion's qubit channel
+    and, with ``include_aux``, its auxiliary-level one, all at ``gamma``;
+    none at gamma = 0, where no channel fires."""
+    return [ch for ch in qubit_channels(layout, gamma, gamma_aux=gamma if include_aux else None)
+            if ch.gamma > 0.0]
+
+
 def integrated_upper_population(program: PulseProgram, layout: RegisterLayout,
                                 initial: QuantumState, include_aux: bool = True) -> float:
     """Time integral of the summed upper-level population at gamma = 0.
@@ -158,7 +167,7 @@ def integrated_upper_population(program: PulseProgram, layout: RegisterLayout,
     Every step acts on the one closure the walk carries, so the
     excitation diagonal is computed once, on that closure.
     """
-    upper = qubit_channels(layout, 1.0, gamma_aux=1.0 if include_aux else None)
+    upper = _channels(layout, 1.0, include_aux)
     # number of ions in an upper level, per state the walk carries
     excitation = decay_vector(reachable(program, layout, (), initial.amplitudes), upper)
     total = 0.0
@@ -200,8 +209,7 @@ def _pilot_mean_jumps(program: PulseProgram, layout: RegisterLayout,
     Lambda is -ln P0; only the jumpers' mean is sampled.  When every
     pilot jumps, P0 comes from the branch propagated alone (its maps are
     cached by then); when none does, the estimate is -ln P0."""
-    channels = qubit_channels(layout, gamma,
-                              gamma_aux=gamma if include_aux else None)
+    channels = _channels(layout, gamma, include_aux)
     seeds = stream_keys(seed_base, n_pilot)
     p0, jumper_rates = None, []
     for _, states, jumps, rate_integrals, _ in trajectory_blocks(program, layout, channels,
@@ -446,9 +454,7 @@ def dft_experiment(n_trajectories: int, gamma11: float | str,
                                 integral=experiment.excitation_integral(include_aux_channel))
     else:
         gamma = float(gamma11)
-    channels = qubit_channels(layout, gamma,
-                              gamma_aux=gamma if include_aux_channel else None)
-    channels = [ch for ch in channels if ch.gamma > 0.0]
+    channels = _channels(layout, gamma, include_aux_channel)
 
     # each block is reduced to the report's values on its closure as it
     # arrives, and its final states are dropped before the next block runs

@@ -64,13 +64,14 @@ together as the rows of a block, step by step.  Until its first jump
 every trajectory follows the same no-jump branch, whose squared norm
 is the survival probability, so a trajectory has no amplitudes of its
 own until then: row 0 of a block's rows is the branch, and one more
-row is made for each trajectory that has jumped; a block keeps their
-owners, draws and thresholds.  A step takes every row's end state
-with one array operation.  Because the squared norm is non-increasing,
-a row whose end norm stays at or above its r holds no jump in that
-step; a trajectory still on the branch leaves it when the branch's
-end norm falls below its first r, and starts as a copy of the branch
-at the start of that step.  Only the rows that cross search for their
+row is made for each trajectory that has jumped; a block keeps each
+trajectory's row, draws and threshold, the branch's row being 0 until
+the trajectory jumps.  A step takes every row's end state with one
+array operation.  Because the squared norm is non-increasing, a
+trajectory whose row's end norm stays at or above its r holds no jump
+in that step; one still on the branch leaves it when the branch's end
+norm falls below its first r, and starts as a copy of the branch at
+the start of that step.  Only the rows that cross search for their
 jump times, all together, by Newton iteration on ||U(t) psi||^2 = r
 (``ConditionalPropagator.crossing``).  The iteration runs on each
 row's norm curve in closed form (``Hamiltonian.pair_propagator``'s
@@ -195,16 +196,16 @@ class JumpChannel:
         """c |psi> (unnormalized) for states of ``space``, state axis
         last: one gather of each state's copy with the ion in the upper
         level, weighted sqrt(2*gamma) where the ion is in |0> and 0
-        elsewhere.  The gather and the weights are built once per
-        subspace, keyed by (ion, upper level, gamma)."""
+        elsewhere.  The gather and a 0/1 mask of where it is kept are
+        built once per subspace, keyed by (ion, upper level), so no
+        gamma adds a table."""
         def build():
             _, sources, kept = space.level_shifts(self.ion)     # shift = upper - 0
-            return sources[self.upper_level], np.where(
-                (space.levels(self.ion) == 0) & kept[self.upper_level],
-                math.sqrt(2.0 * self.gamma), 0.0)
+            mask = (space.levels(self.ion) == 0) & kept[self.upper_level]
+            return sources[self.upper_level], mask.astype(np.float64)
 
-        source, scale = space._table(("jump", self.ion, self.upper_level, self.gamma), build)
-        return np.take(amplitudes, source, axis=-1) * scale
+        source, mask = space._table(("jump", self.ion, self.upper_level), build)
+        return np.take(amplitudes, source, axis=-1) * (mask * math.sqrt(2.0 * self.gamma))
 
 
 def qubit_channels(layout: RegisterLayout, gamma11: float,
@@ -428,12 +429,11 @@ def _closure(program: PulseProgram, layout: RegisterLayout,
             chain = None
         elif item.duration != 0.0:
             h = restricted[item]
-            decay_only = not np.any(h.pair_g)
-            if decay_only and chain is not None and np.array_equal(chain[0].diag, h.diag):
+            if h.is_elementwise and chain is not None and np.array_equal(chain[0].diag, h.diag):
                 chain[1] += item.duration
             else:
                 steps.append([h, item.duration, t_start])
-                chain = steps[-1] if decay_only else None
+                chain = steps[-1] if h.is_elementwise else None
             t_start += item.duration
     return space, tuple(step if isinstance(step, InstantGate) else tuple(step) for step in steps)
 
@@ -594,14 +594,13 @@ def _stream_draws(seeds: Sequence[int], first: int, blocks: int) -> np.ndarray:
 
 
 class _Block:
-    """The trajectories of one block and the owners of its rows.
+    """The trajectories of one block, each with its row and threshold.
 
-    ``_walk`` carries the block's rows; row 0 is the no-jump
-    branch, and its threshold 0 never jumps.  A trajectory that has not
-    jumped has no row of its own: ``src[k]`` is 0 and ``first[k]`` is
-    its first threshold.  Once it jumps it owns a row (``owner`` maps
-    rows back to trajectories, -1 for the branch), ``first[k]`` is 0,
-    and it draws its channel picks and thresholds with ``jump_draws``.
+    ``_walk`` carries the block's rows; row 0 is the no-jump branch.
+    ``src[k]`` is trajectory k's row: 0 until it jumps, its own row
+    from then on.  ``thresholds[k]`` is its current threshold r, first
+    the head of its stream, then the one it drew at its last jump; it
+    draws its channel picks and thresholds with ``jump_draws``.
     ``heads`` holds the first 16 draws of every trajectory's stream (see
     ``_stream_draws``).  ``rate_integrals[k]`` sums -ln r over the
     thresholds r that trajectory k has crossed: its jump rate integrated
@@ -613,12 +612,10 @@ class _Block:
         self.seeds = seeds
         self.heads = heads
         self.drawn = [1] * len(seeds)       # draws taken from each stream
-        self.first = heads[:, 0].copy()
+        self.thresholds = heads[:, 0].copy()
         self.jumps: list[list[tuple[float, int]]] = [[] for _ in seeds]
         self.rate_integrals = np.zeros(len(seeds))
         self.src = np.zeros(len(seeds), dtype=np.intp)
-        self.thresholds = np.zeros(1)
-        self.owner = np.full(1, -1)
         self.min_norm2 = math.inf
 
     def jump_draws(self, owners: Sequence[int]) -> np.ndarray:
@@ -693,13 +690,13 @@ def _advance(block: _Block, channels: tuple[JumpChannel, ...], rates: np.ndarray
     The rows go through the step together.  A trajectory still on the
     branch crosses when the branch's end norm falls below its first
     threshold; it then becomes a copy of the branch's start-of-step
-    state with a row of its own, appended to the end rows.  A row jumps
-    whenever its squared norm falls to its threshold: the channel pick
-    and the next threshold are the next two draws of its trajectory's
-    stream, and the jump is appended to that trajectory's list as (time,
-    channel index), the time offset by ``t_start``.  Rows that jump
-    finish the duration as a smaller batch, which repeats while any of
-    them crosses again.
+    state with a row of its own, appended to the end rows.  A trajectory
+    jumps whenever its row's squared norm falls to its threshold: the
+    channel pick and the next threshold are the next two draws of its
+    stream, and the jump is appended to its list as (time, channel
+    index), the time offset by ``t_start``.  The trajectories that jump
+    finish the duration as a smaller batch, in seed order, which repeats
+    while any of them crosses again.
     """
     space = propagator.space
     duration = propagator.duration
@@ -707,47 +704,42 @@ def _advance(block: _Block, channels: tuple[JumpChannel, ...], rates: np.ndarray
     start_norm2, end_norm2 = _norm2(start), _norm2(out)
     _check_norm(start_norm2, end_norm2)
     block.min_norm2 = min(block.min_norm2, float(end_norm2[0]))
-    n_rows = start.shape[0]
-    rows = np.flatnonzero(end_norm2 < block.thresholds)
-    fresh = np.flatnonzero(end_norm2[0] < block.first)
+    # the trajectories that cross, in seed order; one still on the branch
+    # (row 0) is compared with the branch's end norm
+    owners = np.flatnonzero(end_norm2[block.src] < block.thresholds)
+    if not owners.size:
+        return out
+    origin = block.src[owners]
+    psi, norm2, out_norm2 = start[origin], start_norm2[origin], end_norm2[origin]
+    fresh = owners[origin == 0]
     if fresh.size:
         # trajectories leaving the branch in this pulse start as copies of it
+        n_rows = start.shape[0]
         block.src[fresh] = np.arange(n_rows, n_rows + fresh.size)
-        block.owner = np.concatenate([block.owner, fresh])
-        block.thresholds = np.concatenate([block.thresholds, block.first[fresh]])
-        block.first[fresh] = 0.0
-        rows = np.concatenate([rows, block.src[fresh]])
-    if not rows.size:
-        return out
-    rows = rows[np.argsort(block.owner[rows], kind="stable")]     # in seed order
-    origin = np.where(rows < n_rows, rows, 0)       # a fresh row starts from the branch
-    psi, norm2, out_norm2 = start[origin], start_norm2[origin], end_norm2[origin]
-    if fresh.size:
         # grown in place, as the caller holds ``start``: at most two block-sized
         # arrays are alive at once.  Every fresh row crosses and is written below.
         # ``out`` is the end map's fresh array and no view of it exists, so the
         # reference check is skipped: a trace or profile hook holding this
         # frame's locals adds a reference to it and would make the check fail
         out.resize((n_rows + fresh.size, out.shape[1]), refcheck=False)
-    elapsed = np.zeros(rows.size)
-    while rows.size:
-        dt, psi = propagator.crossing(psi, block.thresholds[rows], duration - elapsed, norm2,
+    elapsed = np.zeros(owners.size)
+    while owners.size:
+        dt, psi = propagator.crossing(psi, block.thresholds[owners], duration - elapsed, norm2,
                                       out_norm2)
         elapsed += dt
         weights = (psi.real**2 + psi.imag**2) @ rates
         total = weights.sum(axis=-1)
         if np.any(total <= 0.0):
             raise ValidationError("jump triggered with no channel weight")
-        owners = block.owner[rows]
-        # the rows of a batch belong to distinct trajectories
-        block.rate_integrals[owners] -= np.log(block.thresholds[rows])
-        owners = owners.tolist()
-        draws = block.jump_draws(owners)
+        # a batch holds each trajectory once, so one indexed subtract suffices
+        block.rate_integrals[owners] -= np.log(block.thresholds[owners])
+        owner_list = owners.tolist()
+        draws = block.jump_draws(owner_list)
         picks = (np.cumsum(weights, axis=-1) / total[:, None] <= draws[:, :1]).sum(axis=-1)
         picks = np.minimum(picks, len(channels) - 1)
-        block.thresholds[rows] = draws[:, 1]
+        block.thresholds[owners] = draws[:, 1]
         pick_list = picks.tolist()
-        for k, time, pick in zip(owners, (t_start + elapsed).tolist(), pick_list):
+        for k, time, pick in zip(owner_list, (t_start + elapsed).tolist(), pick_list):
             block.jumps[k].append((time, pick))
         jumped = np.empty_like(psi)
         # not np.unique, which imports numpy.ma on first use
@@ -755,14 +747,14 @@ def _advance(block: _Block, channels: tuple[JumpChannel, ...], rates: np.ndarray
             chosen = picks == pick
             jumped[chosen] = channels[pick].apply(psi[chosen], space)
         psi = jumped / np.sqrt(_norm2(jumped))[:, None]
-        norm2 = np.ones(rows.size)
+        norm2 = np.ones(owners.size)
         end = propagator.at(duration - elapsed)(psi)
         out_norm2 = _norm2(end)
         _check_norm(norm2, out_norm2)
-        out[rows] = end
-        again = out_norm2 < block.thresholds[rows]
-        rows, psi, norm2, out_norm2, elapsed = (
-            rows[again], psi[again], norm2[again], out_norm2[again], elapsed[again])
+        out[block.src[owners]] = end
+        again = out_norm2 < block.thresholds[owners]
+        owners, psi, norm2, out_norm2, elapsed = (
+            owners[again], psi[again], norm2[again], out_norm2[again], elapsed[again])
     return out
 
 

@@ -280,6 +280,26 @@ def test_auto_gamma_starts_from_the_excitation_integral(monkeypatch):
     assert dft_experiment(n_trajectories=1, gamma11=1e-4, layout=layout).gamma11 == 1e-4
 
 
+def test_zero_target_calibrates_to_zero_with_no_channel(monkeypatch):
+    """At t_ratio = 0 the calibration returns gamma = 0, and its pilots
+    and the run pass no channel to the engine, which so builds no
+    closure or plan for channels that never fire; no trajectory jumps."""
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+    experiment = compile_experiment(layout, PulseParams())
+    channel_lists = []
+    blocks = dft.trajectory_blocks
+
+    def spy(program, layout, channels, *args):
+        channel_lists.append(list(channels))
+        return blocks(program, layout, channels, *args)
+
+    monkeypatch.setattr(dft, "trajectory_blocks", spy)
+    assert calibrate_gamma(experiment.program, layout, experiment.initial, 0.0) == 0.0
+    report = dft_experiment(n_trajectories=3, gamma11="auto", t_ratio=0.0, layout=layout)
+    assert report.gamma11 == 0.0 and not report.jump_counts.any()
+    assert len(channel_lists) >= 2 and all(channels == [] for channels in channel_lists)
+
+
 def test_excitation_integral_is_computed_once_per_compiled_experiment(monkeypatch):
     """The gamma = 0 excitation integral joins the compiled record: a
     fixed-gamma run never computes it, and each ``include_aux`` setting

@@ -42,6 +42,7 @@ from ionjump.program import (
 from ionjump.register import (
     QuantumState,
     RegisterLayout,
+    Subspace,
     apply_internal_unitary,
     whole_register,
 )
@@ -97,8 +98,8 @@ def test_decay_vector():
 
 
 def test_jump_tables_are_kept_per_gamma():
-    """A channel's gather and weights are kept on the subspace per (ion,
-    upper level, gamma): channels that differ in gamma alone, applied in
+    """A channel's gather and mask are kept on the subspace per (ion,
+    upper level): channels that differ in gamma alone, applied in
     turn on one subspace, each move the upper level's amplitudes to |0>
     times their own sqrt(2 gamma)."""
     layout = RegisterLayout(n_ions=2, phonon_cutoff=2)
@@ -113,6 +114,30 @@ def test_jump_tables_are_kept_per_gamma():
             for gamma in (0.3, 0.02, 0.3):
                 out = JumpChannel(ion, gamma, upper).apply(psi, space)
                 assert np.array_equal(out, expected.reshape(3, -1) * math.sqrt(2.0 * gamma))
+
+
+def test_jump_tables_take_no_entry_per_gamma():
+    """The ten channels of the five-ion DFT at 50 decay constants, applied
+    on a fresh copy of its closure, add one jump table per (ion, upper
+    level), and each output is bit-equal to the gather times the per-gamma
+    weights sqrt(2 gamma) where the ion is in |0> and its raised copy is
+    kept, 0 elsewhere."""
+    layout = RegisterLayout(n_ions=5, phonon_cutoff=3)
+    experiment = compile_experiment(layout, PulseParams())
+    closure = evolve.reachable(experiment.program, layout, qubit_channels(layout, 1.0, 1.0),
+                               experiment.initial.amplitudes)
+    space = Subspace(layout, closure.states)
+    rng = np.random.default_rng(8)
+    psi = rng.normal(size=(3, space.dim)) + 1j * rng.normal(size=(3, space.dim))
+    for gamma in np.geomspace(1e-5, 1e-2, 50):
+        for ch in qubit_channels(layout, gamma, gamma):
+            _, sources, kept = space.level_shifts(ch.ion)
+            weights = np.where((space.levels(ch.ion) == 0) & kept[ch.upper_level],
+                               math.sqrt(2.0 * ch.gamma), 0.0)
+            expected = np.take(psi, sources[ch.upper_level], axis=-1) * weights
+            assert np.array_equal(ch.apply(psi, space), expected)
+    jump_tables = [key for key in space._tables if key[0] == "jump"]
+    assert sorted(jump_tables) == [("jump", ion, upper) for ion in range(5) for upper in (1, 2)]
 
 
 def test_unitary_limit_preserves_norm():
@@ -381,9 +406,10 @@ def _budget_rows(monkeypatch, program, layout, channels, initial):
 def test_block_ensemble_matches_one_row_runs(monkeypatch):
     """An ensemble over several blocks, its size no multiple of the block
     rows, against one run_trajectory per seed: same seeds in order, same
-    jumps and channels, same jump times and final states.  Long decaying
-    carrier pulses make rows jump again inside a pulse.  The budget is
-    lowered so that 150 seeds span several blocks."""
+    jumps and channels, same jump times and final states, and rate
+    integrals equal to those of one-seed trajectory_blocks runs.  Long
+    decaying carrier pulses make rows jump again inside a pulse.  The
+    budget is lowered so that 150 seeds span several blocks."""
     layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
     carriers = PulseProgram(tuple(Pulse(ion=k, transition=QUBIT_CARRIER, rabi=1.0,
                                         duration=20.0) for k in range(4)))
@@ -394,13 +420,17 @@ def test_block_ensemble_matches_one_row_runs(monkeypatch):
     n, rows = 150, evolve.BLOCK_AMPLITUDES // dim
     assert n > rows and n % rows != 0
     blocks = trajectory_blocks(program, layout, channels, range(40, 40 + n), initial)
-    ensemble = [(seed, state, row) for block_seeds, states, jumps, _, space in blocks
-                for seed, state, row in zip(block_seeds, space.embed(states), jumps,
-                                            strict=True)]
-    assert [seed for seed, _, _ in ensemble] == list(range(40, 40 + n))
+    ensemble = [(seed, state, row, rate_integral)
+                for block_seeds, states, jumps, rate_integrals, space in blocks
+                for seed, state, row, rate_integral in zip(
+                    block_seeds, space.embed(states), jumps, rate_integrals, strict=True)]
+    assert [seed for seed, _, _, _ in ensemble] == list(range(40, 40 + n))
     pulse_ends = np.cumsum([item.duration for item in oracles.pulses(program)])
     repeats = 0
-    for seed, state, row in ensemble:
+    for seed, state, row, rate_integral in ensemble:
+        (_, _, _, (lone_integral,), _), = trajectory_blocks(program, layout, channels, [seed],
+                                                            initial)
+        assert rate_integral == lone_integral
         single = run_trajectory(program, layout, channels, seed, initial)
         assert [c for _, c in row] == [c for _, c in single.jumps]
         times, expected = np.array([t for t, _ in row]), np.array(single.jump_times())
@@ -710,7 +740,7 @@ def test_block_streams_match_trajectory_rng(seed):
     15, 19 and 23."""
     seeds = [seed, 7]
     block = evolve._Block(seeds, evolve._stream_draws(seeds, 0, 4))
-    draws = np.column_stack([block.first] + [block.jump_draws([0, 1]) for _ in range(12)])
+    draws = np.column_stack([block.thresholds] + [block.jump_draws([0, 1]) for _ in range(12)])
     for row, s in zip(draws, seeds):
         assert np.array_equal(row, trajectory_rng(s).random(25))
 
