@@ -127,7 +127,9 @@ stream (its first four counter blocks: the first threshold and seven
 jumps' channel picks and next thresholds) come from one evaluation over
 BLOCK_AMPLITUDES // dim seeds at a time, as the blocks reach them, and
 a later pair from one over that trajectory's seed, so no run imports
-numpy.random.
+numpy.random.  The heads depend on the seeds alone: the two pilot walks
+of a calibration run the same seeds at two decays, so ``dft`` evaluates
+their ``stream_heads`` once and hands them to both walks.
 Each trajectory draws its thresholds and channel picks in the order a
 lone trajectory would, so results are reproducible and independent of
 the block a trajectory runs in, of the rows it shares and of execution
@@ -593,6 +595,20 @@ def _stream_draws(seeds: Sequence[int], first: int, blocks: int) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
+def stream_heads(seeds: Sequence[int]) -> np.ndarray:
+    """The first 16 draws of every seed's stream, as an (n, 16) array:
+    its first four counter blocks, which hold the first threshold and
+    seven jumps' channel picks and next thresholds (a block's
+    ``heads``).  They depend on the seeds alone, so a caller that runs
+    the same seeds at several decays evaluates them once and passes them
+    to each ``trajectory_blocks`` call.  A seed outside [0, 2**128), the
+    range of Philox's key, raises ``ValidationError``."""
+    if seeds and (min(seeds) < 0 or max(seeds) >> 128):
+        raise ValidationError(f"stream keys must lie in [0, 2**128), the range of "
+                              f"Philox's key; got {min(seeds)} to {max(seeds)}")
+    return _stream_draws(seeds, 0, 4)
+
+
 class _Block:
     """The trajectories of one block, each with its row and threshold.
 
@@ -636,7 +652,7 @@ class _Block:
 
 
 def _sized_blocks(seeds: Sequence[int], channels: list[JumpChannel],
-                  dim: int) -> Iterator[_Block]:
+                  dim: int, given_heads: np.ndarray | None = None) -> Iterator[_Block]:
     """Split ``seeds`` into blocks of trajectories, in seed order, for
     rows of ``dim`` amplitudes.
 
@@ -647,26 +663,29 @@ def _sized_blocks(seeds: Sequence[int], channels: list[JumpChannel],
     at most N_min never leaves the branch, so each later block takes
     seeds until BLOCK_AMPLITUDES // dim of them have r > N_min: no block
     holds more than 1 + BLOCK_AMPLITUDES // dim rows.  The first 16
-    draws of the seeds' streams come from one ``_stream_draws`` call per
+    draws of the seeds' streams come from one ``stream_heads`` call per
     BLOCK_AMPLITUDES // dim seeds, made when the blocks reach them, so
-    no more than a block's heads are alive however many seeds run.
-    Without decay no trajectory draws and every threshold is 0, which
-    never jumps.
+    no more than a block's heads are alive however many seeds run, and a
+    seed outside Philox's key range raises when its chunk is evaluated;
+    ``given_heads``, the ``stream_heads`` of ``seeds`` when the caller
+    holds them, is sliced instead.  Without decay no trajectory draws and
+    every threshold is 0, which never jumps.
     """
     budget = max(1, BLOCK_AMPLITUDES // dim)
     seeds = list(seeds)
     decays = any(ch.gamma > 0.0 for ch in channels)
-    if seeds and decays and (min(seeds) < 0 or max(seeds) >> 128):
-        raise ValidationError(f"stream keys must lie in [0, 2**128), the range of "
-                              f"Philox's key; got {min(seeds)} to {max(seeds)}")
     min_norm2 = None            # known once the first block has run
     start, jumpers = 0, 0
     heads = np.zeros((0, 16 if decays else 1))      # of the seeds evaluated from ``start`` on
     for lo in range(0, len(seeds), budget):
         chunk = seeds[lo:lo + budget]
-        # thresholds 0 without decay: no draws
-        heads = np.concatenate([heads, _stream_draws(chunk, 0, 4) if decays
-                                else np.zeros((len(chunk), 1))])
+        if not decays:                  # thresholds 0 without decay: no draws
+            chunk_heads = np.zeros((len(chunk), 1))
+        elif given_heads is None:
+            chunk_heads = stream_heads(chunk)
+        else:
+            chunk_heads = given_heads[lo:lo + budget]
+        heads = np.concatenate([heads, chunk_heads])
         for k, r in enumerate(heads[lo - start:, 0].tolist(), lo):
             jumpers += min_norm2 is None or r > min_norm2
             if jumpers == budget:
@@ -760,7 +779,7 @@ def _advance(block: _Block, channels: tuple[JumpChannel, ...], rates: np.ndarray
 
 def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
                       channels: list[JumpChannel], seeds: Sequence[int],
-                      initial_state: QuantumState
+                      initial_state: QuantumState, heads: np.ndarray | None = None
                       ) -> Iterator[tuple[Sequence[int], np.ndarray,
                                           list[list[tuple[float, int]]], np.ndarray,
                                           Subspace]]:
@@ -787,13 +806,15 @@ def trajectory_blocks(program: PulseProgram, layout: RegisterLayout,
     trajectory's jump rate integrated over the program, the compensator
     of its jump count.  Each trajectory uses its own stream
     ``trajectory_rng(seed)``, so a seed gives the same trajectory in
-    any block; a run's seeds are its ``stream_keys``.
+    any block; a run's seeds are its ``stream_keys``.  A caller that
+    holds the seeds' ``stream_heads`` passes them as ``heads``, and no
+    block evaluates them again.
     """
     key = tuple(channels)
     space, steps = _closure_of(program, layout, key, initial_state.amplitudes)
     walk, rates = _plan(space, steps, key)
     initial = space.restrict(initial_state.amplitudes)[None]
-    for block in _sized_blocks(seeds, channels, space.dim):
+    for block in _sized_blocks(seeds, channels, space.dim, heads):
         advance = functools.partial(_advance, block, key, rates)
         # no name here holds the block's rows or its final states, so a
         # caller reducing the block holds neither the rows nor what it drops

@@ -1,17 +1,22 @@
-"""Reference operators and readouts that only the tests use.
+"""Reference operators, readouts and writers that only the tests use.
 
 None of these is on the engine's path.  The dense forms here check the
 engine's closed-form maps (``Hamiltonian.pair_propagator``) against
 integrator- and structure-independent references; the Raman three-level
 drive is the one operator here that is not pair-structured, which the
 engine's propagator refuses, so its evolution runs on
-``dense_propagator`` alone.
+``dense_propagator`` alone.  The artifact writers at the end are the
+plain forms of ``dft``'s writers (a truncating ``open``, ``np.split``
+and one ``writerow`` per row), whose bytes the package's must match.
 """
 
+import csv
+import json
 import math
 
 import numpy as np
 
+from ionjump.dft import JUMP_CLASSES, representative_distribution
 from ionjump.errors import ZeroDetuning
 from ionjump.evolve import decay_vector
 from ionjump.gates import run_program_exact
@@ -337,3 +342,60 @@ def hydrogenic_field(constants):
     """e/(4 pi eps0 a0^2), the field of a proton at one Bohr radius,
     recomputed from the stored constants."""
     return constants.e_charge / (4.0 * math.pi * constants.epsilon0 * constants.a0**2)
+
+
+def _fmt(value):
+    return "%.12g" % value
+
+
+def write_trajectories_csv(report, path):
+    """One row per trajectory: seed, jump_count, jump_times, fidelity."""
+    counts = report.jump_counts
+    times = np.split(report.jump_times, np.cumsum(counts)[:-1])
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["seed", "jump_count", "jump_times", "fidelity"])
+        for k, (count, row, fidelity) in enumerate(zip(counts.tolist(), times,
+                                                       report.fidelities.tolist())):
+            writer.writerow([report.seed0 + k, count, ";".join(map(_fmt, row.tolist())),
+                             _fmt(fidelity)])
+
+
+def write_summary_json(report, path):
+    histogram, edges = report.fidelity_histogram()
+    class_distributions = {name: report.class_distribution(name) for name in JUMP_CLASSES}
+    payload = {
+        "n_trajectories": report.n_trajectories,
+        "seed0": report.seed0,
+        "gamma11": report.gamma11,
+        "program_duration": report.program_duration,
+        "t_ratio": report.t_ratio,
+        "mean_jump_count": report.mean_jump_count,
+        "jump_count_variance": report.jump_count_variance,
+        "class_counts": report.class_counts(),
+        "mean_fidelity": {
+            "overall": report.mean_fidelity(),
+            **{name: report.mean_fidelity(name) for name in JUMP_CLASSES},
+        },
+        "mean_leakage": float(report.leakages.mean()),
+        "fidelity_histogram": {"counts": histogram.tolist(), "bin_edges": edges.tolist()},
+        "oracle_distribution": report.oracle_distribution.tolist(),
+        "class_distributions": {
+            name: None if distribution is None else distribution.tolist()
+            for name, distribution in class_distributions.items()
+        },
+    }
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_bins_csv(report, path, class_name="one"):
+    """Per-bin spectrum of one representative trajectory vs the oracle:
+    columns (k, ideal_prob, trajectory_prob, class)."""
+    trajectory_probs, actual_class = representative_distribution(report, class_name)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["k", "ideal_prob", "trajectory_prob", "class"])
+        for k in range(report.oracle_distribution.size):
+            writer.writerow([k, _fmt(report.oracle_distribution[k]),
+                             _fmt(trajectory_probs[k]), actual_class])

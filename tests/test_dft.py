@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import stat
 import tracemalloc
 
 import numpy as np
@@ -25,9 +27,10 @@ from ionjump.dft import (
     write_trajectories_csv,
 )
 from ionjump.errors import ValidationError, ZeroFunction
-from ionjump.evolve import conditional_no_jump_branch, qubit_channels, trajectory_blocks
+from ionjump.evolve import (conditional_no_jump_branch, qubit_channels, run_trajectory,
+                            trajectory_blocks)
 from ionjump.gates import PulseParams, run_program_exact
-from ionjump.program import InstantGate
+from ionjump.program import QUBIT_CARRIER, InstantGate, Pulse, PulseProgram
 from ionjump.register import AUX_LEVEL, QuantumState, RegisterLayout, whole_register
 from test_acceptance import CALIBRATED_GAMMA
 import oracles
@@ -594,7 +597,7 @@ def test_calibration_pilots_share_one_seed_range(monkeypatch):
     pilot = dft._pilot_mean_jumps
 
     def spy(*args):
-        *_, n_pilot, seed_base = args
+        *_, n_pilot, seed_base, _heads = args
         seed_ranges.append(range(seed_base, seed_base + n_pilot))
         return pilot(*args)
 
@@ -735,6 +738,26 @@ def test_small_calls_evaluate_stream_heads_once(monkeypatch, n_ions):
     assert sizes == [50]
 
 
+@pytest.mark.parametrize("n_ions", [4, 5])
+def test_calibration_pilots_share_one_head_evaluation(monkeypatch, n_ions):
+    """Both pilots of a calibration read one evaluation of their seeds'
+    first 16 draws, so a calibrated 50-trajectory call evaluates heads
+    for 31 pilot seeds and for its own 50, where pilots that each
+    evaluated their own made it [31, 31, 50]; the calibrated gamma is
+    bit-equal to that of the unshared pilots."""
+    layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
+    sizes = _count_head_evaluations(monkeypatch)
+    shared = dft_experiment(n_trajectories=50, gamma11="auto", layout=layout).gamma11
+    assert sizes == [CALIBRATION_PILOT_SIZE, 50]
+
+    sizes.clear()
+    # no shared heads: each pilot's walk evaluates its own
+    monkeypatch.setattr(dft, "stream_heads", lambda seeds: None)
+    unshared = dft_experiment(n_trajectories=50, gamma11="auto", layout=layout).gamma11
+    assert sizes == [CALIBRATION_PILOT_SIZE, CALIBRATION_PILOT_SIZE, 50]
+    assert shared == unshared
+
+
 def test_largest_seeds_reach_trajectories_csv(tmp_path):
     """Seeds stay exact Python integers up to the top of the user seed
     range."""
@@ -755,6 +778,117 @@ def test_experiment_deterministic_artifacts(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     assert (tmp_path / "a_bins.csv").read_bytes() == (tmp_path / "b_bins.csv").read_bytes()
+
+
+ARTIFACT_WRITERS = (("trajectories.csv", "write_trajectories_csv"),
+                    ("summary.json", "write_summary_json"), ("bins.csv", "write_bins_csv"))
+
+
+def _write_artifacts(report, directory, writers=dft, class_name="one"):
+    """Write the three artifacts of ``report`` into ``directory`` with
+    the writers of ``writers`` (``dft`` or the reference ``oracles``)."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, writer in ARTIFACT_WRITERS:
+        args = (class_name,) if name == "bins.csv" else ()
+        getattr(writers, writer)(report, directory / name, *args)
+
+
+def _with_long_first_row(report):
+    """``report`` with trajectory 0's jumps replaced by the 22 jumps of
+    one ion under a long decaying carrier pulse, a run that draws far past
+    its stream's first 16 draws."""
+    layout = RegisterLayout(n_ions=1, phonon_cutoff=2)
+    program = PulseProgram((Pulse(ion=0, transition=QUBIT_CARRIER, rabi=1.0, duration=80.0),))
+    record = run_trajectory(program, layout, qubit_channels(layout, 0.5), 11,
+                            QuantumState.from_computational(layout, {0: 1.0}))
+    first = int(report.jump_counts[0])
+    counts = report.jump_counts.copy()
+    counts[0] = record.emitted_count
+    return dataclasses.replace(
+        report, jump_counts=counts,
+        jump_times=np.concatenate([record.jump_times(), report.jump_times[first:]]),
+        jump_channels=np.concatenate([[pick for _, pick in record.jumps],
+                                      report.jump_channels[first:]]).astype(np.intp),
+        classes=np.minimum(counts, 2))
+
+
+#: (trajectories, gamma11, seed0, --fig-class) of each case
+WRITER_CASES = {
+    "zero-jump-rows": (40, 6e-4, 9, "one"),
+    "long-row": (40, 6e-4, 9, "multi"),
+    "empty-class": (20, 1e-5, 0, "multi"),
+    "one-trajectory": (1, 7e-4, 2, "one"),
+    "gamma-0": (3, 0.0, 4, "zero"),
+}
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+@pytest.mark.parametrize("n_ions", [4, 5])
+def test_writers_match_the_reference_writers(tmp_path, n_ions, case):
+    """The artifact writers write the bytes of the plain writers in
+    ``oracles`` (a truncating open, ``np.split`` and one ``writerow``
+    per row): with zero-jump rows, with a row of 22 jumps, with an empty
+    requested class (the bins take the first trajectory's), for one
+    trajectory and at gamma = 0."""
+    n_traj, gamma, seed0, class_name = WRITER_CASES[case]
+    layout = RegisterLayout(n_ions=n_ions, phonon_cutoff=3)
+    report = dft_experiment(n_trajectories=n_traj, gamma11=gamma, layout=layout, seed0=seed0)
+    if case == "long-row":
+        report = _with_long_first_row(report)
+    covered = {
+        "zero-jump-rows": 0 in report.jump_counts and report.jump_counts.max() >= 2,
+        "long-row": report.jump_counts[0] >= 8,
+        "empty-class": report.class_counts()[class_name] == 0,
+        "one-trajectory": report.n_trajectories == 1,
+        "gamma-0": report.gamma11 == 0.0 and not report.jump_counts.any(),
+    }
+    assert covered[case]
+    _write_artifacts(report, tmp_path / "package", dft, class_name)
+    _write_artifacts(report, tmp_path / "reference", oracles, class_name)
+    for name, _ in ARTIFACT_WRITERS:
+        assert ((tmp_path / "package" / name).read_bytes()
+                == (tmp_path / "reference" / name).read_bytes()), name
+
+
+def test_artifacts_rewritten_in_place_match_a_fresh_write(tmp_path):
+    """A writer rewrites an existing artifact in place and truncates it
+    at the end of the new text: a 3-trajectory report written over a
+    3000-trajectory one equals the same report written to missing files,
+    which the writers create, with no stale tail."""
+    layout = RegisterLayout(n_ions=4, phonon_cutoff=3)
+    large = dft_experiment(n_trajectories=3000, gamma11=7e-4, layout=layout, seed0=5)
+    small = dft_experiment(n_trajectories=3, gamma11=7e-4, layout=layout)
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    _write_artifacts(large, reused)
+    large_sizes = {name: (reused / name).stat().st_size for name, _ in ARTIFACT_WRITERS}
+    _write_artifacts(small, reused)
+    _write_artifacts(small, fresh)
+    for name, _ in ARTIFACT_WRITERS:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert (reused / "trajectories.csv").stat().st_size < large_sizes["trajectories.csv"] // 100
+    assert (reused / "summary.json").stat().st_size < large_sizes["summary.json"]
+
+
+def test_rewritten_artifacts_keep_the_mode_open_keeps(tmp_path):
+    """An artifact written over an existing file keeps that file's mode
+    (0o600 here), and a created one gets the mode of a file that
+    ``open(path, "w")`` creates, as the reference writers show."""
+    report = dft_experiment(n_trajectories=3, gamma11=7e-4,
+                            layout=RegisterLayout(n_ions=4, phonon_cutoff=3))
+    for writers in (dft, oracles):
+        directory = tmp_path / writers.__name__
+        directory.mkdir()
+        for name, _ in ARTIFACT_WRITERS:
+            (directory / name).write_text("an older, longer artifact\n" * 200)
+            (directory / name).chmod(0o600)
+        _write_artifacts(report, directory, writers)
+        for name, _ in ARTIFACT_WRITERS:
+            assert stat.S_IMODE((directory / name).stat().st_mode) == 0o600, name
+    _write_artifacts(report, tmp_path / "created", dft)
+    _write_artifacts(report, tmp_path / "created-by-open", oracles)
+    for name, _ in ARTIFACT_WRITERS:
+        assert ((tmp_path / "created" / name).stat().st_mode
+                == (tmp_path / "created-by-open" / name).stat().st_mode), name
 
 
 def test_experiment_rejects_bad_trajectory_count():
